@@ -41,8 +41,12 @@ func TestReadmeExplainExamples(t *testing.T) {
 	for _, q := range []string{
 		`MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)-[:CATEGORIZED]->(t:Tag) WHERE a.asn IN [2497, 65001] RETURN p.prefix, t.label`,
 		`MATCH p = shortestPath((a:AS {asn: 2497})-[*..4]-(t:Tag)) RETURN length(p)`,
+		`MATCH (a:AS {asn:$asn})-[:ORIGINATE]-(p:Prefix) RETURN p.prefix`,
 	} {
-		out, err := db.Explain(q)
+		if !strings.Contains(doc, q) {
+			t.Errorf("README.md does not show the EXPLAIN example query %q", q)
+		}
+		out, err := db.Explain(q, iyp.WithParams(map[string]iyp.Value{"asn": iyp.IntValue(2497)}))
 		if err != nil {
 			t.Fatalf("Explain(%q): %v", q, err)
 		}

@@ -6,9 +6,10 @@ import (
 	"iyp/internal/graph"
 )
 
-// Pre-execution cost estimation. EstimateQuery walks a parsed query the way
-// Explain does — per UNION branch, per clause, per pattern path — and folds
-// the planner's anchorAccess estimates (planner.go) with per-hop fan-out
+// Pre-execution cost estimation. EstimateQuery walks a parsed query with
+// the clause walk Explain prints (walkBranch) — per UNION branch, per
+// clause, per pattern path — and folds the planner's anchorAccess
+// estimates (planner.go) with per-hop fan-out
 // from the graph's maintained relationship statistics into a single figure
 // the serving layer can compare against a shedding threshold before a
 // single row is produced. The estimates deliberately err high: under
@@ -41,15 +42,12 @@ const estimateCeiling = 1e15
 
 // EstimateQuery forecasts rows and cost for an already-parsed query against
 // g. params supplies $parameter values so parameterized index lookups plan
-// the same way they will execute (absent parameters degrade the estimate to
-// a scan, never to a panic). The walk never executes the query and is safe
-// on any parse result.
+// the same way they will execute (an absent parameter is costed as one
+// unknown scalar). The walk never executes the query and is safe on any
+// parse result.
 func EstimateQuery(g *graph.Graph, q *Query, params map[string]Val) QueryEstimate {
 	if g == nil || q == nil {
 		return QueryEstimate{Rows: 0, Cost: 0, IndexOnly: true}
-	}
-	if params == nil {
-		params = map[string]Val{}
 	}
 	total := QueryEstimate{IndexOnly: true}
 	for cur := q; cur != nil; cur = cur.Next {
@@ -63,53 +61,34 @@ func EstimateQuery(g *graph.Graph, q *Query, params map[string]Val) QueryEstimat
 }
 
 func estimateBranch(g *graph.Graph, q *Query, params map[string]Val) QueryEstimate {
-	ec := &evalCtx{g: g, params: params}
-	m := &matcher{ec: ec, g: g, binding: row{}}
+	ec := planCtx(g, params)
 	est := QueryEstimate{IndexOnly: true}
 	rows := 1.0 // current pipeline cardinality
 
-	for _, cl := range q.Clauses {
+	walkBranch(ec, q, func(cl Clause, plan *clausePlan) {
 		switch c := cl.(type) {
 		case *MatchClause:
-			pds := collectPushdowns(c.Where, patternVarSet(c.Patterns))
 			clauseRows := 1.0
-			for _, path := range c.Patterns {
-				var acc anchorAccess
+			for i, path := range c.Patterns {
+				anchor, acc := plan.paths[i].anchor, plan.paths[i].acc
+				est.Cost = clampEst(est.Cost + acc.cost)
 				if path.Shortest {
-					// BFS roots at the cheaper endpoint; cost is dominated by
-					// the frontier, bounded by the reachable edge set.
-					startAcc := m.planAccess(path.Nodes[0], pds)
-					endAcc := m.planAccess(path.Nodes[len(path.Nodes)-1], pds)
-					acc = startAcc
-					if endAcc.cost < startAcc.cost {
-						acc = endAcc
-					}
-					est.Cost = clampEst(est.Cost + acc.cost + acc.est*avgDegree(g))
+					// Cost is dominated by the BFS frontier, bounded by the
+					// reachable edge set.
+					est.Cost = clampEst(est.Cost + acc.est*avgDegree(g))
 					clauseRows = clampEst(clauseRows * maxf(acc.est, 1))
 				} else {
-					plan := m.planPath(path, pds)
-					acc = plan.acc
 					pathRows := acc.est
-					est.Cost = clampEst(est.Cost + acc.cost)
 					// Expansion proceeds outward from the anchor; each hop's
 					// frontier is charged as materialized work, because it is.
-					for i := range path.Rels {
-						pathRows = clampEst(pathRows * hopFanout(g, path.Rels[i], hopSource(path, plan.anchor, i)))
+					for h := range path.Rels {
+						pathRows = clampEst(pathRows * hopFanout(g, path.Rels[h], hopSource(path, anchor, h)))
 						est.Cost = clampEst(est.Cost + pathRows)
 					}
 					clauseRows = clampEst(clauseRows * pathRows)
 				}
 				if acc.kind != accessBound && acc.kind != accessIndex {
 					est.IndexOnly = false
-				}
-				// Later paths and clauses see this path's variables as bound,
-				// exactly as Explain models it.
-				for _, np := range path.Nodes {
-					if np.Var != "" {
-						if _, bound := m.binding.get(np.Var); !bound {
-							m.binding = append(m.binding, binding{np.Var, NodeVal(0)})
-						}
-					}
 				}
 			}
 			if c.Optional && clauseRows < 1 {
@@ -158,7 +137,7 @@ func estimateBranch(g *graph.Graph, q *Query, params map[string]Val) QueryEstima
 			est.Cost = clampEst(est.Cost + rows)
 			est.IndexOnly = false
 		}
-	}
+	})
 	est.Rows = rows
 	return est
 }

@@ -12,6 +12,10 @@ type evalCtx struct {
 	g      *graph.Graph
 	params map[string]Val
 	ex     *executor // for EXISTS/COUNT subqueries; may be nil in tests
+	// unknownParams makes a $parameter that was not supplied evaluate to a
+	// placeholder scalar instead of failing: plans are made (EXPLAIN, cost
+	// estimation) before anyone has to supply it.
+	unknownParams bool
 }
 
 // eval evaluates e against bindings r.
@@ -38,6 +42,9 @@ func (c *evalCtx) eval(e Expr, r row) (Val, error) {
 		return v, nil
 	case *Param:
 		v, ok := c.params[x.Name]
+		if !ok && c.unknownParams {
+			return ScalarVal(graph.String("$" + x.Name)), nil
+		}
 		if !ok {
 			return NullVal(), &Error{Msg: "parameter $" + x.Name + " not provided"}
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"sync"
 
 	"iyp/internal/graph"
 )
@@ -36,7 +35,7 @@ type executor struct {
 	res     *Result
 	params  map[string]Val
 	ctx     context.Context
-	q       *Query      // the UNION branch being executed (for parallel eligibility)
+	q       *Query      // the UNION branch being executed (writes in it keep MATCH clauses unsplit)
 	budget  int         // max final result rows (0 = unlimited)
 	par     int         // resolved worker budget (>= 1)
 	ticks   int         // cooperative-cancellation tick counter (single-threaded paths)
@@ -305,182 +304,24 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]
 
 // --- MATCH ---
 
-// parallelMatchThreshold is the input-row count above which a MATCH clause
-// fans out across CPUs. The graph store is safe for concurrent reads and
-// each input row is matched independently, so the only cost is the
-// per-chunk bookkeeping; small inputs stay single-threaded.
-const parallelMatchThreshold = 256
-
+// applyMatch runs one MATCH / OPTIONAL MATCH clause over its input rows
+// through the driver (parallel.go), with the query's worker budget.
 func (ex *executor) applyMatch(c *MatchClause, in []row, cap int) ([]row, error) {
-	// Static parallel eligibility for this clause: the runtime knob plus
-	// query-shape constraints (writes, multi-path bindings, shortestPath).
-	// Dynamic checks (bound anchor, candidate count) happen per input row
-	// inside matchOnceParallel. OPTIONAL MATCH is parallel-eligible — the
-	// null-row fallback sits above the per-row match.
-	reason := serialReason(ex.q, c)
-	if reason == "" && ex.par < 2 {
-		reason = reasonDisabled
+	spec := newMatchSpec(ex.q, c.Patterns, c.Where, c.Optional)
+	if spec.reason == "" && ex.par < 2 {
+		countSerialStatic(reasonDisabled)
+	} else {
+		countSerialStatic(spec.reason)
 	}
-	morselOK := reason == ""
-	if !morselOK {
-		countSerialStatic(reason)
-	}
-	var push []pushdown
-	if morselOK {
-		push = collectPushdowns(c.Where, patternVarSet(c.Patterns))
-	}
-
-	matchRow := func(r row, limit int) ([]row, error) {
-		var matches []row
-		var err error
-		ran := false
-		if morselOK {
-			matches, ran, err = ex.matchOnceParallel(c.Patterns[0], c.Where, push, r, limit)
-		}
-		if !ran {
-			matches, err = ex.matchOnce(c.Patterns, c.Where, r, limit)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if len(matches) == 0 && c.Optional {
-			// Bind all new pattern variables to null.
-			nr := r.clone()
-			for _, name := range patternVars(c.Patterns) {
-				if _, bound := nr.get(name); !bound {
-					nr = append(nr, binding{name, NullVal()})
-				}
-			}
-			return []row{nr}, nil
-		}
-		return matches, nil
-	}
-
-	// The per-input-row fan-out below and the morsel engine must not nest:
-	// when morsel parallelism is available the outer loop stays serial and
-	// the fan-out happens inside each match.
-	workers := ex.par
-	if morselOK || cap >= 0 || len(in) < parallelMatchThreshold || workers < 2 {
-		var out []row
-		for _, r := range in {
-			if err := ex.tick(); err != nil {
-				return nil, err
-			}
-			limit := -1
-			if cap >= 0 {
-				limit = cap - len(out)
-				if limit <= 0 {
-					break
-				}
-			}
-			matches, err := matchRow(r, limit)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, matches...)
-		}
-		return out, nil
-	}
-
-	// Parallel fan-out with per-input-row result slots, preserving the
-	// deterministic row order of the sequential path.
-	results := make([][]row, len(in))
-	errs := make([]error, workers)
-	var next int64
-	var mu sync.Mutex
-	take := func(n int) (int, int) {
-		mu.Lock()
-		defer mu.Unlock()
-		start := int(next)
-		if start >= len(in) {
-			return 0, 0
-		}
-		end := start + n
-		if end > len(in) {
-			end = len(in)
-		}
-		next = int64(end)
-		return start, end
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// A panic in a goroutine would kill the process regardless of
-			// Exec's own recovery; convert it to this worker's error.
-			defer func() {
-				if p := recover(); p != nil {
-					errs[w] = panicError(p)
-				}
-			}()
-			for {
-				if err := ctxErr(ex.ctx); err != nil {
-					errs[w] = err
-					return
-				}
-				start, end := take(64)
-				if start == end {
-					return
-				}
-				for i := start; i < end; i++ {
-					matches, err := matchRow(in[i], -1)
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					results[i] = matches
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []row
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	return out, nil
+	return ex.runMatch(spec, in, cap, ex.par)
 }
 
 // matchOnce enumerates extensions of seed satisfying patterns (and where,
-// if non-nil). limit < 0 means unlimited.
+// if non-nil) for EXISTS {} / COUNT {} subqueries and MERGE: a one-row call
+// into the driver. It stays on the calling goroutine — it is itself called
+// from inside work items. limit < 0 means unlimited.
 func (ex *executor) matchOnce(patterns []PatternPath, where Expr, seed row, limit int) ([]row, error) {
-	var out []row
-	m := &matcher{
-		ec:      ex.ec,
-		g:       ex.g,
-		ctx:     ex.ctx,
-		binding: seed.clone(),
-		push:    collectPushdowns(where, patternVarSet(patterns)),
-	}
-	m.emit = func() error {
-		if where != nil {
-			v, err := ex.ec.eval(where, m.binding)
-			if err != nil {
-				return err
-			}
-			if b, null := truth(v); null || !b {
-				return nil
-			}
-		}
-		if err := ex.chargeRow(m.binding); err != nil {
-			return err
-		}
-		out = append(out, m.binding.clone())
-		if limit >= 0 && len(out) >= limit {
-			return errStop
-		}
-		return nil
-	}
-	if err := m.solvePaths(patterns, 0); err != nil && err != errStop {
-		return nil, err
-	}
-	return out, nil
+	return ex.runMatch(newMatchSpec(ex.q, patterns, where, false), []row{seed}, limit, 1)
 }
 
 // returnRowCap computes how many input rows the final RETURN clause can

@@ -6,25 +6,26 @@ import (
 	"sync/atomic"
 )
 
-// Lock-free counters describing how MATCH clauses were executed: how many
-// ran morsel-parallel vs serial, why serial executions could not be
-// parallelised, and how much morsel/worker fan-out the parallel ones used.
-// Rendered into the server's GET /metrics via WriteMatchMetrics.
+// Lock-free counters describing how the driver (parallel.go) executed MATCH
+// clauses: how many work-list windows ran on the worker pool and with how
+// many items and workers, and per clause execution why its anchor
+// candidates were not fanned out. Rendered into the server's GET /metrics
+// via WriteMatchMetrics.
 var (
-	metricMatchParallel atomic.Uint64 // MATCH executions run morsel-parallel
-	metricMatchMorsels  atomic.Uint64 // morsels dispatched across all parallel runs
-	metricMatchWorkers  atomic.Uint64 // workers launched across all parallel runs
+	metricMatchParallel atomic.Uint64 // work-list windows run on the pool
+	metricMatchMorsels  atomic.Uint64 // work items dispatched across all pool runs
+	metricMatchWorkers  atomic.Uint64 // workers launched across all pool runs
 
-	// Serial executions, bucketed by the reason parallelism was ruled out.
+	// Clause executions not split into candidate morsels, by reason.
 	metricMatchSerialDisabled      atomic.Uint64 // parallelism knob < 2
 	metricMatchSerialWrites        atomic.Uint64 // write clauses in the branch
 	metricMatchSerialMultiPath     atomic.Uint64 // comma-separated paths share bindings
 	metricMatchSerialShortest      atomic.Uint64 // shortestPath BFS
-	metricMatchSerialBoundAnchor   atomic.Uint64 // anchor already bound by an earlier clause
-	metricMatchSerialFewCandidates atomic.Uint64 // fewer anchor candidates than two morsels
+	metricMatchSerialFewCandidates atomic.Uint64 // never two morsels of work at once: ran inline
 )
 
-// countSerialStatic records a clause-level (static) serial decision.
+// countSerialStatic records a clause-level (static) serial decision; ""
+// records nothing.
 func countSerialStatic(reason string) {
 	switch reason {
 	case reasonDisabled:
@@ -41,12 +42,10 @@ func countSerialStatic(reason string) {
 // Canonical serial-fallback reasons, shared by EXPLAIN output and the
 // metric buckets.
 const (
-	reasonDisabled      = "parallelism disabled"
-	reasonWrites        = "query contains write clauses"
-	reasonMultiPath     = "multiple pattern paths share one binding"
-	reasonShortest      = "shortestPath requires sequential BFS"
-	reasonBoundAnchor   = "anchor variable already bound"
-	reasonFewCandidates = "fewer anchor candidates than two morsels"
+	reasonDisabled  = "parallelism disabled"
+	reasonWrites    = "query contains write clauses"
+	reasonMultiPath = "multiple pattern paths share one binding"
+	reasonShortest  = "shortestPath requires sequential BFS"
 )
 
 // MatchStats is a point-in-time snapshot of the MATCH execution counters.
@@ -64,11 +63,13 @@ func SnapshotMatchStats() MatchStats {
 		Morsels:  metricMatchMorsels.Load(),
 		Workers:  metricMatchWorkers.Load(),
 		Serial: map[string]uint64{
-			"disabled":       metricMatchSerialDisabled.Load(),
-			"writes":         metricMatchSerialWrites.Load(),
-			"multi_path":     metricMatchSerialMultiPath.Load(),
-			"shortest_path":  metricMatchSerialShortest.Load(),
-			"bound_anchor":   metricMatchSerialBoundAnchor.Load(),
+			"disabled":      metricMatchSerialDisabled.Load(),
+			"writes":        metricMatchSerialWrites.Load(),
+			"multi_path":    metricMatchSerialMultiPath.Load(),
+			"shortest_path": metricMatchSerialShortest.Load(),
+			// A bound anchor is a one-candidate work item like any other; the
+			// series stays exported, at 0, for dashboards that name it.
+			"bound_anchor":   0,
 			"few_candidates": metricMatchSerialFewCandidates.Load(),
 		},
 	}

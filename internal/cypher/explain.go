@@ -7,102 +7,132 @@ import (
 	"iyp/internal/graph"
 )
 
+// clausePlan is what the planner decides for one MATCH clause before any
+// row is matched: the clause's matchSpec and one pathPlan per pattern path.
+type clausePlan struct {
+	matchSpec
+	paths []pathPlan
+}
+
+// planCtx is the evaluation context plans are made in without executing:
+// the caller's parameters, with a parameter that is not supplied standing
+// for one unknown scalar, so an index lookup on it still plans as an index
+// lookup (at the index's selectivity) rather than as a scan.
+func planCtx(g *graph.Graph, params map[string]Val) *evalCtx {
+	return &evalCtx{g: g, params: params, unknownParams: true}
+}
+
+// walkBranch is the clause walk EXPLAIN and the cost estimator share. It
+// visits the clauses of one UNION branch in order; a MATCH clause is first
+// planned the way the driver will plan it — same matchSpec, same planPath,
+// real parameters — against the variables bound so far, and each path's
+// node variables are then marked bound for later paths and clauses, which
+// is how the driver finds them. plan is nil for every other clause, and
+// only valid until visit returns.
+func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) {
+	m := &matcher{ec: ec, g: ec.g, binding: row{}}
+	cp := &clausePlan{}
+	for _, cl := range q.Clauses {
+		mc, ok := cl.(*MatchClause)
+		if !ok {
+			visit(cl, nil)
+			continue
+		}
+		cp.matchSpec, cp.paths = newMatchSpec(q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
+		m.push = cp.push
+		for _, path := range mc.Patterns {
+			cp.paths = append(cp.paths, m.planPath(path))
+			for _, np := range path.Nodes {
+				if _, bound := m.binding.get(np.Var); np.Var != "" && !bound {
+					m.binding = append(m.binding, binding{np.Var, NodeVal(0)})
+				}
+			}
+		}
+		visit(cl, cp)
+	}
+}
+
 // Explain describes, without executing, how the engine would run each
 // MATCH pattern of a query against g: which node position anchors the
 // search, how its candidates are produced (bound variable, index lookup,
 // label scan, full scan) with the statistics-estimated cardinality, which
 // WHERE predicates are pushed into index lookups, and whether the clause
-// is eligible for morsel-parallel execution. The plan printed here is
-// computed by the same planner that drives execution (planner.go), so
-// what EXPLAIN says is what runs. It is the reproduction's counterpart of
-// Cypher's EXPLAIN, useful when a query against a large snapshot is
-// unexpectedly slow.
+// is eligible for morsel-parallel execution. The plan printed here comes
+// from the clause walk the cost estimator uses and the planner the driver
+// calls (walkBranch, planPath), so what EXPLAIN says is what runs. It is
+// the reproduction's counterpart of Cypher's EXPLAIN, useful when a query
+// against a large snapshot is unexpectedly slow.
 func Explain(g *graph.Graph, src string) (string, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return "", err
 	}
-	ec := &evalCtx{g: g, params: map[string]Val{}}
-	m := &matcher{ec: ec, g: g, binding: row{}}
+	return ExplainQuery(g, q, nil), nil
+}
 
+// ExplainQuery is Explain for an already-parsed query with its $parameter
+// values, so a parameterized lookup is explained the way it will execute.
+func ExplainQuery(g *graph.Graph, q *Query, params map[string]Val) string {
 	var sb strings.Builder
 	clauseNo := 0
-	// Walk every UNION branch; parallel eligibility is judged per branch
-	// (a write clause anywhere in a branch serialises that branch's
-	// matches).
+	// Every UNION branch is walked on its own: variables do not carry
+	// across branches, and a write clause anywhere in a branch keeps that
+	// branch's matches unsplit.
 	for cur := q; cur != nil; cur = cur.Next {
-		for _, cl := range cur.Clauses {
-			if cc, ok := cl.(*CallClause); ok {
+		walkBranch(planCtx(g, params), cur, func(cl Clause, plan *clausePlan) {
+			switch c := cl.(type) {
+			case *CallClause:
 				clauseNo++
 				fmt.Fprintf(&sb, "CALL #%d\n", clauseNo)
-				if spec, ok := LookupProc(cc.Proc); ok {
+				if spec, ok := LookupProc(c.Proc); ok {
 					fmt.Fprintf(&sb, "  procedure %s streaming columns [%s]; plan not cacheable\n",
 						spec.Name, strings.Join(spec.Cols, ", "))
 				} else {
-					fmt.Fprintf(&sb, "  procedure %s is not registered — execution would fail\n", cc.Proc)
+					fmt.Fprintf(&sb, "  procedure %s is not registered — execution would fail\n", c.Proc)
 				}
-				continue
-			}
-			mc, ok := cl.(*MatchClause)
-			if !ok {
-				continue
-			}
-			clauseNo++
-			kind := "MATCH"
-			if mc.Optional {
-				kind = "OPTIONAL MATCH"
-			}
-			fmt.Fprintf(&sb, "%s #%d\n", kind, clauseNo)
-			pds := collectPushdowns(mc.Where, patternVarSet(mc.Patterns))
-			for i, path := range mc.Patterns {
-				if path.Shortest {
-					// solveShortest roots the BFS at whichever endpoint is
-					// cheaper to enumerate.
-					startAcc := m.planAccess(path.Nodes[0], pds)
-					endAcc := m.planAccess(path.Nodes[len(path.Nodes)-1], pds)
-					np, acc := path.Nodes[0], startAcc
-					if endAcc.cost < startAcc.cost {
-						np, acc = path.Nodes[len(path.Nodes)-1], endAcc
-					}
-					fmt.Fprintf(&sb, "  path %d: shortestPath BFS, %s\n", i+1, acc.describe(np))
-				} else {
-					plan := m.planPath(path, pds)
-					fmt.Fprintf(&sb, "  path %d: anchor at node %d of %d — %s; expand %d hop(s)\n",
-						i+1, plan.anchor+1, len(path.Nodes),
-						plan.acc.describe(path.Nodes[plan.anchor]), len(path.Rels))
+			case *MatchClause:
+				clauseNo++
+				kind := "MATCH"
+				if c.Optional {
+					kind = "OPTIONAL MATCH"
 				}
-				// After the first path matches, its variables are
-				// effectively bound for later paths; approximate by marking
-				// them bound for subsequent explain lines.
-				for _, np := range path.Nodes {
-					if np.Var != "" {
-						if _, bound := m.binding.get(np.Var); !bound {
-							m.binding = append(m.binding, binding{np.Var, NodeVal(0)})
-						}
-					}
-				}
+				fmt.Fprintf(&sb, "%s #%d\n", kind, clauseNo)
+				explainMatch(&sb, plan)
 			}
-			if len(pds) > 0 {
-				parts := make([]string, len(pds))
-				for j, pd := range pds {
-					op := "="
-					if pd.In {
-						op = "IN"
-					}
-					parts[j] = fmt.Sprintf("%s.%s %s …", pd.Var, pd.Key, op)
-				}
-				fmt.Fprintf(&sb, "  index-serviceable WHERE predicates: %s\n", strings.Join(parts, ", "))
-			}
-			if reason := serialReason(cur, mc); reason != "" {
-				fmt.Fprintf(&sb, "  execution: serial — %s\n", reason)
-			} else {
-				fmt.Fprintf(&sb, "  execution: morsel-parallel eligible (morsels of %d; serial below %d anchor candidates)\n",
-					morselSize, minParallelCandidates)
-			}
-		}
+		})
 	}
 	if clauseNo == 0 {
-		return "(no MATCH or CALL clauses)\n", nil
+		return "(no MATCH or CALL clauses)\n"
 	}
-	return sb.String(), nil
+	return sb.String()
+}
+
+func explainMatch(sb *strings.Builder, plan *clausePlan) {
+	for i, path := range plan.patterns {
+		pp := plan.paths[i]
+		access := pp.acc.describe(path.Nodes[pp.anchor])
+		if path.Shortest {
+			fmt.Fprintf(sb, "  path %d: shortestPath BFS, %s\n", i+1, access)
+		} else {
+			fmt.Fprintf(sb, "  path %d: anchor at node %d of %d — %s; expand %d hop(s)\n",
+				i+1, pp.anchor+1, len(path.Nodes), access, len(path.Rels))
+		}
+	}
+	if len(plan.push) > 0 {
+		parts := make([]string, len(plan.push))
+		for j, pd := range plan.push {
+			op := "="
+			if pd.In {
+				op = "IN"
+			}
+			parts[j] = fmt.Sprintf("%s.%s %s …", pd.Var, pd.Key, op)
+		}
+		fmt.Fprintf(sb, "  index-serviceable WHERE predicates: %s\n", strings.Join(parts, ", "))
+	}
+	if plan.reason != "" {
+		fmt.Fprintf(sb, "  execution: serial — %s\n", plan.reason)
+	} else {
+		fmt.Fprintf(sb, "  execution: morsel-parallel eligible (morsels of %d; serial below %d anchor candidates)\n",
+			morselSize, minParallelCandidates)
+	}
 }

@@ -152,11 +152,10 @@ func (m *matcher) bfsScratchGive(sc *bfsScratch) { m.scratch = sc }
 func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 	rp := path.Rels[0]
 	startNP, endNP := path.Nodes[0], path.Nodes[1]
-	startAcc, endAcc := m.planAccess(startNP, m.push), m.planAccess(endNP, m.push)
-	// Anchor at the cheaper end, flipping the pattern when needed.
-	if endAcc.cost < startAcc.cost {
+	// Root the BFS at the cheaper end, flipping the pattern when needed.
+	plan := m.planPath(path)
+	if plan.anchor == 1 {
 		startNP, endNP = endNP, startNP
-		startAcc = endAcc
 		switch rp.Dir {
 		case DirRight:
 			rp.Dir = DirLeft
@@ -178,7 +177,7 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 		maxHops = 1 << 30
 	}
 
-	return m.forPlanCandidates(startNP, startAcc, func(start graph.NodeID) error {
+	fromStart := func(start graph.NodeID) error {
 		startMark, ok, err := m.bindNode(startNP, start)
 		if err != nil {
 			return err
@@ -280,20 +279,26 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 			}
 		}
 		return nil
-	})
+	}
+	for _, start := range m.candidates(startNP, plan.acc) {
+		if err := fromStart(start); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// solvePathAll is the general backtracking matcher.
+// solvePathAll is the general backtracking matcher: plan the path against
+// the current binding, then expand from every candidate of its anchor.
 func (m *matcher) solvePathAll(path PatternPath, cont func() error) error {
-	plan := m.planPath(path, m.push)
-	return m.solvePathPlanned(path, plan, nil, cont)
+	plan := m.planPath(path)
+	return m.solvePathPlanned(path, plan, m.candidates(path.Nodes[plan.anchor], plan.acc), cont)
 }
 
-// solvePathPlanned expands path from the planned anchor. When morsel is
-// non-nil it restricts anchor enumeration to exactly those candidate IDs
-// (the morsel-parallel engine partitions the planned candidate list and
-// hands each worker a slice); nil enumerates the plan's full access.
-func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, morsel []graph.NodeID, cont func() error) error {
+// solvePathPlanned expands path from the planned anchor over exactly the
+// candidate IDs in cands — all of the plan's access, or the morsel of it
+// the MATCH driver handed this matcher.
+func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, cands []graph.NodeID, cont func() error) error {
 	// Per-position state for path-variable construction.
 	nodeIDs := make([]graph.NodeID, len(path.Nodes))
 	relVals := make([]Val, len(path.Rels))
@@ -347,15 +352,12 @@ func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, morsel []gra
 		m.binding = m.binding[:mark]
 		return err
 	}
-	if morsel != nil {
-		for _, id := range morsel {
-			if err := tryAnchor(id); err != nil {
-				return err
-			}
+	for _, id := range cands {
+		if err := tryAnchor(id); err != nil {
+			return err
 		}
-		return nil
 	}
-	return m.forPlanCandidates(path.Nodes[anchor], plan.acc, tryAnchor)
+	return nil
 }
 
 // expandStep matches path.Rels[relIdx] between the already-bound node at

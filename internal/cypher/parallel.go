@@ -7,79 +7,344 @@ import (
 	"iyp/internal/graph"
 )
 
-// Morsel-driven parallel MATCH. The planned anchor candidate list is
-// materialized once, partitioned into fixed-size morsels, and executed by
-// a bounded worker pool; every worker owns a private matcher clone
-// (binding, used-relationship stack, BFS scratch), so the only shared
-// state is the read-locked graph and the immutable plan. Emitted rows are
-// merged back in morsel order, which makes the result table byte-identical
-// to serial execution at any worker count:
+// The MATCH driver. Every pattern match in the engine — a MATCH or
+// OPTIONAL MATCH clause over any number of input rows, an EXISTS {} or
+// COUNT {} subquery, a MERGE probe — is one call to runMatch:
 //
-//   - Serial enumeration visits candidates in ascending node-ID order;
-//     morsels partition that exact order, so concatenating per-morsel rows
-//     in morsel index order reproduces the serial row order.
-//   - A row limit (LIMIT / MaxRows pushdown) caps each morsel locally at
-//     the full limit — after the in-order merge trims at the limit, no
-//     morsel can contribute more rows than that — and a completion
-//     frontier cancels morsels that start past the point where the
+//   - What is fixed for the clause (WHERE pushdowns, the static reason it
+//     may not be split) is collected once, in newMatchSpec.
+//   - For each input row the planner runs once and the anchor's candidates
+//     are enumerated once, and the row contributes work items to one
+//     ordered list: its candidate list cut into morsels of morselSize (a
+//     bound anchor is a one-candidate item), or, for a clause that must not
+//     be split (writes in the branch, comma-separated paths sharing one
+//     binding, shortestPath), a single whole-row item.
+//   - The list runs on the calling goroutine when it holds fewer than two
+//     items or minParallelCandidates units of work, or when fewer than two
+//     workers are allowed; otherwise on a bounded worker pool. Either way
+//     the same loop claims items and the same runMorsel executes them, each
+//     worker on a private matcher (binding, used-relationship stack, BFS
+//     scratch), so the only shared state is the immutable graph and plan.
+//   - The list is built and run in windows of windowItems, so the
+//     candidate lists held at once stay bounded however many rows feed the
+//     clause.
+//
+// Item results are merged back in list order, which makes the result table
+// byte-identical at any worker count:
+//
+//   - Input rows are listed in order and a row's candidates in ascending
+//     node-ID order, so concatenating per-item rows in list order is the
+//     order a single sequential enumeration produces. An OPTIONAL MATCH row
+//     whose items produced nothing gets its null row at that position.
+//   - A row limit (LIMIT / MaxRows pushdown) caps each item locally at
+//     what the window still needs — after the in-order merge trims at the
+//     limit, no item can contribute more rows than that — and a completion
+//     frontier stops workers claiming items past the point where the
 //     contiguous completed prefix already satisfies the limit.
-//   - Errors replay deterministically: the merge walks morsels in order,
+//   - Errors replay deterministically: the merge walks items in order,
 //     stops successfully once the limit is reached, and otherwise returns
-//     the first error in morsel order — the same error serial execution
-//     would have hit first (candidates within a morsel run in order, and
-//     serial execution stops at the limit before reaching later errors).
-//
-// Queries whose semantics force sequential execution (writes anywhere in
-// the branch, multiple comma-separated paths sharing one binding,
-// shortestPath) fall back serial with an explicit reason, surfaced by
-// EXPLAIN and counted in the metrics.
+//     the first error in list order — the error sequential execution hits
+//     first (candidates within an item run in order, and sequential
+//     execution stops at the limit before reaching later errors).
 
 const (
-	// morselSize is the number of anchor candidates per morsel: large
+	// morselSize is the number of anchor candidates per work item: large
 	// enough to amortize scheduling, small enough to balance skewed
 	// expansion costs across workers.
 	morselSize = 64
-	// minParallelCandidates is the anchor candidate count below which
-	// fan-out costs more than it buys (fewer than two full morsels).
+	// minParallelCandidates is the amount of work (anchor candidates, a
+	// whole-row item counting as one) below which fan-out costs more than
+	// it buys: fewer than two full morsels.
 	minParallelCandidates = 2 * morselSize
+	// windowItems bounds how many work items are planned ahead of
+	// execution. A window always ends on an input-row boundary.
+	windowItems = 1024
 )
 
-// serialReason explains why clause c of branch q cannot run
-// morsel-parallel, or "" when it can (subject to the runtime parallelism
-// knob and the dynamic candidate-count check).
-func serialReason(q *Query, c *MatchClause) string {
+// serialReason explains why a clause with these patterns in branch q is
+// not split into candidate morsels (it runs as whole-row work items), or
+// "" when it is.
+func serialReason(q *Query, patterns []PatternPath) string {
 	for _, cl := range q.Clauses {
 		switch cl.(type) {
 		case *CreateClause, *MergeClause, *SetClause, *DeleteClause, *RemoveClause:
 			return reasonWrites
 		}
 	}
-	if len(c.Patterns) > 1 {
+	if len(patterns) > 1 {
 		return reasonMultiPath
 	}
-	if c.Patterns[0].Shortest {
+	if patterns[0].Shortest {
 		return reasonShortest
 	}
 	return ""
 }
 
-// frontier tracks per-morsel completion so workers can skip morsels that
-// are provably unnecessary: once the contiguous completed prefix holds
-// enough rows to satisfy the limit (or an earlier morsel errored), every
-// later morsel's output would be trimmed away by the in-order merge.
+// matchSpec is what is fixed for a pattern-matching clause whatever row
+// feeds it. The driver, EXPLAIN and the estimator all start from it.
+type matchSpec struct {
+	patterns []PatternPath
+	where    Expr
+	optional bool
+	push     []pushdown // WHERE conjuncts usable for anchor index lookups
+	reason   string     // serialReason: "" = the anchor's candidates are split into morsels
+}
+
+func newMatchSpec(q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
+	return matchSpec{
+		patterns: patterns,
+		where:    where,
+		optional: optional,
+		push:     collectPushdowns(where, patternVarSet(patterns)),
+		reason:   serialReason(q, patterns),
+	}
+}
+
+// workItem is one entry of the driver's ordered work list: input row `row`
+// restricted to the anchor candidates cands of its plan. A whole-row item
+// (spec.reason != "") carries neither and enumerates every path of the
+// clause. rows and err are the item's outcome.
+type workItem struct {
+	row   int
+	plan  pathPlan
+	cands []graph.NodeID
+
+	rows []row
+	err  error
+}
+
+// matchRun is the state of one runMatch call: what it matches, and the
+// window of the work list it is currently executing — the items, the row
+// limit they share, and the claim counter and completion frontier the
+// window's workers coordinate through.
+type matchRun struct {
+	ex   *executor
+	spec matchSpec
+	in   []row
+
+	items []workItem
+	limit int
+	next  atomic.Int64
+	front *frontier
+}
+
+// runMatch extends every row of in by the matches of spec, in input order.
+// cap < 0 means unlimited; otherwise at most cap rows are produced and
+// enumeration stops as soon as they are. workers bounds the pool.
+func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row, error) {
+	run := &matchRun{ex: ex, spec: spec, in: in}
+	planner := ex.newMatcher(spec.push)
+	var nullVars []string
+	if spec.optional {
+		nullVars = patternVars(spec.patterns)
+	}
+	var out []row
+	pooled := false
+	for next := 0; next < len(in) && (cap < 0 || len(out) < cap); {
+		if err := ctxErr(ex.ctx); err != nil {
+			return nil, err
+		}
+		run.limit = -1
+		if cap >= 0 {
+			run.limit = cap - len(out)
+		}
+
+		// Plan one window. A limit also closes it once it holds that many
+		// candidates, so a small LIMIT over many input rows plans few of
+		// them.
+		first := next
+		items := run.items[:0]
+		weight := 0
+		for ; next < len(in) && len(items) < windowItems && (run.limit < 0 || weight < run.limit); next++ {
+			if spec.reason != "" {
+				items = append(items, workItem{row: next})
+				weight++
+				continue
+			}
+			planner.binding = in[next]
+			path := spec.patterns[0]
+			plan := planner.planPath(path)
+			cands := planner.candidates(path.Nodes[plan.anchor], plan.acc)
+			weight += len(cands)
+			for len(cands) > 0 {
+				n := min(len(cands), morselSize)
+				items = append(items, workItem{row: next, plan: plan, cands: cands[:n]})
+				cands = cands[n:]
+			}
+		}
+		run.items = items
+
+		pool := 1
+		if workers >= 2 && len(items) >= 2 && weight >= minParallelCandidates {
+			pool = min(workers, len(items))
+			pooled = true
+		}
+		if len(items) > 0 {
+			run.execute(pool)
+		}
+
+		// In-order merge: concatenate, trim at the limit, and surface the
+		// first error in list order only if sequential execution would have
+		// reached it before satisfying the limit.
+		it := 0
+		for r := first; r < next; r++ {
+			before := len(out)
+			for ; it < len(items) && items[it].row == r; it++ {
+				out = append(out, items[it].rows...)
+				if cap >= 0 && len(out) >= cap {
+					return out[:cap], nil
+				}
+				if items[it].err != nil {
+					return nil, items[it].err
+				}
+			}
+			if spec.optional && len(out) == before {
+				// Bind all new pattern variables to null.
+				nr := in[r].clone()
+				for _, name := range nullVars {
+					if _, bound := nr.get(name); !bound {
+						nr = append(nr, binding{name, NullVal()})
+					}
+				}
+				out = append(out, nr)
+			}
+		}
+	}
+	if workers >= 2 && spec.reason == "" && !pooled {
+		metricMatchSerialFewCandidates.Add(1)
+	}
+	return out, nil
+}
+
+func (ex *executor) newMatcher(push []pushdown) *matcher {
+	return &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: push}
+}
+
+// execute runs the current window with `workers` workers: one runs on the
+// calling goroutine, more as a pool it waits for.
+func (r *matchRun) execute(workers int) {
+	r.next.Store(0)
+	r.front = newFrontier(len(r.items), r.limit)
+	if workers < 2 {
+		r.work()
+		return
+	}
+	metricMatchParallel.Add(1)
+	metricMatchMorsels.Add(uint64(len(r.items)))
+	metricMatchWorkers.Add(uint64(workers))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work()
+		}()
+	}
+	wg.Wait()
+}
+
+// work is one worker of the current window, on the calling goroutine or in
+// the pool: it claims items in list order and fills in their rows and err
+// until the list or the frontier's cutoff is reached. Items past the
+// cutoff are left untouched: the in-order merge never reaches them.
+func (r *matchRun) work() {
+	// A panic escaping a pool goroutine would kill the process; recover per
+	// worker and let the in-order merge surface it as this item's error
+	// (claimed is the item being run when the panic fired).
+	claimed := -1
+	defer func() {
+		if p := recover(); p != nil && claimed >= 0 {
+			r.items[claimed].err = panicError(p)
+			r.front.errorAt(claimed)
+		}
+	}()
+	m := r.ex.newMatcher(r.spec.push)
+	for {
+		i := int(r.next.Add(1) - 1)
+		// Items are claimed in ascending order and the cutoff only ever
+		// drops, so the first skipped item ends this worker.
+		if i >= len(r.items) || r.front.skip(i) {
+			return
+		}
+		claimed = i
+		if testMorselHook != nil {
+			testMorselHook(i)
+		}
+		it := &r.items[i]
+		it.rows, it.err = r.runMorsel(m, it)
+		if it.err != nil {
+			r.front.errorAt(i)
+			continue
+		}
+		r.front.complete(i, len(it.rows))
+	}
+}
+
+// testMorselHook, when non-nil, runs at the start of every work item. It
+// exists so tests can inject a worker-goroutine panic and prove the
+// per-worker recovery path; production code never sets it.
+var testMorselHook func(itemIndex int)
+
+// runMorsel executes one work item on the worker's private matcher,
+// starting from the item's input row. The binding and used stacks are
+// push/pop balanced, so the same matcher is reused for the worker's next
+// item without reallocation.
+func (r *matchRun) runMorsel(m *matcher, it *workItem) ([]row, error) {
+	ex, where, limit := r.ex, r.spec.where, r.limit
+	m.binding = append(m.binding[:0], r.in[it.row]...)
+	var out []row
+	m.emit = func() error {
+		if where != nil {
+			v, err := ex.ec.eval(where, m.binding)
+			if err != nil {
+				return err
+			}
+			if b, null := truth(v); null || !b {
+				return nil
+			}
+		}
+		// The tracker is shared by every worker of this query (one atomic),
+		// so the budget holds across the whole fan-out.
+		if err := ex.chargeRow(m.binding); err != nil {
+			return err
+		}
+		out = append(out, m.binding.clone())
+		if limit >= 0 && len(out) >= limit {
+			return errStop
+		}
+		return nil
+	}
+	var err error
+	if r.spec.reason != "" {
+		err = m.solvePaths(r.spec.patterns, 0)
+	} else {
+		err = m.solvePathPlanned(r.spec.patterns[0], it.plan, it.cands, m.emit)
+	}
+	if err == errStop {
+		err = nil
+	}
+	return out, err
+}
+
+// frontier tracks per-item completion so workers can stop claiming items
+// that are provably unnecessary: once the contiguous completed prefix holds
+// enough rows to satisfy the limit (or an earlier item errored), every
+// later item's output would be trimmed away by the in-order merge.
 type frontier struct {
 	mu    sync.Mutex
-	done  []bool
-	rows  []int
-	next  int // first morsel index not yet in the completed prefix
-	acc   int // rows accumulated over the completed prefix
-	limit int // -1 = unlimited (frontier inactive except for errors)
+	done  []int // per item: 0 = still running, else its row count + 1
+	next  int   // first item index not yet in the completed prefix
+	acc   int   // rows accumulated over the completed prefix
+	limit int   // -1 = unlimited (frontier inactive except for errors)
 
-	cutoff atomic.Int64 // morsels at index >= cutoff need not run
+	cutoff atomic.Int64 // items at index >= cutoff need not run
 }
 
 func newFrontier(n, limit int) *frontier {
-	f := &frontier{done: make([]bool, n), rows: make([]int, n), limit: limit}
+	f := &frontier{limit: limit}
+	if limit >= 0 {
+		f.done = make([]int, n)
+	}
 	f.cutoff.Store(int64(n))
 	return f
 }
@@ -95,18 +360,17 @@ func (f *frontier) lower(c int) {
 	}
 }
 
-// complete records morsel i finishing with n emitted rows and advances the
-// frontier; errorAt marks morsel i failed, so later morsels are moot.
+// complete records item i finishing with n emitted rows and advances the
+// frontier; errorAt marks item i failed, so later items are moot.
 func (f *frontier) complete(i, n int) {
 	if f.limit < 0 {
 		return
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.done[i] = true
-	f.rows[i] = n
-	for f.next < len(f.done) && f.done[f.next] {
-		f.acc += f.rows[f.next]
+	f.done[i] = n + 1
+	for f.next < len(f.done) && f.done[f.next] > 0 {
+		f.acc += f.done[f.next] - 1
 		f.next++
 		if f.acc >= f.limit {
 			f.lower(f.next)
@@ -116,140 +380,3 @@ func (f *frontier) complete(i, n int) {
 }
 
 func (f *frontier) errorAt(i int) { f.lower(i + 1) }
-
-// matchOnceParallel is the morsel-parallel counterpart of matchOnce for a
-// single-path clause. ran is false when the dynamic checks (bound anchor,
-// too few candidates) chose serial execution instead — the caller falls
-// back to matchOnce, which re-plans identically.
-func (ex *executor) matchOnceParallel(path PatternPath, where Expr, push []pushdown, seed row, limit int) (out []row, ran bool, err error) {
-	base := &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, binding: seed.clone(), push: push}
-	plan := base.planPath(path, push)
-	if plan.acc.kind == accessBound {
-		metricMatchSerialBoundAnchor.Add(1)
-		return nil, false, nil
-	}
-	var cands []graph.NodeID
-	if err := base.forPlanCandidates(path.Nodes[plan.anchor], plan.acc, func(id graph.NodeID) error {
-		cands = append(cands, id)
-		return nil
-	}); err != nil {
-		return nil, true, err
-	}
-	if len(cands) < minParallelCandidates {
-		metricMatchSerialFewCandidates.Add(1)
-		return nil, false, nil
-	}
-
-	n := (len(cands) + morselSize - 1) / morselSize
-	workers := ex.par
-	if workers > n {
-		workers = n
-	}
-	metricMatchParallel.Add(1)
-	metricMatchMorsels.Add(uint64(n))
-	metricMatchWorkers.Add(uint64(workers))
-
-	results := make([][]row, n)
-	errs := make([]error, n)
-	front := newFrontier(n, limit)
-	var nextMorsel atomic.Int64
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// A panic escaping a worker goroutine would kill the process;
-			// recover per worker and let the in-order merge surface it as
-			// this morsel's error (claimed is the morsel being run when the
-			// panic fired).
-			claimed := -1
-			defer func() {
-				if p := recover(); p != nil && claimed >= 0 && claimed < n {
-					errs[claimed] = panicError(p)
-					front.errorAt(claimed)
-				}
-			}()
-			wm := &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, binding: seed.clone(), push: push}
-			for {
-				i := int(nextMorsel.Add(1) - 1)
-				if i >= n {
-					return
-				}
-				claimed = i
-				if testMorselHook != nil {
-					testMorselHook(i)
-				}
-				if front.skip(i) {
-					front.complete(i, 0)
-					continue
-				}
-				lo := i * morselSize
-				hi := lo + morselSize
-				if hi > len(cands) {
-					hi = len(cands)
-				}
-				rows, err := ex.runMorsel(wm, path, plan, cands[lo:hi], where, limit)
-				results[i], errs[i] = rows, err
-				if err != nil {
-					front.errorAt(i)
-					continue
-				}
-				front.complete(i, len(rows))
-			}
-		}()
-	}
-	wg.Wait()
-
-	// In-order merge: concatenate, trim at the limit, and surface the
-	// first error in morsel order only if serial execution would have
-	// reached it before satisfying the limit.
-	for i := 0; i < n; i++ {
-		out = append(out, results[i]...)
-		if limit >= 0 && len(out) >= limit {
-			return out[:limit], true, nil
-		}
-		if errs[i] != nil {
-			return nil, true, errs[i]
-		}
-	}
-	return out, true, nil
-}
-
-// testMorselHook, when non-nil, runs at the start of every morsel. It
-// exists so tests can inject a worker-goroutine panic and prove the
-// per-worker recovery path; production code never sets it.
-var testMorselHook func(morselIndex int)
-
-// runMorsel enumerates one morsel's candidates on the worker's private
-// matcher. The binding and used stacks are push/pop balanced, so the same
-// matcher is reused for the worker's next morsel without reallocation.
-func (ex *executor) runMorsel(m *matcher, path PatternPath, plan pathPlan, morsel []graph.NodeID, where Expr, limit int) ([]row, error) {
-	var out []row
-	m.emit = func() error {
-		if where != nil {
-			v, err := ex.ec.eval(where, m.binding)
-			if err != nil {
-				return err
-			}
-			if b, null := truth(v); null || !b {
-				return nil
-			}
-		}
-		// The tracker is shared by every worker of this query (one atomic),
-		// so the budget holds across the whole morsel fan-out.
-		if err := ex.chargeRow(m.binding); err != nil {
-			return err
-		}
-		out = append(out, m.binding.clone())
-		if limit >= 0 && len(out) >= limit {
-			return errStop
-		}
-		return nil
-	}
-	err := m.solvePathPlanned(path, plan, morsel, m.emit)
-	if err == errStop {
-		err = nil
-	}
-	return out, err
-}

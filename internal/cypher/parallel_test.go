@@ -3,6 +3,7 @@ package cypher
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -81,42 +82,80 @@ func resultKey(res *Result) string {
 	return sb.String()
 }
 
-// identityQueries are the paper-shaped query forms the morsel engine must
-// reproduce byte-identically at every worker count.
+// identityQueries are the paper-shaped query forms the MATCH driver must
+// reproduce byte-identically at every worker count. wantErr marks the forms
+// that must fail — with the same error at every worker count.
 var identityQueries = []struct {
-	name string
-	q    string
-	opts ExecOptions
+	name    string
+	q       string
+	opts    ExecOptions
+	wantErr bool
 }{
-	{"rpki_coverage", `MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)-[:CATEGORIZED]->(t:Tag)
-		WHERE t.label = "RPKI Valid" RETURN a.asn, p.prefix`, ExecOptions{}},
-	{"moas_style_join", `MATCH (x:AS)-[:ORIGINATE]-(p:Prefix)-[:ORIGINATE]-(y:AS)
-		WHERE x.asn <> y.asn RETURN DISTINCT p.prefix`, ExecOptions{}},
-	{"var_length_peering", `MATCH (a:AS)-[:PEERS_WITH*1..2]->(b:AS)
-		RETURN a.asn, b.asn`, ExecOptions{}},
-	{"optional_match", `MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name)
-		RETURN a.asn, n.name`, ExecOptions{}},
-	{"aggregation_by_country", `MATCH (a:AS)-[:COUNTRY]->(c:Country)
-		RETURN c.country_code AS cc, count(*) AS n ORDER BY n DESC, cc`, ExecOptions{}},
-	{"limit_pushdown", `MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)
-		RETURN a.asn, p.prefix LIMIT 7`, ExecOptions{}},
-	{"order_skip_limit", `MATCH (a:AS) RETURN a.asn ORDER BY a.asn DESC SKIP 3 LIMIT 11`, ExecOptions{}},
-	{"in_pushdown", `MATCH (a:AS)-[:COUNTRY]->(c:Country)
-		WHERE a.asn IN [64003, 64007, 64211, 64399, 99999] RETURN a.asn, c.country_code`, ExecOptions{}},
-	{"max_rows_budget", `MATCH (a:AS)-[:PEERS_WITH]->(b:AS) RETURN a.asn, b.asn`,
-		ExecOptions{MaxRows: 13}},
-	{"shortest_path_fallback", `MATCH p = shortestPath((a:AS {asn: 64001})-[:PEERS_WITH*..6]-(b:AS {asn: 64399}))
-		RETURN length(p)`, ExecOptions{}},
-	{"union_branches", `MATCH (a:AS)-[:COUNTRY]->(c:Country {country_code: "JP"}) RETURN a.asn AS asn
-		UNION MATCH (a:AS)-[:COUNTRY]->(c:Country {country_code: "NL"}) RETURN a.asn AS asn`, ExecOptions{}},
-	{"exists_subquery", `MATCH (a:AS) WHERE EXISTS { (a)-[:ORIGINATE]->(:Prefix) }
-		RETURN count(a)`, ExecOptions{}},
+	{name: "rpki_coverage", q: `MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)-[:CATEGORIZED]->(t:Tag)
+		WHERE t.label = "RPKI Valid" RETURN a.asn, p.prefix`},
+	{name: "moas_style_join", q: `MATCH (x:AS)-[:ORIGINATE]-(p:Prefix)-[:ORIGINATE]-(y:AS)
+		WHERE x.asn <> y.asn RETURN DISTINCT p.prefix`},
+	{name: "var_length_peering", q: `MATCH (a:AS)-[:PEERS_WITH*1..2]->(b:AS)
+		RETURN a.asn, b.asn`},
+	{name: "optional_match", q: `MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name)
+		RETURN a.asn, n.name`},
+	{name: "aggregation_by_country", q: `MATCH (a:AS)-[:COUNTRY]->(c:Country)
+		RETURN c.country_code AS cc, count(*) AS n ORDER BY n DESC, cc`},
+	{name: "limit_pushdown", q: `MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)
+		RETURN a.asn, p.prefix LIMIT 7`},
+	{name: "order_skip_limit", q: `MATCH (a:AS) RETURN a.asn ORDER BY a.asn DESC SKIP 3 LIMIT 11`},
+	{name: "in_pushdown", q: `MATCH (a:AS)-[:COUNTRY]->(c:Country)
+		WHERE a.asn IN [64003, 64007, 64211, 64399, 99999] RETURN a.asn, c.country_code`},
+	{name: "max_rows_budget", q: `MATCH (a:AS)-[:PEERS_WITH]->(b:AS) RETURN a.asn, b.asn`,
+		opts: ExecOptions{MaxRows: 13}},
+	{name: "shortest_path_fallback", q: `MATCH p = shortestPath((a:AS {asn: 64001})-[:PEERS_WITH*..6]-(b:AS {asn: 64399}))
+		RETURN length(p)`},
+	{name: "union_branches", q: `MATCH (a:AS)-[:COUNTRY]->(c:Country {country_code: "JP"}) RETURN a.asn AS asn
+		UNION MATCH (a:AS)-[:COUNTRY]->(c:Country {country_code: "NL"}) RETURN a.asn AS asn`},
+	{name: "exists_subquery", q: `MATCH (a:AS) WHERE EXISTS { (a)-[:ORIGINATE]->(:Prefix) }
+		RETURN count(a)`},
+
+	// Many input rows feeding one clause: the work list spans rows, so a
+	// second MATCH anchored on a bound variable (RiPKI Listing 4's shape),
+	// and the whole-row clauses, fan out too.
+	{name: "bound_anchor_rows", q: `MATCH (a:AS)-[:COUNTRY]->(c:Country) WHERE c.country_code <> "KE"
+		MATCH (a)-[:ORIGINATE]->(p:Prefix)-[:CATEGORIZED]->(t:Tag)
+		RETURN a.asn, p.prefix, t.label`},
+	{name: "multi_path_rows", q: `MATCH (a:AS)
+		MATCH (a)-[:COUNTRY]->(c:Country), (a)-[:NAME]->(n:Name)
+		RETURN a.asn, c.country_code, n.name`},
+	{name: "shortest_path_rows", q: `MATCH (a:AS) WHERE a.asn < 64300
+		MATCH p = shortestPath((a)-[:PEERS_WITH*..3]-(b:AS {asn: 64399}))
+		RETURN a.asn, length(p)`},
+	{name: "optional_null_rows", q: `MATCH (a:AS) OPTIONAL MATCH (a)-[:ORIGINATE]->(p:Prefix)
+		RETURN a.asn, p.prefix`},
+	{name: "limit_mid_rows", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS)
+		RETURN a.asn, b.asn LIMIT 400`},
+	{name: "max_rows_mid_rows", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS) RETURN a.asn, b.asn`,
+		opts: ExecOptions{MaxRows: 333}},
+	// Input row 350 divides by zero in WHERE. Without a limit every worker
+	// count must report it; behind a LIMIT that the first hundred-odd rows
+	// satisfy, none may — even though row 350 sits in the same window.
+	{name: "late_row_error", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS)
+		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, b.asn`, wantErr: true},
+	{name: "late_row_error_behind_limit", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS)
+		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, b.asn LIMIT 400`},
+}
+
+// outcomeKey is resultKey for a successful execution and the error text for
+// a failed one.
+func outcomeKey(res *Result, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return resultKey(res)
 }
 
 // TestParallelMatchesSerial runs every query shape at worker counts 1, 2
-// and 8 and requires the result tables to be byte-identical to serial
-// execution. Run under -race this also exercises the engine's sharing
-// discipline (per-worker matchers over a read-only graph and plan).
+// and 8 and requires the outcome — result table or error — to be
+// byte-identical to serial execution. Run under -race this also exercises
+// the engine's sharing discipline (per-worker matchers over a read-only
+// graph and plan).
 func TestParallelMatchesSerial(t *testing.T) {
 	g := buildWideIYP(t, 400)
 	for _, tc := range identityQueries {
@@ -128,23 +167,44 @@ func TestParallelMatchesSerial(t *testing.T) {
 			serialOpts := tc.opts
 			serialOpts.Parallelism = 1
 			want, err := Exec(context.Background(), g, q, serialOpts)
-			if err != nil {
-				t.Fatalf("serial exec: %v", err)
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("serial exec: err = %v, want an error: %v", err, tc.wantErr)
 			}
-			wantKey := resultKey(want)
+			wantKey := outcomeKey(want, err)
 			for _, workers := range []int{2, 8} {
 				opts := tc.opts
 				opts.Parallelism = workers
 				got, err := Exec(context.Background(), g, q, opts)
-				if err != nil {
-					t.Fatalf("parallel exec (workers=%d): %v", workers, err)
-				}
-				if gotKey := resultKey(got); gotKey != wantKey {
-					t.Errorf("workers=%d: result differs from serial\nserial (%d rows):\n%.400s\nparallel (%d rows):\n%.400s",
-						workers, len(want.Rows), wantKey, len(got.Rows), gotKey)
+				if gotKey := outcomeKey(got, err); gotKey != wantKey {
+					t.Errorf("workers=%d: outcome differs from serial\nserial:\n%.400s\nparallel:\n%.400s",
+						workers, wantKey, gotKey)
 				}
 			}
 		})
+	}
+}
+
+// TestParallelGOMAXPROCSInvariant runs every query shape with the default
+// worker budget (all CPUs) at GOMAXPROCS 1 and 8 and requires identical
+// outcomes: the inline-vs-pool choice may differ, the rows may not.
+func TestParallelGOMAXPROCSInvariant(t *testing.T) {
+	g := buildWideIYP(t, 400)
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range identityQueries {
+		q, err := Parse(tc.q)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		var keys [2]string
+		for i, procs := range []int{1, 8} {
+			runtime.GOMAXPROCS(procs)
+			keys[i] = outcomeKey(Exec(context.Background(), g, q, tc.opts))
+		}
+		if keys[0] != keys[1] {
+			t.Errorf("%s: outcome differs between GOMAXPROCS 1 and 8\n1:\n%.400s\n8:\n%.400s",
+				tc.name, keys[0], keys[1])
+		}
 	}
 }
 

@@ -14,9 +14,11 @@ import (
 // lookup seeded by inline props or WHERE pushdowns, a filtered label scan,
 // a plain label scan, or a full node scan — using the graph's maintained
 // cardinality counters (graph.PropCardinality, CountByLabel, NumNodes) to
-// estimate each option. The same plan drives execution (match.go), the
-// morsel-parallel engine (parallel.go), and EXPLAIN (explain.go), so what
-// EXPLAIN prints is what runs.
+// estimate each option. planPath is the only place an anchor is chosen: the
+// MATCH driver (parallel.go) calls it once per input row, and EXPLAIN and
+// the cost estimator reach it through the one clause walk they share
+// (walkBranch, explain.go), so what EXPLAIN prints and what admission
+// control costs is what runs.
 
 // accessKind enumerates anchor candidate sources, cheapest first.
 type accessKind int
@@ -200,8 +202,8 @@ type anchorAccess struct {
 }
 
 // planAccess decides how to enumerate candidates for node pattern np given
-// the current binding and the clause's pushdowns.
-func (m *matcher) planAccess(np NodePattern, pds []pushdown) anchorAccess {
+// the current binding and the clause's pushdowns (m.push).
+func (m *matcher) planAccess(np NodePattern) anchorAccess {
 	if np.Var != "" {
 		if v, ok := m.binding.get(np.Var); ok {
 			if _, isNode := v.AsNode(); isNode {
@@ -210,7 +212,7 @@ func (m *matcher) planAccess(np NodePattern, pds []pushdown) anchorAccess {
 		}
 	}
 	if len(np.Labels) > 0 {
-		if acc, ok := m.planIndexAccess(np, pds); ok {
+		if acc, ok := m.planIndexAccess(np); ok {
 			return acc
 		}
 		minCount := m.g.CountByLabel(np.Labels[0])
@@ -239,7 +241,7 @@ func (m *matcher) planAccess(np NodePattern, pds []pushdown) anchorAccess {
 // current binding, and returns the indexed access with the smallest
 // estimated candidate count. ok is false when no pair has an index or
 // resolvable values.
-func (m *matcher) planIndexAccess(np NodePattern, pds []pushdown) (anchorAccess, bool) {
+func (m *matcher) planIndexAccess(np NodePattern) (anchorAccess, bool) {
 	best := anchorAccess{}
 	found := false
 	consider := func(acc anchorAccess) {
@@ -264,7 +266,7 @@ func (m *matcher) planIndexAccess(np NodePattern, pds []pushdown) (anchorAccess,
 			consider(anchorAccess{kind: accessIndex, label: label, key: key,
 				vals: []graph.Value{sv}, est: sel, cost: 1 + sel})
 		}
-		for _, pd := range pds {
+		for _, pd := range m.push {
 			if pd.Var == "" || pd.Var != np.Var || !m.g.HasIndex(label, pd.Key) {
 				continue
 			}
@@ -360,72 +362,65 @@ type pathPlan struct {
 	acc    anchorAccess
 }
 
-// planPath picks the anchor position with the cheapest access.
-func (m *matcher) planPath(path PatternPath, pds []pushdown) pathPlan {
-	best, bestAcc := 0, m.planAccess(path.Nodes[0], pds)
+// testPlannerHook, when non-nil, observes planner work: every planPath
+// decision (op "plan") and every candidate enumeration (op "enumerate",
+// zero path and plan). It exists so tests can count how often the driver
+// plans and prove that EXPLAIN, the estimator and execution choose the
+// same plan; production code never sets it.
+var testPlannerHook func(op string, path PatternPath, plan pathPlan)
+
+// planPath picks the anchor position with the cheapest access. For a
+// shortestPath (always two nodes) that is the endpoint the BFS roots at.
+func (m *matcher) planPath(path PatternPath) pathPlan {
+	plan := pathPlan{acc: m.planAccess(path.Nodes[0])}
 	for i := 1; i < len(path.Nodes); i++ {
-		if acc := m.planAccess(path.Nodes[i], pds); acc.cost < bestAcc.cost {
-			best, bestAcc = i, acc
+		if acc := m.planAccess(path.Nodes[i]); acc.cost < plan.acc.cost {
+			plan = pathPlan{anchor: i, acc: acc}
 		}
 	}
-	return pathPlan{anchor: best, acc: bestAcc}
+	if testPlannerHook != nil {
+		testPlannerHook("plan", path, plan)
+	}
+	return plan
 }
 
-// forPlanCandidates enumerates the access's candidate node IDs in
-// ascending order — the order every access path already produces, which
-// keeps planned execution row-for-row identical across access choices.
-func (m *matcher) forPlanCandidates(np NodePattern, acc anchorAccess, fn func(graph.NodeID) error) error {
+// candidates enumerates the access's candidate node IDs in ascending
+// order — the order every access path already produces, which keeps
+// planned execution row-for-row identical across access choices.
+func (m *matcher) candidates(np NodePattern, acc anchorAccess) []graph.NodeID {
+	if testPlannerHook != nil {
+		testPlannerHook("enumerate", PatternPath{}, pathPlan{})
+	}
 	switch acc.kind {
 	case accessBound:
 		if v, ok := m.binding.get(np.Var); ok {
 			if id, isNode := v.AsNode(); isNode {
-				return fn(id)
+				return []graph.NodeID{id}
 			}
-			return nil // bound to a non-node: cannot match
 		}
-		// Should not happen (planAccess saw a binding); fall back safely.
-		return nil
+		return nil // bound to a non-node: cannot match
 	case accessIndex:
-		for _, id := range m.plannedIndexIDs(acc) {
-			if err := fn(id); err != nil {
-				return err
-			}
-		}
-		return nil
+		return m.plannedIndexIDs(acc)
 	case accessPropScan:
 		// NodesByProp falls back to a filtered label scan when no index
 		// exists; remaining constraints are verified by nodeSatisfies.
-		v, err := m.ec.eval(np.Props[acc.key], m.binding)
-		if err == nil {
+		if v, err := m.ec.eval(np.Props[acc.key], m.binding); err == nil {
 			if sv, ok := v.Scalar(); ok {
-				for _, id := range m.g.NodesByProp(acc.label, acc.key, sv) {
-					if err := fn(id); err != nil {
-						return err
-					}
-				}
-				return nil
+				return m.g.NodesByProp(acc.label, acc.key, sv)
 			}
 		}
 		// Unresolvable inline value: scan the label, let nodeSatisfies
 		// decide (it re-evaluates per candidate and rejects on error).
 		fallthrough
 	case accessLabelScan:
-		for _, id := range m.g.NodesByLabel(acc.label) {
-			if err := fn(id); err != nil {
-				return err
-			}
-		}
-		return nil
+		return m.g.NodesByLabel(acc.label)
 	default: // accessFullScan
-		var outerErr error
+		ids := make([]graph.NodeID, 0, m.g.NumNodes())
 		m.g.EachNode(func(id graph.NodeID) bool {
-			if err := fn(id); err != nil {
-				outerErr = err
-				return false
-			}
+			ids = append(ids, id)
 			return true
 		})
-		return outerErr
+		return ids
 	}
 }
 

@@ -1,7 +1,11 @@
 package cypher
 
 import (
+	"context"
+	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"iyp/internal/graph"
@@ -152,5 +156,182 @@ func TestPlannerAnchorsByCardinality(t *testing.T) {
 	}
 	if !strings.Contains(out, "anchor at node 2 of 2") || !strings.Contains(out, "index lookup Tag.label") {
 		t.Errorf("planner should anchor at the indexed Tag node:\n%s", out)
+	}
+}
+
+// TestDriverPlansOncePerRow counts planner work behind testPlannerHook: the
+// driver plans a path and enumerates its anchor's candidates exactly once
+// per (clause, input row), whatever the worker budget — an indexed
+// one-row lookup is one plan and one index probe, not a parallel attempt
+// thrown away and repeated serially.
+func TestDriverPlansOncePerRow(t *testing.T) {
+	g := buildWideIYP(t, 400)
+	var plans, enumerations atomic.Int64
+	testPlannerHook = func(op string, _ PatternPath, _ pathPlan) {
+		if op == "plan" {
+			plans.Add(1)
+		} else {
+			enumerations.Add(1)
+		}
+	}
+	defer func() { testPlannerHook = nil }()
+
+	for _, tc := range []struct {
+		q    string
+		want int64
+	}{
+		{`MATCH (a:AS {asn: 64001})-[:COUNTRY]->(c:Country) RETURN c.country_code`, 1},
+		{`MATCH (a:AS) WHERE a.asn = $asn RETURN a.asn`, 1},
+		// One plan for the first clause, one per input row of the second.
+		{`MATCH (a:AS) WHERE a.asn IN [64001, 64002, 64003] MATCH (a)-[:COUNTRY]->(c:Country) RETURN c.country_code`, 4},
+	} {
+		for _, workers := range []int{1, 4} {
+			plans.Store(0)
+			enumerations.Store(0)
+			q, err := Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = Exec(context.Background(), g, q, ExecOptions{
+				Parallelism: workers,
+				Params:      map[string]graph.Value{"asn": graph.Int(64001)},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", tc.q, err)
+			}
+			if plans.Load() != tc.want || enumerations.Load() != tc.want {
+				t.Errorf("workers=%d %s:\nplanPath ran %d times and candidates were enumerated %d times, want %d each",
+					workers, tc.q, plans.Load(), enumerations.Load(), tc.want)
+			}
+		}
+	}
+}
+
+// planChoice is the part of a pathPlan EXPLAIN prints and the estimator
+// costs: where the path is anchored and how the anchor's candidates are
+// produced.
+type planChoice struct {
+	anchor int
+	kind   accessKind
+}
+
+// recordPlans runs fn with testPlannerHook collecting every planPath
+// decision, keyed by the pattern path it was made for (the address of the
+// path's first node pattern: execution never copies the parsed tree).
+func recordPlans(fn func()) map[*NodePattern][]planChoice {
+	var mu sync.Mutex
+	got := map[*NodePattern][]planChoice{}
+	testPlannerHook = func(op string, path PatternPath, plan pathPlan) {
+		if op != "plan" {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		key := &path.Nodes[0]
+		got[key] = append(got[key], planChoice{plan.anchor, plan.acc.kind})
+	}
+	defer func() { testPlannerHook = nil }()
+	fn()
+	return got
+}
+
+// printedChoices parses the "path N:" lines of EXPLAIN output back into
+// plan choices. A shortestPath line does not print its anchor position
+// (anchor -1).
+func printedChoices(t *testing.T, out string) []planChoice {
+	t.Helper()
+	var choices []planChoice
+	for _, line := range strings.Split(out, "\n") {
+		line = strings.TrimSpace(line)
+		if !strings.HasPrefix(line, "path ") {
+			continue
+		}
+		c := planChoice{anchor: -1}
+		var access string
+		if _, rest, ok := strings.Cut(line, "shortestPath BFS, "); ok {
+			access = rest
+		} else {
+			var pathNo, of int
+			if _, err := fmt.Sscanf(line, "path %d: anchor at node %d of %d", &pathNo, &c.anchor, &of); err != nil {
+				t.Fatalf("unparseable EXPLAIN line %q: %v", line, err)
+			}
+			c.anchor-- // printed 1-based
+			_, access, _ = strings.Cut(line, " — ")
+		}
+		switch {
+		case strings.HasPrefix(access, "bound variable"):
+			c.kind = accessBound
+		case strings.HasPrefix(access, "index lookup"):
+			c.kind = accessIndex
+		case strings.HasPrefix(access, "label scan") && strings.Contains(access, "filtered on properties"):
+			c.kind = accessPropScan
+		case strings.HasPrefix(access, "label scan"):
+			c.kind = accessLabelScan
+		case strings.HasPrefix(access, "full node scan"):
+			c.kind = accessFullScan
+		default:
+			t.Fatalf("EXPLAIN line %q names no known access", line)
+		}
+		choices = append(choices, c)
+	}
+	return choices
+}
+
+// TestExplainEstimateAndDriverAgree checks, for the twelve paper-shaped
+// query forms, that the anchor position and access kind EXPLAIN prints for
+// each pattern path are the ones the driver used on every input row when
+// the query ran, and the ones EstimateQuery costed.
+func TestExplainEstimateAndDriverAgree(t *testing.T) {
+	g := buildWideIYP(t, 400)
+	for _, tc := range identityQueries[:12] {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := Parse(tc.q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The pattern paths EXPLAIN prints, in its print order.
+			var paths []*NodePattern
+			for cur := q; cur != nil; cur = cur.Next {
+				for _, cl := range cur.Clauses {
+					if mc, ok := cl.(*MatchClause); ok {
+						for _, p := range mc.Patterns {
+							paths = append(paths, &p.Nodes[0])
+						}
+					}
+				}
+			}
+
+			printed := printedChoices(t, ExplainQuery(g, q, nil))
+			if len(printed) != len(paths) {
+				t.Fatalf("EXPLAIN printed %d path lines for %d pattern paths", len(printed), len(paths))
+			}
+			driven := recordPlans(func() {
+				opts := tc.opts
+				opts.Parallelism = 4
+				if _, err := Exec(context.Background(), g, q, opts); err != nil {
+					t.Fatal(err)
+				}
+			})
+			costed := recordPlans(func() { EstimateQuery(g, q, nil) })
+
+			for i, key := range paths {
+				want := printed[i]
+				if len(driven[key]) == 0 {
+					t.Errorf("path %d: the driver never planned it", i+1)
+				}
+				for _, got := range driven[key] {
+					if got.kind != want.kind || (want.anchor >= 0 && got.anchor != want.anchor) {
+						t.Errorf("path %d: EXPLAIN printed %+v, the driver used %+v", i+1, want, got)
+						break
+					}
+				}
+				if len(costed[key]) != 1 {
+					t.Fatalf("path %d: the estimator planned it %d times, want once", i+1, len(costed[key]))
+				}
+				if got := costed[key][0]; got.kind != want.kind || (want.anchor >= 0 && got.anchor != want.anchor) {
+					t.Errorf("path %d: EXPLAIN printed %+v, the estimator costed %+v", i+1, want, got)
+				}
+			}
+		})
 	}
 }

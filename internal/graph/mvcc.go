@@ -99,6 +99,35 @@ func NewMVStoreAt(g *Graph, gen uint64) *MVStore {
 	return st
 }
 
+// UnnumberPlaceholder renumbers the head as generation 0 when it is still
+// the store's only generation and an empty graph — the placeholder a
+// follower serves until its first load. Generation 0 stands outside the
+// numbered chain: SwapAt can then publish a followed store's seq N as
+// generation N from N = 1 on, and the placeholder leaves the chain as soon
+// as it is superseded and unpinned, whatever the retain window, so no
+// AS-OF read can land on it. A store that holds data, or more than one
+// generation, is left as it is.
+func (st *MVStore) UnnumberPlaceholder() {
+	st.writeMu.Lock()
+	defer st.writeMu.Unlock()
+	cur := st.head.Load()
+	if cur.gen == 0 || cur.g.NumNodes() != 0 || cur.g.NumRels() != 0 {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.retained) != 1 {
+		return
+	}
+	// Readers pinned to cur keep their entry; it is simply no longer
+	// tracked, and the same graph lives on under generation 0.
+	e := &mvGen{g: cur.g}
+	delete(st.retained, cur.gen)
+	st.retained[0] = e
+	st.head.Store(e)
+	cur.retired.Store(true)
+}
+
 // SetHistory installs (or, with nil, removes) the fallback source AcquireGen
 // consults for generations outside the in-memory retain window.
 func (st *MVStore) SetHistory(h HistorySource) {
@@ -297,7 +326,7 @@ func (st *MVStore) tryReclaim() {
 		if !e.retired.Load() || e.pins.Load() > 0 {
 			continue
 		}
-		if cur-gen <= uint64(st.retain) {
+		if gen != 0 && cur-gen <= uint64(st.retain) {
 			continue // recent: kept for AcquireGen / AS-OF reads
 		}
 		delete(st.retained, gen)

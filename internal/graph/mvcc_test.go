@@ -430,3 +430,58 @@ func TestMVStorePinDrainUnderGenerationChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestUnnumberPlaceholder checks the follower's start-up step: an empty
+// first generation becomes the unnumbered generation 0, the first swap then
+// takes exactly the number asked for, and the placeholder leaves the chain
+// as soon as its last pin drains however wide the retain window is. A store
+// that holds data is left alone.
+func TestUnnumberPlaceholder(t *testing.T) {
+	full := New()
+	full.AddNode([]string{"N"}, nil)
+	holding := NewMVStore(full)
+	if holding.UnnumberPlaceholder(); holding.CurrentGen() != 1 {
+		t.Fatalf("a store holding data was renumbered to generation %d", holding.CurrentGen())
+	}
+
+	st := NewMVStore(New())
+	_, pinnedGen, release := st.Acquire()
+	if st.UnnumberPlaceholder(); st.CurrentGen() != 0 {
+		t.Fatalf("placeholder not unnumbered: current gen %d", st.CurrentGen())
+	}
+	if pinnedGen != 1 {
+		t.Fatalf("reader pinned before the call saw generation %d", pinnedGen)
+	}
+	_, gen0, release0 := st.Acquire()
+	if gen0 != 0 {
+		t.Fatalf("Acquire on the placeholder = generation %d, want 0", gen0)
+	}
+
+	g := New()
+	g.AddNode([]string{"N"}, nil)
+	if got := st.SwapAt(g, 1); got != 1 {
+		t.Fatalf("first swap over the placeholder published generation %d, want 1", got)
+	}
+	release()
+	if st.Live() != 2 {
+		t.Fatalf("live generations = %d, want head + pinned placeholder", st.Live())
+	}
+	release0()
+	if st.Live() != 1 {
+		t.Fatalf("live generations = %d after the last pin drained, want only the head", st.Live())
+	}
+}
+
+func TestPlaceholderLeavesTheRetainWindow(t *testing.T) {
+	st := NewMVStore(New())
+	st.UnnumberPlaceholder()
+	g := New()
+	g.AddNode([]string{"N"}, nil)
+	st.SwapAt(g, 1)
+	if gens := st.Generations(); len(gens) != 1 || gens[0].Gen != 1 {
+		t.Fatalf("generations after the first swap = %+v, want only generation 1", gens)
+	}
+	if _, _, err := st.AcquireGen(0); err == nil {
+		t.Fatal("the superseded placeholder is still acquirable")
+	}
+}

@@ -155,8 +155,12 @@ type Follower struct {
 
 // New builds a follower that keeps mv's head on st's newest good
 // generation. mv may start on an empty placeholder graph; Status reports
-// not-ready until the first successful load.
+// not-ready until the first successful load. The placeholder is taken out
+// of mv's generation numbering here, so that every publish serves store
+// seq N as generation N — a placeholder counted as generation 1 would
+// push seq 1 to generation 2 and answer `AS OF 1` with its own emptiness.
 func New(st *graph.Store, mv *graph.MVStore, cfg Config) *Follower {
+	mv.UnnumberPlaceholder()
 	return &Follower{
 		st:       st,
 		mv:       mv,

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"iyp/internal/cypher"
+	"iyp/internal/graph"
 )
 
 func init() {
@@ -169,6 +170,41 @@ func TestDegradeLadderSheds(t *testing.T) {
 	}
 	if !strings.Contains(body, `iyp_sheds_total{reason="index_only"} 1`) {
 		t.Error("metrics missing index_only shed counter")
+	}
+}
+
+// TestQueryEstimatedOncePerRequest: the degrade ladder and the calibration
+// histogram share one EstimateQuery call. A served request at degrade level
+// 1 needs both, an idle one only the histogram's; neither may plan the
+// query twice on the hottest path there is.
+func TestQueryEstimatedOncePerRequest(t *testing.T) {
+	calls := 0
+	estimateQuery = func(g *graph.Graph, q *cypher.Query, params map[string]cypher.Val) cypher.QueryEstimate {
+		calls++
+		return cypher.EstimateQuery(g, q, params)
+	}
+	defer func() { estimateQuery = cypher.EstimateQuery }()
+
+	srv := newTestServer(testGraph(), Config{MaxConcurrent: 4, QueueDepth: 4})
+	const lookup = `{"query": "MATCH (a:AS {asn: 2497}) RETURN a.asn AS asn"}`
+	for _, occupied := range []int{0, 2} { // degrade level 0, then 1
+		for i := 0; i < occupied; i++ {
+			srv.adm.slots <- struct{}{}
+		}
+		calls = 0
+		if w := post(t, srv, "/v1/query", lookup); w.Code != http.StatusOK {
+			t.Fatalf("lookup with %d slots occupied: status = %d (body %s)", occupied, w.Code, w.Body)
+		}
+		if calls != 1 {
+			t.Errorf("with %d slots occupied the request estimated the query %d times, want 1", occupied, calls)
+		}
+		for i := 0; i < occupied; i++ {
+			<-srv.adm.slots
+		}
+	}
+	// Both requests fed the histogram: the ladder's estimate was reused.
+	if body := get(t, srv, "/metrics").Body.String(); !strings.Contains(body, "iyp_cost_estimate_ratio_count 2") {
+		t.Errorf("ratio histogram did not observe both requests:\n%s", body)
 	}
 }
 

@@ -74,7 +74,8 @@ func TestReadyReplicaLifecycle(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Status != "ok" || resp.BuilderGeneration != 1 || resp.Generation != 2 {
+	// The placeholder is unnumbered: store seq 1 is served as generation 1.
+	if resp.Status != "ok" || resp.BuilderGeneration != 1 || resp.Generation != 1 {
 		t.Fatalf("post-load ready = %+v", resp)
 	}
 

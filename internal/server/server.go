@@ -280,6 +280,10 @@ type errorResponse struct {
 	Code string `json:"code"`
 }
 
+// estimateQuery is cypher.EstimateQuery behind a variable so a test can
+// count how often a request asks for it.
+var estimateQuery = cypher.EstimateQuery
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Decode before admitting: shedding decisions are cost-aware, and a
 	// 1 MiB-capped JSON decode is noise next to query execution.
@@ -306,14 +310,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	params := make(map[string]cypher.Val, len(req.Params))
-	for k, v := range req.Params {
-		pv, err := cypher.ValOf(normalizeParam(v))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad_request", "parameter $"+k+": "+err.Error())
-			return
-		}
-		params[k] = pv
+	params, err := decodeParams(req.Params)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
 
 	timeout := s.cfg.DefaultTimeout
@@ -399,12 +399,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The planner's forecast feeds the degrade ladder before execution and
+	// the calibration histogram after it; whichever asks first pays for it,
+	// once per request.
+	var forecast cypher.QueryEstimate
+	forecasted := false
+	estimate := func() cypher.QueryEstimate {
+		if !forecasted {
+			forecast, forecasted = estimateQuery(g, plan, params), true
+		}
+		return forecast
+	}
+
 	// Degrade ladder: under load, expensive work is refused up front so
 	// cheap indexed lookups keep their latency. The estimate comes from
 	// the same planner that will execute the query.
 	if governed {
 		if level := s.degradeLevel(); level >= 1 {
-			est := cypher.EstimateQuery(g, plan, params)
+			est := estimate()
 			retry := s.shedRetryAfter()
 			switch {
 			case est.Analytics:
@@ -515,7 +527,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Analytics calls are skipped (their cardinality is kernel-defined, not
 	// pattern-derived), as are truncated results (the true count is unknown)
 	// and zero estimates (the ratio is undefined).
-	if est := cypher.EstimateQuery(g, plan, params); !est.Analytics && !res.Truncated && est.Rows > 0 {
+	if est := estimate(); !est.Analytics && !res.Truncated && est.Rows > 0 {
 		s.met.observeRatio(float64(len(rows)) / est.Rows)
 	}
 	if took >= s.cfg.SlowQuery {
@@ -717,6 +729,20 @@ func normalizeParam(v any) any {
 	return v
 }
 
+// decodeParams converts a request's JSON "params" object into engine
+// values.
+func decodeParams(raw map[string]any) (map[string]cypher.Val, error) {
+	params := make(map[string]cypher.Val, len(raw))
+	for k, v := range raw {
+		pv, err := cypher.ValOf(normalizeParam(v))
+		if err != nil {
+			return nil, fmt.Errorf("parameter $%s: %w", k, err)
+		}
+		params[k] = pv
+	}
+	return params, nil
+}
+
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
@@ -727,11 +753,17 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "bad_request", "missing query")
 		return
 	}
-	plan, err := cypher.Explain(s.st.Current(), req.Query)
+	params, err := decodeParams(req.Params)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	q, err := cypher.Parse(req.Query)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "parse_error", err.Error())
 		return
 	}
+	plan := cypher.ExplainQuery(s.st.Current(), q, params)
 	// Surface how the plan cache would treat this text: repeated clients
 	// should see "hit"; CALL queries always report "bypass".
 	outcome := s.cache.Outcome(req.Query)

@@ -460,6 +460,41 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// TestExplainEndpointHonoursParams: the "params" field /v1/explain always
+// decoded now reaches the planner, so a parameterized lookup is explained
+// as the index lookup it executes as — and identically to its literal twin.
+func TestExplainEndpointHonoursParams(t *testing.T) {
+	g := testGraph()
+	g.EnsureIndex("AS", "asn")
+	srv := newTestServer(g)
+	plan := func(body string) string {
+		t.Helper()
+		w := post(t, srv, "/v1/explain", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status = %d: %s", w.Code, w.Body)
+		}
+		var resp struct {
+			Plan string `json:"plan"`
+		}
+		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		// The trailing plan-cache line depends on the query text.
+		before, _, _ := strings.Cut(resp.Plan, "plan cache:")
+		return before
+	}
+	param := plan(`{"query": "MATCH (a:AS {asn:$asn})-[:ORIGINATE]-(p:Prefix) RETURN p.prefix", "params": {"asn": 2497}}`)
+	if !strings.Contains(param, "index lookup AS.asn (inline property") {
+		t.Errorf("parameterized lookup not explained as an index lookup:\n%s", param)
+	}
+	if literal := plan(`{"query": "MATCH (a:AS {asn:2497})-[:ORIGINATE]-(p:Prefix) RETURN p.prefix"}`); literal != param {
+		t.Errorf("parameterized and literal plans differ:\n%s\nvs\n%s", param, literal)
+	}
+	if w := post(t, srv, "/v1/explain", `{"query": "RETURN $x", "params": {"x": {"a": [1, {}]}}}`); w.Code != http.StatusOK {
+		t.Errorf("nested params: status = %d: %s", w.Code, w.Body)
+	}
+}
+
 func TestLegacyAliasDeprecationHeaders(t *testing.T) {
 	srv := newTestServer(testGraph())
 	w := post(t, srv, "/db/query", `{"query": "RETURN 1 AS n"}`)

@@ -230,9 +230,26 @@ func (s *Snapshot) Graph() *graph.Graph { return s.g }
 func (s *Snapshot) Stats() graph.Stats { return s.g.Stats() }
 
 // Explain describes how a query would be matched against the pinned
-// generation without executing it.
-func (s *Snapshot) Explain(q string) (string, error) {
-	return cypher.Explain(s.g, q)
+// generation without executing it. Of the options only WithParams matters:
+// a parameterized lookup is explained the way it will execute.
+func (s *Snapshot) Explain(q string, opts ...QueryOption) (string, error) {
+	return explain(s.g, q, opts)
+}
+
+func explain(g *graph.Graph, q string, opts []QueryOption) (string, error) {
+	var cfg queryConfig
+	for _, o := range opts {
+		o(&cfg)
+	}
+	plan, err := cypher.Parse(q)
+	if err != nil {
+		return "", err
+	}
+	params := make(map[string]cypher.Val, len(cfg.params))
+	for k, v := range cfg.params {
+		params[k] = cypher.ScalarVal(v)
+	}
+	return cypher.ExplainQuery(g, plan, params), nil
 }
 
 // Query runs a read-only Cypher query against the pinned generation,
@@ -414,9 +431,9 @@ func (db *DB) genResolver() cypher.GenResolver {
 func (db *DB) Stats() graph.Stats { return db.Graph().Stats() }
 
 // Explain describes how a query would be matched (anchor and access-path
-// choice per MATCH pattern) without executing it.
-func (db *DB) Explain(q string) (string, error) {
-	return cypher.Explain(db.Graph(), q)
+// choice per MATCH pattern) without executing it; see Snapshot.Explain.
+func (db *DB) Explain(q string, opts ...QueryOption) (string, error) {
+	return explain(db.Graph(), q, opts)
 }
 
 // Save writes a compressed snapshot of the current generation to path (the

@@ -433,3 +433,48 @@ func TestExplainThroughFacade(t *testing.T) {
 		t.Error("empty explain output")
 	}
 }
+
+// TestExplainParameterizedLookups pins EXPLAIN on the public instance's
+// four lookup templates (the benchmark's lookup_zipf workload): each
+// executes as an identity-index lookup, and EXPLAIN must say so whether
+// the parameter is supplied, left out, or inlined as a literal. Explain
+// used to plan with no parameters at all and report a label scan.
+func TestExplainParameterizedLookups(t *testing.T) {
+	db := testDB(t)
+	snap, release := db.Snapshot()
+	defer release()
+	for _, tc := range []struct {
+		query, param string
+		value        iyp.Value
+		literal      string
+		want         string
+	}{
+		{`MATCH (a:AS {asn:$asn})-[:NAME]-(n:Name) RETURN DISTINCT n.name AS name ORDER BY name`,
+			"asn", iyp.IntValue(1001), "1001", "index lookup AS.asn"},
+		{`MATCH (a:AS {asn:$asn})-[:ORIGINATE]-(p:Prefix) RETURN DISTINCT p.prefix AS prefix ORDER BY prefix`,
+			"asn", iyp.IntValue(1001), "1001", "index lookup AS.asn"},
+		{`MATCH (p:Prefix {prefix:$prefix})-[:CATEGORIZED]-(t:Tag) RETURN DISTINCT t.label AS label ORDER BY label`,
+			"prefix", iyp.StringValue("192.0.2.0/24"), `"192.0.2.0/24"`, "index lookup Prefix.prefix"},
+		{`MATCH (h:HostName {name:$name})-[:RESOLVES_TO]-(:IP)-[:PART_OF]-(p:Prefix)-[:ORIGINATE]-(a:AS) RETURN DISTINCT a.asn AS asn ORDER BY asn`,
+			"name", iyp.StringValue("www.example.org"), `"www.example.org"`, "index lookup HostName.name"},
+	} {
+		supplied, err := db.Explain(tc.query, iyp.WithParams(map[string]iyp.Value{tc.param: tc.value}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(supplied, "path 1: anchor at node 1 of") || !strings.Contains(supplied, tc.want) {
+			t.Errorf("EXPLAIN with $%s supplied does not anchor on %q:\n%s", tc.param, tc.want, supplied)
+		}
+		if pinned, err := snap.Explain(tc.query, iyp.WithParams(map[string]iyp.Value{tc.param: tc.value})); err != nil || pinned != supplied {
+			t.Errorf("Snapshot.Explain differs from DB.Explain (err %v):\n%s", err, pinned)
+		}
+		// An unsupplied parameter is one unknown scalar: same plan.
+		if missing, err := db.Explain(tc.query); err != nil || missing != supplied {
+			t.Errorf("EXPLAIN without $%s differs from the supplied plan (err %v):\n%s\nvs\n%s", tc.param, err, missing, supplied)
+		}
+		inlined, err := db.Explain(strings.Replace(tc.query, "$"+tc.param, tc.literal, 1))
+		if err != nil || inlined != supplied {
+			t.Errorf("EXPLAIN of the literal-inlined form differs (err %v):\n%s\nvs\n%s", err, inlined, supplied)
+		}
+	}
+}
