@@ -8,9 +8,7 @@ package iyp_test
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -68,73 +66,55 @@ func TestReadmeExplainExamples(t *testing.T) {
 	}
 }
 
-// TestReadmeMemoryTable pins the README's memory-footprint table (and the
-// DESIGN.md proof paragraph's headline ratio) to the tracked SCALE.json:
-// regenerating the benchmark without updating the docs — or editing the
-// docs to numbers the benchmark never produced — fails here.
-func TestReadmeMemoryTable(t *testing.T) {
+// TestReadmeBenchmarkWorkloads pins the README's "Measuring" section to
+// the benchmark's contract: every `benchmark/run.sh --workload X` line it
+// shows must name a workload BENCHMARK.json declares (or `all`).
+func TestReadmeBenchmarkWorkloads(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := string(readme)
-
-	raw, err := os.ReadFile("SCALE.json")
+	raw, err := os.ReadFile("BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sf struct {
-		OneX struct {
-			Nodes    int `json:"nodes"`
-			Rels     int `json:"rels"`
-			Columnar struct {
-				BytesPerNode float64 `json:"bytes_per_node"`
-			} `json:"columnar"`
-			Boxed struct {
-				BytesPerNode float64 `json:"bytes_per_node"`
-			} `json:"boxed"`
-			Ratio float64 `json:"bytes_per_node_ratio"`
-		} `json:"one_x"`
-		Full struct {
-			Nodes        int     `json:"nodes"`
-			Rels         int     `json:"rels"`
-			BytesPerNode float64 `json:"bytes_per_node"`
-		} `json:"full"`
+	var spec struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 	}
-	if err := json.Unmarshal(raw, &sf); err != nil {
-		t.Fatalf("SCALE.json: %v", err)
+	if err := json.Unmarshal(raw, &spec); err != nil {
+		t.Fatalf("BENCHMARK.json: %v", err)
 	}
-	if sf.Full.Nodes < 10_000_000 {
-		t.Fatalf("SCALE.json full build has %d nodes; the 100x bar is 10M", sf.Full.Nodes)
+	known := map[string]bool{"all": true}
+	for _, w := range spec.Workloads {
+		known[w.Name] = true
 	}
-	if sf.OneX.Ratio < 2 {
-		t.Fatalf("SCALE.json bytes/node ratio %.2f < 2: the columnar layout lost its headline", sf.OneX.Ratio)
-	}
-
-	group := func(n int) string {
-		s := strconv.Itoa(n)
-		for i := len(s) - 3; i > 0; i -= 3 {
-			s = s[:i] + "," + s[i:]
+	named := 0
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "bash benchmark/run.sh") {
+			continue
 		}
-		return s
-	}
-	// Table cells are padded for alignment; compare space-free.
-	squash := strings.ReplaceAll(doc, " ", "")
-	for _, want := range []string{
-		fmt.Sprintf("%s nodes, %s rels", group(sf.OneX.Nodes), group(sf.OneX.Rels)),
-		fmt.Sprintf("%s nodes, %s rels", group(sf.Full.Nodes), group(sf.Full.Rels)),
-		fmt.Sprintf("| %.0f |", sf.OneX.Boxed.BytesPerNode),
-		fmt.Sprintf("| %.0f |", sf.OneX.Columnar.BytesPerNode),
-		fmt.Sprintf("| %.0f |", sf.Full.BytesPerNode),
-		fmt.Sprintf("%.1f× smaller", sf.OneX.Ratio),
-	} {
-		if !strings.Contains(squash, strings.ReplaceAll(want, " ", "")) {
-			t.Errorf("README memory table does not match SCALE.json: missing %q", want)
+		fields := strings.Fields(line)
+		for i, f := range fields[:len(fields)-1] {
+			if f != "--workload" {
+				continue
+			}
+			named++
+			if !known[fields[i+1]] {
+				t.Errorf("README shows workload %q, which BENCHMARK.json does not declare: %s", fields[i+1], line)
+			}
 		}
 	}
+	if named == 0 {
+		t.Error("README.md shows no `bash benchmark/run.sh --workload …` line")
+	}
+}
 
-	// The replica dictionary-reuse metrics documented in DESIGN.md must be
-	// the exposition's real names (metrics.go renders them).
+// TestDesignReplicaDictMetrics: the replica dictionary-reuse metrics
+// documented in DESIGN.md must be the exposition's real names (metrics.go
+// renders them).
+func TestDesignReplicaDictMetrics(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +149,6 @@ func TestReadmeTemporalExamples(t *testing.T) {
 		"-store snapshots/ -delta",
 		"temporal.diff({from: 3, to: 5})",
 		"iyp-report -diff",
-		"iyp-bench -diff",
 		"kind, name, added, removed,",
 	} {
 		if !strings.Contains(doc, want) {

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"time"
 
+	"iyp/internal/graph"
 	"iyp/internal/ingest"
 )
 
@@ -78,30 +80,10 @@ func WriteDatasetsManifest(dir string, m *DatasetsManifest) error {
 	if err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(dir, DatasetsManifestName+".tmp-*")
-	if err != nil {
+	return graph.WriteFileAtomic(filepath.Join(dir, DatasetsManifestName), func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, DatasetsManifestName)); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // ReadDatasetsManifest loads dir's DATASETS manifest.

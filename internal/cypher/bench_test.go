@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -48,7 +49,7 @@ func BenchmarkIndexedPointLookup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunQuery(g, q, nil); err != nil {
+		if _, err := Exec(context.Background(), g, q, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -60,7 +61,7 @@ func BenchmarkTwoHopExpand(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunQuery(g, q, nil)
+		res, err := Exec(context.Background(), g, q, ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func BenchmarkAggregateGroupBy(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunQuery(g, q, nil); err != nil {
+		if _, err := Exec(context.Background(), g, q, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -103,7 +104,7 @@ RETURN length(p) AS len`)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := RunQuery(g, q, nil)
+		res, err := Exec(context.Background(), g, q, ExecOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +125,7 @@ func BenchmarkVarLenExpand(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunQuery(g, q, nil); err != nil {
+		if _, err := Exec(context.Background(), g, q, ExecOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -76,7 +76,7 @@ func estimateBranch(g *graph.Graph, q *Query, params map[string]Val) QueryEstima
 					// Cost is dominated by the BFS frontier, bounded by the
 					// reachable edge set.
 					est.Cost = clampEst(est.Cost + acc.est*avgDegree(g))
-					clauseRows = clampEst(clauseRows * maxf(acc.est, 1))
+					clauseRows = clampEst(clauseRows * max(acc.est, 1))
 				} else {
 					pathRows := acc.est
 					// Expansion proceeds outward from the anchor; each hop's
@@ -101,7 +101,7 @@ func estimateBranch(g *graph.Graph, q *Query, params map[string]Val) QueryEstima
 			// anything else assumes a modest expansion factor.
 			fan := 8.0
 			if le, ok := c.Expr.(*ListExpr); ok {
-				fan = maxf(float64(len(le.Elems)), 1)
+				fan = max(float64(len(le.Elems)), 1)
 			}
 			rows = clampEst(rows * fan)
 			est.Cost = clampEst(est.Cost + rows)
@@ -112,7 +112,7 @@ func estimateBranch(g *graph.Graph, q *Query, params map[string]Val) QueryEstima
 				est.IndexOnly = false
 				whole := float64(g.NumNodes() + g.NumRels())
 				est.Cost = clampEst(est.Cost + 4*whole) // kernels iterate the full graph
-				rows = clampEst(maxf(rows, float64(g.NumNodes())))
+				rows = clampEst(max(rows, float64(g.NumNodes())))
 			} else {
 				est.Cost = clampEst(est.Cost + 64) // registry/introspection procs are tiny
 				rows = clampEst(rows * 8)
@@ -205,7 +205,7 @@ func hopFanout(g *graph.Graph, rp RelPattern, src NodePattern) float64 {
 	total := 0.0
 	step := 1.0
 	for d := 1; d <= hi; d++ {
-		step = clampEst(step * maxf(deg, 1e-9))
+		step = clampEst(step * max(deg, 1e-9))
 		if d >= lo {
 			total = clampEst(total + step)
 		}
@@ -247,11 +247,4 @@ func clampEst(f float64) float64 {
 		return 0
 	}
 	return f
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

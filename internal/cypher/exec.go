@@ -102,34 +102,22 @@ type ExecOptions struct {
 	GenResolver GenResolver
 }
 
-// Run parses and executes src against g. params provides $parameter values
-// (may be nil).
+// Run parses and executes src against g with no deadline. params provides
+// $parameter values (may be nil).
 func Run(g *graph.Graph, src string, params map[string]graph.Value) (*Result, error) {
-	return RunCtx(context.Background(), g, src, params)
-}
-
-// RunCtx parses and executes src against g under ctx: cancellation and
-// deadlines are honoured cooperatively inside the match, aggregation and
-// projection loops, so a pathological query stops within microseconds of
-// the context expiring.
-func RunCtx(ctx context.Context, g *graph.Graph, src string, params map[string]graph.Value) (*Result, error) {
 	q, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	return Exec(ctx, g, q, ExecOptions{Params: params})
-}
-
-// RunQuery executes an already-parsed query. The same *Query may be
-// executed many times (and concurrently) without re-parsing; execution
-// never mutates the parsed tree.
-func RunQuery(g *graph.Graph, q *Query, params map[string]graph.Value) (*Result, error) {
 	return Exec(context.Background(), g, q, ExecOptions{Params: params})
 }
 
 // Exec executes an already-parsed query under ctx with the given options.
-// It is the engine's full-control entry point; Run, RunCtx and RunQuery
-// are thin wrappers around it.
+// The same *Query may be executed many times (and concurrently) without
+// re-parsing; execution never mutates the parsed tree. Cancellation and
+// deadlines are honoured cooperatively inside the match, aggregation and
+// projection loops, so a pathological query stops within microseconds of
+// the context expiring.
 //
 // Exec never panics: a panic anywhere in execution (including inside
 // registered CALL procedures and parallel match workers) is recovered and

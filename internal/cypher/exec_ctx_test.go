@@ -26,17 +26,17 @@ func ctxTestGraph(n int) *graph.Graph {
 	return g
 }
 
-func TestRunCtxPreCancelled(t *testing.T) {
+func TestExecPreCancelled(t *testing.T) {
 	g := ctxTestGraph(10)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunCtx(ctx, g, "MATCH (a:AS) RETURN a.asn", nil)
+	_, err := Exec(ctx, g, mustParse(t, "MATCH (a:AS) RETURN a.asn"), ExecOptions{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-func TestRunCtxDeadlineStopsPathologicalQuery(t *testing.T) {
+func TestExecDeadlineStopsPathologicalQuery(t *testing.T) {
 	// A four-way cartesian product over 300 ASes is ~8.1e9 candidate
 	// rows: effectively unbounded work. The 1ms deadline must surface as
 	// a context error in well under 100ms.
@@ -44,7 +44,7 @@ func TestRunCtxDeadlineStopsPathologicalQuery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := RunCtx(ctx, g, "MATCH (a:AS), (b:AS), (c:AS), (d:AS) RETURN count(*)", nil)
+	_, err := Exec(ctx, g, mustParse(t, "MATCH (a:AS), (b:AS), (c:AS), (d:AS) RETURN count(*)"), ExecOptions{})
 	took := time.Since(t0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
@@ -54,12 +54,12 @@ func TestRunCtxDeadlineStopsPathologicalQuery(t *testing.T) {
 	}
 }
 
-func TestRunCtxDeadlineStopsVarLenTraversal(t *testing.T) {
+func TestExecDeadlineStopsVarLenTraversal(t *testing.T) {
 	g := ctxTestGraph(400)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
 	t0 := time.Now()
-	_, err := RunCtx(ctx, g, "MATCH (a:AS)-[:PEERS_WITH*1..12]-(b:AS) RETURN count(*)", nil)
+	_, err := Exec(ctx, g, mustParse(t, "MATCH (a:AS)-[:PEERS_WITH*1..12]-(b:AS) RETURN count(*)"), ExecOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -68,13 +68,13 @@ func TestRunCtxDeadlineStopsVarLenTraversal(t *testing.T) {
 	}
 }
 
-func TestRunCtxDeadlineStopsAggregation(t *testing.T) {
+func TestExecDeadlineStopsAggregation(t *testing.T) {
 	// The match itself is cheap per row; the deadline has to fire inside
 	// the aggregation loop as well.
 	g := ctxTestGraph(600)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
-	_, err := RunCtx(ctx, g, "MATCH (a:AS), (b:AS) RETURN a.asn, count(b) ORDER BY a.asn", nil)
+	_, err := Exec(ctx, g, mustParse(t, "MATCH (a:AS), (b:AS) RETURN a.asn, count(b) ORDER BY a.asn"), ExecOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
@@ -197,7 +197,7 @@ func TestExecMaxRowsAcrossUnion(t *testing.T) {
 	}
 }
 
-func TestRunCtxNilContextAndWrapperCompat(t *testing.T) {
+func TestExecNilContextAndRunAgree(t *testing.T) {
 	g := ctxTestGraph(5)
 	// Exec tolerates a nil ctx (treated as Background).
 	q, err := Parse("MATCH (a:AS) RETURN count(a) AS n")
@@ -212,7 +212,7 @@ func TestRunCtxNilContextAndWrapperCompat(t *testing.T) {
 	if n != 5 {
 		t.Errorf("n = %d", n)
 	}
-	// Legacy wrappers behave identically.
+	// Run is Parse + Exec.
 	res2, err := Run(g, "MATCH (a:AS) RETURN count(a) AS n", nil)
 	if err != nil {
 		t.Fatal(err)

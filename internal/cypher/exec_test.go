@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -646,14 +647,14 @@ func TestPropertyIndexAcceleratedMatch(t *testing.T) {
 	}
 }
 
-func TestRunQueryReuse(t *testing.T) {
+func TestExecQueryReuse(t *testing.T) {
 	g := buildTinyIYP(t)
 	q, err := Parse(`MATCH (x:AS {asn: $asn}) RETURN count(x) AS n`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, asn := range []int64{2497, 65001, 1} {
-		res, err := RunQuery(g, q, map[string]graph.Value{"asn": graph.Int(asn)})
+		res, err := Exec(context.Background(), g, q, ExecOptions{Params: map[string]graph.Value{"asn": graph.Int(asn)}})
 		if err != nil {
 			t.Fatal(err)
 		}

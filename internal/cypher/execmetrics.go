@@ -63,13 +63,10 @@ func SnapshotMatchStats() MatchStats {
 		Morsels:  metricMatchMorsels.Load(),
 		Workers:  metricMatchWorkers.Load(),
 		Serial: map[string]uint64{
-			"disabled":      metricMatchSerialDisabled.Load(),
-			"writes":        metricMatchSerialWrites.Load(),
-			"multi_path":    metricMatchSerialMultiPath.Load(),
-			"shortest_path": metricMatchSerialShortest.Load(),
-			// A bound anchor is a one-candidate work item like any other; the
-			// series stays exported, at 0, for dashboards that name it.
-			"bound_anchor":   0,
+			"disabled":       metricMatchSerialDisabled.Load(),
+			"writes":         metricMatchSerialWrites.Load(),
+			"multi_path":     metricMatchSerialMultiPath.Load(),
+			"shortest_path":  metricMatchSerialShortest.Load(),
 			"few_candidates": metricMatchSerialFewCandidates.Load(),
 		},
 	}
@@ -77,7 +74,7 @@ func SnapshotMatchStats() MatchStats {
 
 // serialExpositionOrder fixes the label order in the Prometheus output.
 var serialExpositionOrder = []string{
-	"disabled", "writes", "multi_path", "shortest_path", "bound_anchor", "few_candidates",
+	"disabled", "writes", "multi_path", "shortest_path", "few_candidates",
 }
 
 // WriteMatchMetrics renders the MATCH execution counters in the Prometheus

@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -124,6 +125,6 @@ func TestExecutorNeverPanicsOnValidParses(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_, _ = RunQuery(g, q, map[string]graph.Value{"param": graph.Int(1)})
+		_, _ = Exec(context.Background(), g, q, ExecOptions{Params: map[string]graph.Value{"param": graph.Int(1)}})
 	}
 }

@@ -7,8 +7,9 @@ import (
 )
 
 // Benchmarks for the morsel-parallel MATCH engine and the pooled BFS
-// scratch. The committed baseline lives in BENCH_5.json (regenerated by
-// cmd/iyp-bench); these go-test benchmarks are the fine-grained view:
+// scratch. The repository benchmark (benchmark/, analytics_scan) measures
+// these shapes end to end; these go-test benchmarks are the fine-grained
+// view:
 //
 //	go test ./internal/cypher -bench 'Parallel|ShortestPathAlloc' -benchmem
 

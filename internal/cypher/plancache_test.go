@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -85,7 +86,7 @@ func TestPlanCacheConcurrentUse(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := RunQuery(g, q, nil); err != nil {
+				if _, err := Exec(context.Background(), g, q, ExecOptions{}); err != nil {
 					errs <- err
 					return
 				}

@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
-	"os"
 	"runtime"
 	"testing"
 )
@@ -26,15 +25,6 @@ func v2Bytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-func v1Bytes(t *testing.T) []byte {
-	t.Helper()
-	data, err := os.ReadFile("testdata/v1-golden.snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
 }
 
 // mustFailLoad asserts Load rejects the input without panicking and without
@@ -63,71 +53,12 @@ func TestLoadV2TruncationSweep(t *testing.T) {
 	}
 }
 
-func TestLoadV1TruncationSweep(t *testing.T) {
-	data := v1Bytes(t)
-	if _, err := Load(bytes.NewReader(data)); err != nil {
-		t.Fatalf("pristine v1 snapshot rejected: %v", err)
-	}
-	for i := 0; i < len(data); i++ {
-		_, err := Load(bytes.NewReader(data[:i]))
-		if err == nil {
-			t.Fatalf("v1 truncation at %d/%d bytes accepted", i, len(data))
-		}
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("v1 truncation at %d: error not ErrCorrupt: %v", i, err)
-		}
-	}
-}
-
 func TestLoadV2BitFlipSweep(t *testing.T) {
 	data := v2Bytes(t)
 	for i := 0; i < len(data); i++ {
 		flipped := append([]byte(nil), data...)
 		flipped[i] ^= 1 << (i % 8)
 		mustFailLoad(t, flipped, "bit flip")
-	}
-}
-
-func TestLoadV1BitFlipSweep(t *testing.T) {
-	// v1's only integrity check is the gzip payload CRC, which covers the
-	// decompressed bytes — not the container. Flips in don't-care coding
-	// bits (gzip header metadata, final-block bit padding) are invisible to
-	// it; that blind spot is what format v2's whole-file checksum closes.
-	// So the v1 guarantee under test is weaker but still real: every
-	// single-bit flip either fails to load or decodes to the exact same
-	// graph — never a silently different one.
-	data := v1Bytes(t)
-	var golden bytes.Buffer
-	{
-		g, err := Load(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Save(&golden); err != nil {
-			t.Fatal(err)
-		}
-	}
-	detected := 0
-	for i := 0; i < len(data); i++ {
-		flipped := append([]byte(nil), data...)
-		flipped[i] ^= 1 << (i % 8)
-		g, err := Load(bytes.NewReader(flipped))
-		if err != nil {
-			detected++
-			continue
-		}
-		var resaved bytes.Buffer
-		if err := g.Save(&resaved); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(resaved.Bytes(), golden.Bytes()) {
-			t.Fatalf("v1 flip at byte %d bit %d loaded a DIFFERENT graph undetected", i, i%8)
-		}
-	}
-	// The vast majority of flips must be caught; only container don't-care
-	// bits may pass (and those provably decode identically, checked above).
-	if detected < len(data)*9/10 {
-		t.Fatalf("only %d/%d flips detected", detected, len(data))
 	}
 }
 
@@ -189,77 +120,89 @@ func TestLoadRejectsDuplicatedFile(t *testing.T) {
 	mustFailLoad(t, append(append([]byte(nil), data...), data[:len(data)/2]...), "partial duplication")
 }
 
-// v1Stream encodes a synthetic legacy-v1 snapshot stream; the v1 format has
-// no checksums, so this is how lying length prefixes reach the decoder.
-func v1Stream(t *testing.T, body func(e *encBuf)) []byte {
+// craftedSnapshot assembles a container whose checksums are all valid
+// around the given section bodies (in file order), so a lying count inside
+// a body reaches the section decoder instead of dying at a CRC.
+func craftedSnapshot(t *testing.T, bodies ...func(e *encBuf)) []byte {
 	t.Helper()
-	var enc encBuf
-	enc.b.WriteString(snapshotMagic)
-	enc.byte(snapshotV1)
-	body(&enc)
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(enc.b.Bytes()); err != nil {
-		t.Fatal(err)
+	ids := []byte{secLabels, secTypes, secDict, secNodes, secRels, secIndexes}
+	out := []byte(snapshotMagic + string(rune(snapshotVersion)))
+	for i, id := range ids {
+		var enc encBuf
+		if i < len(bodies) {
+			bodies[i](&enc)
+		} else {
+			enc.uvarint(0)
+		}
+		var comp bytes.Buffer
+		zw := gzip.NewWriter(&comp)
+		if _, err := zw.Write(enc.b.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := zw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, id)
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(comp.Bytes(), castagnoli))
+		out = binary.LittleEndian.AppendUint64(out, uint64(comp.Len()))
+		out = binary.LittleEndian.AppendUint64(out, uint64(enc.b.Len()))
+		out = append(out, comp.Bytes()...)
 	}
-	if err := zw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	out = append(out, secTrailer)
+	out = append(out, make([]byte, 5*8)...) // counts: the decode fails before they are compared
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, castagnoli))
+	return append(out, snapshotEndMagic...)
 }
 
-func TestLoadV1LyingLengthsBoundAllocation(t *testing.T) {
+func TestLoadLyingLengthsBoundAllocation(t *testing.T) {
+	none := func(e *encBuf) { e.uvarint(0) }
+	oneLabel := func(e *encBuf) { e.uvarint(1); e.string("AS") }
+	oneKey := func(e *encBuf) { e.uvarint(1); e.string("tags") }
 	cases := []struct {
-		name string
-		body func(e *encBuf)
+		name   string
+		bodies []func(e *encBuf)
 	}{
-		{"huge label table", func(e *encBuf) { e.uvarint(1 << 40) }},
-		{"huge string length", func(e *encBuf) {
+		{"huge label table", []func(e *encBuf){func(e *encBuf) { e.uvarint(1 << 40) }}},
+		{"huge string length", []func(e *encBuf){func(e *encBuf) {
 			e.uvarint(1)       // one label...
 			e.uvarint(1 << 62) // ...whose name claims 4 EiB
-		}},
-		{"huge node count", func(e *encBuf) {
-			e.uvarint(0) // labels
-			e.uvarint(0) // types
-			e.uvarint(1 << 50)
-		}},
-		{"huge rel count", func(e *encBuf) {
-			e.uvarint(0)
-			e.uvarint(0)
-			e.uvarint(0) // nodes
-			e.uvarint(1 << 50)
-		}},
-		{"huge prop count", func(e *encBuf) {
-			e.uvarint(1)
-			e.string("AS")
-			e.uvarint(0)
+		}}},
+		{"huge dictionary", []func(e *encBuf){none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
+		{"huge node count", []func(e *encBuf){none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
+		{"huge rel count", []func(e *encBuf){none, none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
+		{"huge prop count", []func(e *encBuf){oneLabel, none, none, func(e *encBuf) {
 			e.uvarint(1)       // one node slot
 			e.byte(1)          // present
 			e.uvarint(0)       // no labels
 			e.uvarint(1 << 40) // absurd property count
-		}},
-		{"huge list length", func(e *encBuf) {
-			e.uvarint(0)
-			e.uvarint(0)
+		}}},
+		{"huge list length", []func(e *encBuf){none, none, oneKey, func(e *encBuf) {
 			e.uvarint(1)
 			e.byte(1)
 			e.uvarint(0)
 			e.uvarint(1) // one prop
-			e.string("tags")
+			e.uvarint(0) // key "tags"
 			e.byte(byte(KindList))
 			e.uvarint(1 << 40)
-		}},
+		}}},
+		{"huge index count", []func(e *encBuf){none, none, none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
+	}
+	if _, err := Load(bytes.NewReader(craftedSnapshot(t))); err != nil {
+		t.Fatalf("crafted empty snapshot rejected (the helper is wrong): %v", err)
 	}
 	var before, after runtime.MemStats
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			data := v1Stream(t, tc.body)
+			data := craftedSnapshot(t, tc.bodies...)
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			g, err := Load(bytes.NewReader(data))
 			runtime.ReadMemStats(&after)
 			if err == nil {
 				t.Fatalf("accepted (%d nodes)", g.NumNodes())
+			}
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("error not ErrCorrupt: %v", err)
 			}
 			// The lying prefix claims exabytes; a bounded decoder allocates
 			// a tiny fraction of that while failing.

@@ -23,11 +23,11 @@ import (
 // Layout:
 //
 //	dir/MANIFEST            text manifest, one "gen ..." line per generation
-//	dir/gen-000001.snapshot snapshot files (format v2)
+//	dir/gen-000001.snapshot snapshot files
 //	dir/*.tmp-*             in-flight writes; ignored and garbage-collected
 //
 // The manifest records each generation's size and whole-file CRC32C so Open
-// can reject a damaged file before parsing it; the v2 snapshot's internal
+// can reject a damaged file before parsing it; the snapshot's internal
 // checksums are verified by Load regardless, so a stale or missing manifest
 // (e.g. a crash between the snapshot rename and the manifest rename) only
 // loses the fast pre-check, never correctness.
@@ -170,32 +170,10 @@ func (st *Store) writeManifest(gens []Generation) error {
 		fmt.Fprintf(&sb, "gen %d %s %d %08x %d %d\n",
 			g.Seq, filepath.Base(g.Path), g.Size, g.CRC, g.Nodes, g.Rels)
 	}
-	path := filepath.Join(st.dir, storeManifest)
-	f, err := os.CreateTemp(st.dir, storeManifest+".tmp-*")
-	if err != nil {
+	return WriteFileAtomic(filepath.Join(st.dir, storeManifest), func(w io.Writer) error {
+		_, err := io.WriteString(w, sb.String())
 		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.WriteString(sb.String()); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(st.dir)
+	})
 }
 
 // Generations lists the store's generations, newest first: the manifest's
@@ -301,8 +279,8 @@ func (st *Store) OnSave(fn func(Generation)) {
 	st.hookMu.Unlock()
 }
 
-// Save writes g as the next generation: snapshot to a temp file (fsync'd,
-// CRC computed in-flight), atomic rename, directory fsync, then a durable
+// Save writes g as the next generation: the snapshot through
+// WriteFileAtomic (CRC and size computed in-flight), then a durable
 // manifest update and pruning down to the retention count. The previous
 // generations are untouched until the new one is fully durable.
 func (st *Store) Save(g *Graph) (Generation, error) {
@@ -317,33 +295,14 @@ func (st *Store) Save(g *Graph) (Generation, error) {
 	name := genFileName(seq)
 	path := filepath.Join(st.dir, name)
 
-	f, err := os.CreateTemp(st.dir, name+".tmp-*")
-	if err != nil {
-		return Generation{}, err
-	}
-	tmp := f.Name()
-	fail := func(err error) (Generation, error) {
-		f.Close()
-		os.Remove(tmp)
-		return Generation{}, err
-	}
 	h := crc32.New(castagnoli)
-	cw := &countWriter{w: io.MultiWriter(f, h)}
-	if err := g.Save(cw); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return Generation{}, err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return Generation{}, err
-	}
-	if err := syncDir(st.dir); err != nil {
+	var size int64
+	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		cw := &countWriter{w: io.MultiWriter(w, h)}
+		err := g.Save(cw)
+		size = cw.n
+		return err
+	}); err != nil {
 		return Generation{}, err
 	}
 
@@ -352,7 +311,7 @@ func (st *Store) Save(g *Graph) (Generation, error) {
 	gen := Generation{
 		Seq:        seq,
 		Path:       path,
-		Size:       cw.n,
+		Size:       size,
 		CRC:        h.Sum32(),
 		Nodes:      g.NumNodes(),
 		Rels:       g.NumRels(),

@@ -37,6 +37,41 @@ const (
 	batchVersion = 1
 )
 
+// props encodes a boxed property map: count, then key string + value per
+// entry, in key order so identical batches produce identical journals.
+func (e *encBuf) props(p Props) {
+	e.uvarint(uint64(len(p)))
+	for _, k := range p.Keys() {
+		e.string(k)
+		e.value(p[k])
+	}
+}
+
+// readBatchProps decodes a property map written by encBuf.props.
+func readBatchProps(d *sliceReader) (Props, error) {
+	n, err := readUvarint(d)
+	if err != nil {
+		return nil, err
+	}
+	// Each entry takes at least two bytes (key length + value kind).
+	if n > d.limit() {
+		return nil, corruptf("property count %d too large", n)
+	}
+	p := make(Props, min(n, initialPropCap))
+	for i := uint64(0); i < n; i++ {
+		k, err := readString(d)
+		if err != nil {
+			return nil, err
+		}
+		v, err := readValue(d)
+		if err != nil {
+			return nil, err
+		}
+		p[k] = v
+	}
+	return p, nil
+}
+
 // WriteBatch encodes b to w.
 func WriteBatch(w io.Writer, b *Batch) error {
 	var enc encBuf
@@ -162,7 +197,7 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 			}
 			m.extraLabels = append(m.extraLabels, l)
 		}
-		if m.props, err = readProps(d); err != nil {
+		if m.props, err = readBatchProps(d); err != nil {
 			return nil, err
 		}
 		b.merges = append(b.merges, m)
@@ -178,7 +213,7 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 		var op stagedOp
 		kb, err := d.ReadByte()
 		if err != nil {
-			return nil, asCorrupt(err)
+			return nil, err
 		}
 		if kb > byte(opAddRel) {
 			return nil, corruptf("batch journal op kind %d unknown", kb)
@@ -205,7 +240,7 @@ func ReadBatch(r io.Reader) (*Batch, error) {
 		if op.val, err = readValue(d); err != nil {
 			return nil, err
 		}
-		if op.props, err = readProps(d); err != nil {
+		if op.props, err = readBatchProps(d); err != nil {
 			return nil, err
 		}
 		if op.kind == opAddRel {

@@ -18,11 +18,11 @@ import (
 // Snapshot format: the paper distributes IYP as weekly Neo4j dumps (§3.1);
 // Save/Load provide the equivalent distribution channel for this
 // reproduction. Dumps are reloaded months after they were written, so the
-// format is self-verifying: v2 carries a CRC32C per section plus a trailer
-// with a whole-file checksum and entity counts, letting Load distinguish a
-// good snapshot from a torn or bit-flipped one before trusting any of it.
+// format is self-verifying: a CRC32C per section plus a trailer with a
+// whole-file checksum and entity counts let Load distinguish a good
+// snapshot from a torn or bit-flipped one before trusting any of it.
 //
-// Format v2 (current, columnar):
+// There is one format, written and read:
 //
 //	magic "IYPG" | version u8 = 2
 //	6 sections, in order (labels, types, dict, nodes, rels, indexes), each:
@@ -53,23 +53,18 @@ import (
 // a loader seeded with an existing Interner (replica reloads, delta
 // builds) reuses unchanged strings instead of re-allocating them.
 //
-// v2 files written before the dictionary section (nodes follow types
-// directly, properties are inline key/value pairs) still load: the decoder
-// dispatches on the section id that follows the type table.
-//
-// Format v1 (legacy, still loadable): one gzip stream wrapping
-// magic | version u8 = 1 | label/type/node/rel/index bodies with inline
-// properties, no checksums. v1 files start with the gzip magic, v2 files
-// with "IYPG" — Load dispatches on the first two bytes.
+// The two formats written before the columnar layout — one bare gzip
+// stream, and the same container without a dictionary section (its node
+// section directly follows the type table) — are recognised from their
+// first bytes / section headers and rejected with errUnsupportedFormat.
 const (
 	snapshotMagic    = "IYPG"
 	snapshotEndMagic = "GPYI"
-	snapshotV1       = 1
-	snapshotV2       = 2
+	snapshotVersion  = 2
 )
 
-// Section identifiers, in file order (secDict is absent from pre-columnar
-// v2 files).
+// Section identifiers; the file carries them in the order labels, types,
+// dict, nodes, rels, indexes.
 const (
 	secLabels  byte = 1
 	secTypes   byte = 2
@@ -80,19 +75,23 @@ const (
 	secTrailer byte = 0xFF
 )
 
-// trailerSize is the fixed byte size of the v2 trailer:
+// sectionHdrSize is the fixed byte size of a section header:
+// id + payload CRC + compressed length + uncompressed length.
+const sectionHdrSize = 1 + 4 + 8 + 8
+
+// trailerSize is the fixed byte size of the trailer:
 // marker + five u64 counts + total CRC + end magic.
 const trailerSize = 1 + 5*8 + 4 + 4
 
 // Decoder sanity caps. Length prefixes are validated against the remaining
-// input (v2) or these absolute bounds (v1) before any allocation, so a
-// corrupt file can never trigger a multi-GiB allocation.
+// input and these absolute bounds before any allocation, so a corrupt file
+// can never trigger a multi-GiB allocation.
 const (
 	maxStringLen   = 1 << 28 // one interned string or blob
 	maxTableLen    = 1 << 16 // label/type tables (ids are u16)
 	initialSlotCap = 1 << 16 // node/rel slice pre-allocation cap
 	initialListCap = 1 << 12 // list value pre-allocation cap
-	initialPropCap = 1 << 10 // props map pre-allocation cap
+	initialPropCap = 1 << 10 // property column pre-allocation cap
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -107,14 +106,10 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// asCorrupt folds I/O-level failures (unexpected EOF, bad gzip data) into
-// the typed ErrCorrupt without double-wrapping.
-func asCorrupt(err error) error {
-	if err == nil || errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrCorrupt, err)
-}
+// errUnsupportedFormat rejects a snapshot in one of the two layouts that
+// predate the columnar one. It is deliberately not ErrCorrupt: the file is
+// intact, this build just has no decoder for it.
+var errUnsupportedFormat = errors.New("graph: unsupported snapshot format (written before the columnar layout; re-save it with commit 206293d)")
 
 // --- encoding ---
 
@@ -157,15 +152,6 @@ func (e *encBuf) value(v Value) {
 		for _, el := range v.list {
 			e.value(el)
 		}
-	}
-}
-
-func (e *encBuf) props(p Props) {
-	e.uvarint(uint64(len(p)))
-	// Deterministic order keeps snapshots byte-stable for identical graphs.
-	for _, k := range p.Keys() {
-		e.string(k)
-		e.value(p[k])
 	}
 }
 
@@ -239,7 +225,7 @@ func (cw *crcWriter) u64(v uint64) error {
 	return err
 }
 
-// Save writes a format-v2 columnar snapshot of the graph to w.
+// Save writes a snapshot of the graph to w.
 func (g *Graph) Save(w io.Writer) error {
 	g.rlock()
 	defer g.runlock()
@@ -297,7 +283,7 @@ func (g *Graph) Save(w io.Writer) error {
 	if _, err := out.Write([]byte(snapshotMagic)); err != nil {
 		return err
 	}
-	if _, err := out.Write([]byte{snapshotV2}); err != nil {
+	if _, err := out.Write([]byte{snapshotVersion}); err != nil {
 		return err
 	}
 
@@ -411,17 +397,9 @@ func (g *Graph) Save(w io.Writer) error {
 
 // --- decoding ---
 
-// snapReader abstracts the two decode sources: the v1 gzip stream and v2
-// in-memory section bodies. Implementations bound allocations: readFull
-// grows incrementally and limit reports how many more items could possibly
-// be encoded in the remaining input.
-type snapReader interface {
-	io.ByteReader
-	readFull(n uint64) ([]byte, error)
-	limit() uint64
-}
-
-// sliceReader decodes a fully-materialized section body with strict bounds.
+// sliceReader decodes a fully-materialized section body with strict
+// bounds: every failure is an ErrCorrupt, and limit reports how many more
+// items could possibly be encoded in the remaining input.
 type sliceReader struct {
 	data []byte
 	off  int
@@ -449,47 +427,20 @@ func (s *sliceReader) readFull(n uint64) ([]byte, error) {
 	return b, nil
 }
 
-// streamReader decodes the legacy v1 gzip stream. The remaining input size
-// is unknown, so limit is unbounded and readFull grows its buffer as data
-// actually arrives — a lying length prefix costs at most the real payload.
-type streamReader struct {
-	r *bufio.Reader
-}
-
-func (s *streamReader) limit() uint64 { return math.MaxUint64 }
-
-func (s *streamReader) ReadByte() (byte, error) { return s.r.ReadByte() }
-
-func (s *streamReader) readFull(n uint64) ([]byte, error) {
-	if n > maxStringLen {
-		return nil, corruptf("length prefix %d too large", n)
-	}
-	// ReadAll grows incrementally: a corrupt length prefix larger than the
-	// actual stream allocates only what the stream really contains.
-	b, err := io.ReadAll(io.LimitReader(s.r, int64(n)))
-	if err != nil {
-		return nil, asCorrupt(err)
-	}
-	if uint64(len(b)) != n {
-		return nil, corruptf("need %d bytes, stream ended after %d", n, len(b))
-	}
-	return b, nil
-}
-
-func readUvarint(d snapReader) (uint64, error) {
+func readUvarint(d *sliceReader) (uint64, error) {
 	v, err := binary.ReadUvarint(d)
-	if err != nil {
-		return 0, asCorrupt(err)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		err = corruptf("%v", err) // a varint overflowing 64 bits
 	}
-	return v, nil
+	return v, err
 }
 
-func readString(d snapReader) (string, error) {
+func readString(d *sliceReader) (string, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return "", err
 	}
-	if n > maxStringLen || n > d.limit() {
+	if n > maxStringLen {
 		return "", corruptf("string length %d too large", n)
 	}
 	b, err := d.readFull(n)
@@ -499,10 +450,10 @@ func readString(d snapReader) (string, error) {
 	return string(b), nil
 }
 
-func readValue(d snapReader) (Value, error) {
+func readValue(d *sliceReader) (Value, error) {
 	kb, err := d.ReadByte()
 	if err != nil {
-		return Null(), asCorrupt(err)
+		return Null(), err
 	}
 	switch Kind(kb) {
 	case KindNull:
@@ -510,7 +461,7 @@ func readValue(d snapReader) (Value, error) {
 	case KindBool:
 		b, err := d.ReadByte()
 		if err != nil {
-			return Null(), asCorrupt(err)
+			return Null(), err
 		}
 		return Bool(b != 0), nil
 	case KindInt:
@@ -532,49 +483,34 @@ func readValue(d snapReader) (Value, error) {
 		}
 		return String(s), nil
 	case KindList:
-		n, err := readUvarint(d)
+		vs, err := readList(d)
 		if err != nil {
 			return Null(), err
-		}
-		// Each element is at least one byte.
-		if n > d.limit() {
-			return Null(), corruptf("list length %d too large", n)
-		}
-		vs := make([]Value, 0, min(n, initialListCap))
-		for i := uint64(0); i < n; i++ {
-			v, err := readValue(d)
-			if err != nil {
-				return Null(), err
-			}
-			vs = append(vs, v)
 		}
 		return List(vs...), nil
 	}
 	return Null(), corruptf("unknown value kind %d", kb)
 }
 
-func readProps(d snapReader) (Props, error) {
+// readList decodes an element count and that many inline values.
+func readList(d *sliceReader) ([]Value, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return nil, err
 	}
-	// Each entry takes at least two bytes (key length + value kind).
+	// Each element is at least one byte.
 	if n > d.limit() {
-		return nil, corruptf("property count %d too large", n)
+		return nil, corruptf("list length %d too large", n)
 	}
-	p := make(Props, min(n, initialPropCap))
+	vs := make([]Value, 0, min(n, initialListCap))
 	for i := uint64(0); i < n; i++ {
-		k, err := readString(d)
-		if err != nil {
-			return nil, err
-		}
 		v, err := readValue(d)
 		if err != nil {
 			return nil, err
 		}
-		p[k] = v
+		vs = append(vs, v)
 	}
-	return p, nil
+	return vs, nil
 }
 
 // fileDict is the decoded dictionary section: file-local id → Interner id.
@@ -583,7 +519,7 @@ type fileDict struct {
 }
 
 // readCProps decodes a columnar prop-entry list into a sorted column.
-func readCProps(g *Graph, d snapReader, fd *fileDict) ([]centry, error) {
+func readCProps(g *Graph, d *sliceReader, fd *fileDict) ([]centry, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return nil, err
@@ -604,7 +540,7 @@ func readCProps(g *Graph, d snapReader, fd *fileDict) ([]centry, error) {
 		e := centry{key: fd.ids[keyRef]}
 		kb, err := d.ReadByte()
 		if err != nil {
-			return nil, asCorrupt(err)
+			return nil, err
 		}
 		e.kind = Kind(kb)
 		switch e.kind {
@@ -612,7 +548,7 @@ func readCProps(g *Graph, d snapReader, fd *fileDict) ([]centry, error) {
 		case KindBool:
 			b, err := d.ReadByte()
 			if err != nil {
-				return nil, asCorrupt(err)
+				return nil, err
 			}
 			if b != 0 {
 				e.flag = 1
@@ -631,20 +567,9 @@ func readCProps(g *Graph, d snapReader, fd *fileDict) ([]centry, error) {
 			}
 			e.num = uint64(fd.ids[ref])
 		case KindList:
-			cnt, err := readUvarint(d)
+			vs, err := readList(d)
 			if err != nil {
 				return nil, err
-			}
-			if cnt > d.limit() {
-				return nil, corruptf("list length %d too large", cnt)
-			}
-			vs := make([]Value, 0, min(cnt, initialListCap))
-			for j := uint64(0); j < cnt; j++ {
-				v, err := readValue(d)
-				if err != nil {
-					return nil, err
-				}
-				vs = append(vs, v)
 			}
 			e.num = uint64(g.dict.internListKey(listDedupKey(vs), vs))
 		default:
@@ -660,7 +585,7 @@ func readCProps(g *Graph, d snapReader, fd *fileDict) ([]centry, error) {
 
 // decodeStringTable reads a label or type table (bounded by maxTableLen,
 // since ids are u16).
-func decodeStringTable(d snapReader, what string) ([]string, error) {
+func decodeStringTable(d *sliceReader, what string) ([]string, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return nil, err
@@ -681,7 +606,7 @@ func decodeStringTable(d snapReader, what string) ([]string, error) {
 
 // decodeDict reads the dictionary section, interning every string into the
 // graph's (possibly seeded) Interner and recording reuse statistics.
-func decodeDict(g *Graph, d snapReader, rep *LoadReport) (*fileDict, error) {
+func decodeDict(g *Graph, d *sliceReader, rep *LoadReport) (*fileDict, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return nil, err
@@ -708,7 +633,7 @@ func decodeDict(g *Graph, d snapReader, rep *LoadReport) (*fileDict, error) {
 
 // readNodeLabels decodes and validates one node's label-id list, returning
 // the graph's label-set id for it.
-func readNodeLabels(g *Graph, d snapReader, slot uint64) (lsetID, error) {
+func readNodeLabels(g *Graph, d *sliceReader, slot uint64) (lsetID, error) {
 	nLabels := uint64(len(g.labelNames))
 	nl, err := readUvarint(d)
 	if err != nil {
@@ -731,9 +656,8 @@ func readNodeLabels(g *Graph, d snapReader, slot uint64) (lsetID, error) {
 	return g.internLset(ls), nil
 }
 
-// decodeNodes reads a legacy (inline-property) node section into g,
-// converting each boxed property map to the columnar layout.
-func decodeNodes(g *Graph, d snapReader) error {
+// decodeNodeSlots reads the node section into g.
+func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 	nNodes, err := readUvarint(d)
 	if err != nil {
 		return err
@@ -746,41 +670,7 @@ func decodeNodes(g *Graph, d snapReader) error {
 	for i := uint64(0); i < nNodes; i++ {
 		present, err := d.ReadByte()
 		if err != nil {
-			return asCorrupt(err)
-		}
-		if present == 0 {
-			g.nodes = append(g.nodes, nil)
-			continue
-		}
-		n := &Node{id: NodeID(i + 1), owner: g.owner}
-		if n.lset, err = readNodeLabels(g, d, i); err != nil {
 			return err
-		}
-		props, err := readProps(d)
-		if err != nil {
-			return err
-		}
-		n.cprops = g.encodeProps(props)
-		g.nodes = append(g.nodes, n)
-		g.nodeCount++
-	}
-	return nil
-}
-
-// decodeNodesColumnar reads the columnar node section into g.
-func decodeNodesColumnar(g *Graph, d snapReader, fd *fileDict) error {
-	nNodes, err := readUvarint(d)
-	if err != nil {
-		return err
-	}
-	if nNodes > d.limit() {
-		return corruptf("node count %d exceeds input", nNodes)
-	}
-	g.nodes = make([]*Node, 0, min(nNodes, initialSlotCap))
-	for i := uint64(0); i < nNodes; i++ {
-		present, err := d.ReadByte()
-		if err != nil {
-			return asCorrupt(err)
 		}
 		if present == 0 {
 			g.nodes = append(g.nodes, nil)
@@ -799,26 +689,9 @@ func decodeNodesColumnar(g *Graph, d snapReader, fd *fileDict) error {
 	return nil
 }
 
-// decodeRels reads a legacy relationship section into g, validating
+// decodeRelSlots reads the relationship section into g, validating
 // endpoints against the already-decoded nodes.
-func decodeRels(g *Graph, d snapReader) error {
-	return decodeRelsWith(g, d, func(d snapReader) ([]centry, error) {
-		props, err := readProps(d)
-		if err != nil {
-			return nil, err
-		}
-		return g.encodeProps(props), nil
-	})
-}
-
-// decodeRelsColumnar reads the columnar relationship section.
-func decodeRelsColumnar(g *Graph, d snapReader, fd *fileDict) error {
-	return decodeRelsWith(g, d, func(d snapReader) ([]centry, error) {
-		return readCProps(g, d, fd)
-	})
-}
-
-func decodeRelsWith(g *Graph, d snapReader, props func(snapReader) ([]centry, error)) error {
+func decodeRelSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 	nTypes := uint64(len(g.typeNames))
 	nRels, err := readUvarint(d)
 	if err != nil {
@@ -831,7 +704,7 @@ func decodeRelsWith(g *Graph, d snapReader, props func(snapReader) ([]centry, er
 	for i := uint64(0); i < nRels; i++ {
 		present, err := d.ReadByte()
 		if err != nil {
-			return asCorrupt(err)
+			return err
 		}
 		if present == 0 {
 			g.rels = append(g.rels, nil)
@@ -852,7 +725,7 @@ func decodeRelsWith(g *Graph, d snapReader, props func(snapReader) ([]centry, er
 		if err != nil {
 			return err
 		}
-		cp, err := props(d)
+		cp, err := readCProps(g, d, fd)
 		if err != nil {
 			return err
 		}
@@ -870,7 +743,7 @@ func decodeRelsWith(g *Graph, d snapReader, props func(snapReader) ([]centry, er
 }
 
 // decodeIndexes reads the index declarations and rebuilds each index.
-func decodeIndexes(g *Graph, d snapReader) error {
+func decodeIndexes(g *Graph, d *sliceReader) error {
 	nIdx, err := readUvarint(d)
 	if err != nil {
 		return err
@@ -923,17 +796,18 @@ type LoadOptions struct {
 // LoadReport describes what a load did with the dictionary.
 type LoadReport struct {
 	// DictStrings is the number of dictionary entries the snapshot
-	// carries (zero for legacy formats, which inline their strings).
+	// carries.
 	DictStrings int
 	// DictReused counts the entries already present in the seeded
 	// dictionary — strings that were NOT re-allocated.
 	DictReused int
 }
 
-// Load reads a snapshot written by Save (any format version) and returns
-// the reconstructed graph, including rebuilt adjacency, label indexes, and
-// property indexes. Corrupt input of any version — truncated, bit-flipped,
-// or with lying length prefixes — yields an error wrapping ErrCorrupt;
+// Load reads a snapshot written by Save and returns the reconstructed
+// graph, including rebuilt adjacency, label indexes, and property indexes.
+// Corrupt input — truncated, bit-flipped, or with lying length prefixes —
+// yields an error wrapping ErrCorrupt; a snapshot in a layout older than
+// the columnar one yields a plain "unsupported snapshot format" error.
 // Load never panics and never allocates beyond what the real input can
 // back.
 func Load(r io.Reader) (*Graph, error) {
@@ -949,89 +823,53 @@ func LoadWith(r io.Reader, opts LoadOptions) (*Graph, LoadReport, error) {
 	if err != nil {
 		return nil, rep, corruptf("snapshot header: %v", err)
 	}
-	if head[0] == 0x1f && head[1] == 0x8b { // gzip magic: a legacy v1 stream
-		g, err := loadV1(br, opts)
-		return g, rep, err
+	if head[0] == 0x1f && head[1] == 0x8b {
+		// A bare gzip stream is the first snapshot layout.
+		return nil, rep, errUnsupportedFormat
 	}
 	data, err := io.ReadAll(br)
 	if err != nil {
 		return nil, rep, fmt.Errorf("graph: snapshot read: %w", err)
 	}
-	g, err := loadV2(data, opts, &rep)
+	g, err := decodeSnapshot(data, opts, &rep)
 	return g, rep, err
 }
 
-func loadV1(r io.Reader, opts LoadOptions) (*Graph, error) {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil, corruptf("snapshot: %v", err)
-	}
-	defer zr.Close()
-	d := &streamReader{r: bufio.NewReaderSize(zr, 1<<16)}
-
-	magic, err := d.readFull(uint64(len(snapshotMagic)))
-	if err != nil {
-		return nil, err
-	}
-	if string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("graph: not a snapshot (bad magic %q)", magic)
-	}
-	ver, err := d.ReadByte()
-	if err != nil {
-		return nil, asCorrupt(err)
-	}
-	if ver != snapshotV1 {
-		return nil, fmt.Errorf("graph: unsupported snapshot version %d", ver)
-	}
-
-	g := NewWithInterner(opts.Dict)
-	labels, err := decodeStringTable(d, "label")
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range labels {
-		g.internLabel(s)
-	}
-	types, err := decodeStringTable(d, "type")
-	if err != nil {
-		return nil, err
-	}
-	for _, s := range types {
-		g.internType(s)
-	}
-	if err := decodeNodes(g, d); err != nil {
-		return nil, err
-	}
-	if err := decodeRels(g, d); err != nil {
-		return nil, err
-	}
-	rebuildLabelIndex(g)
-	if err := decodeIndexes(g, d); err != nil {
-		return nil, err
-	}
-	g.rebuildStatsLocked()
-	// Drain to EOF: this forces the gzip reader to see (and verify) its
-	// footer checksum, catching a file truncated inside the trailing bytes
-	// that the section decode alone would never touch.
-	if _, err := d.r.ReadByte(); err != io.EOF {
-		if err == nil {
-			return nil, corruptf("trailing data after snapshot sections")
+// preColumnar reports whether data is the container layout written before
+// the dictionary section existed: its node section directly follows the
+// type table. Only section headers are read, so a truncated file is
+// recognised as soon as it reaches its third section id, and nothing is
+// decompressed or decoded to find out.
+func preColumnar(data []byte) bool {
+	off := len(snapshotMagic) + 1
+	for _, id := range [...]byte{secLabels, secTypes} {
+		if len(data)-off < sectionHdrSize || data[off] != id {
+			return false
 		}
-		return nil, asCorrupt(err)
+		clen := binary.LittleEndian.Uint64(data[off+5:])
+		if clen > uint64(len(data)-off-sectionHdrSize) {
+			return false
+		}
+		off += sectionHdrSize + int(clen)
 	}
-	return g, nil
+	return off < len(data) && data[off] == secNodes
 }
 
-func loadV2(data []byte, opts LoadOptions, rep *LoadReport) (*Graph, error) {
+func decodeSnapshot(data []byte, opts LoadOptions, rep *LoadReport) (*Graph, error) {
 	headerSize := len(snapshotMagic) + 1
+	if len(data) >= headerSize {
+		if string(data[:len(snapshotMagic)]) != snapshotMagic {
+			return nil, fmt.Errorf("graph: not a snapshot (bad magic %q)", data[:len(snapshotMagic)])
+		}
+		if v := data[len(snapshotMagic)]; v != snapshotVersion {
+			return nil, fmt.Errorf("graph: unsupported snapshot version %d", v)
+		}
+		if preColumnar(data) {
+			return nil, errUnsupportedFormat
+		}
+	}
 	if len(data) < headerSize+trailerSize {
 		return nil, corruptf("file too short (%d bytes)", len(data))
-	}
-	if string(data[:len(snapshotMagic)]) != snapshotMagic {
-		return nil, fmt.Errorf("graph: not a snapshot (bad magic %q)", data[:len(snapshotMagic)])
-	}
-	if v := data[len(snapshotMagic)]; v != snapshotV2 {
-		return nil, fmt.Errorf("graph: unsupported snapshot version %d", v)
 	}
 
 	// Whole-file integrity first: a missing end marker means a torn write,
@@ -1055,101 +893,59 @@ func loadV2(data []byte, opts LoadOptions, rep *LoadReport) (*Graph, error) {
 
 	g := NewWithInterner(opts.Dict)
 	off := headerSize
-	next := func(id byte) (*sliceReader, error) {
+	// decode runs fn over the next section, which must have the given id
+	// and be consumed exactly.
+	decode := func(id byte, fn func(*sliceReader) error) error {
 		body, n, err := readSection(data[off:trailerOff], id)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		off += n
-		return &sliceReader{data: body}, nil
-	}
-	finish := func(d *sliceReader, id byte) error {
+		d := &sliceReader{data: body}
+		if err := fn(d); err != nil {
+			return err
+		}
 		if d.remaining() != 0 {
 			return corruptf("section %d has %d trailing bytes", id, d.remaining())
 		}
 		return nil
 	}
-	decode := func(id byte, fn func(*sliceReader) error) error {
-		d, err := next(id)
-		if err != nil {
-			return err
-		}
-		if err := fn(d); err != nil {
-			return err
-		}
-		return finish(d, id)
-	}
 
 	if err := decode(secLabels, func(d *sliceReader) error {
 		labels, err := decodeStringTable(d, "label")
-		if err != nil {
-			return err
-		}
 		for _, s := range labels {
 			g.internLabel(s)
 		}
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
 	if err := decode(secTypes, func(d *sliceReader) error {
 		types, err := decodeStringTable(d, "type")
-		if err != nil {
-			return err
-		}
 		for _, s := range types {
 			g.internType(s)
 		}
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
-
-	// The section after the type table decides the layout: columnar files
-	// carry a dictionary (secDict) before their node section; files from
-	// before the columnar layout go straight to secNodes with inline
-	// properties. Both remain loadable.
-	if off >= trailerOff {
-		return nil, corruptf("sections end after type table")
+	var fd *fileDict
+	if err := decode(secDict, func(d *sliceReader) (err error) {
+		fd, err = decodeDict(g, d, rep)
+		return err
+	}); err != nil {
+		return nil, err
 	}
-	if data[off] == secDict {
-		var fd *fileDict
-		if err := decode(secDict, func(d *sliceReader) error {
-			var err error
-			fd, err = decodeDict(g, d, rep)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if err := decode(secNodes, func(d *sliceReader) error {
-			if err := decodeNodesColumnar(g, d, fd); err != nil {
-				return err
-			}
-			rebuildLabelIndex(g)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if err := decode(secRels, func(d *sliceReader) error {
-			return decodeRelsColumnar(g, d, fd)
-		}); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := decode(secNodes, func(d *sliceReader) error {
-			if err := decodeNodes(g, d); err != nil {
-				return err
-			}
-			rebuildLabelIndex(g)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
-		if err := decode(secRels, func(d *sliceReader) error {
-			return decodeRels(g, d)
-		}); err != nil {
-			return nil, err
-		}
+	if err := decode(secNodes, func(d *sliceReader) error {
+		return decodeNodeSlots(g, d, fd)
+	}); err != nil {
+		return nil, err
+	}
+	rebuildLabelIndex(g)
+	if err := decode(secRels, func(d *sliceReader) error {
+		return decodeRelSlots(g, d, fd)
+	}); err != nil {
+		return nil, err
 	}
 	if err := decode(secIndexes, func(d *sliceReader) error {
 		return decodeIndexes(g, d)
@@ -1175,12 +971,11 @@ func loadV2(data []byte, opts LoadOptions, rep *LoadReport) (*Graph, error) {
 	return g, nil
 }
 
-// readSection parses one v2 section from the front of data: it validates the
+// readSection parses one section from the front of data: it validates the
 // header, checks the payload CRC before decompressing, and returns the
 // decompressed body plus the number of bytes consumed.
 func readSection(data []byte, wantID byte) ([]byte, int, error) {
-	const hdr = 1 + 4 + 8 + 8
-	if len(data) < hdr {
+	if len(data) < sectionHdrSize {
 		return nil, 0, corruptf("section %d: truncated header", wantID)
 	}
 	if data[0] != wantID {
@@ -1189,14 +984,14 @@ func readSection(data []byte, wantID byte) ([]byte, int, error) {
 	wantCRC := binary.LittleEndian.Uint32(data[1:])
 	clen := binary.LittleEndian.Uint64(data[5:])
 	ulen := binary.LittleEndian.Uint64(data[13:])
-	if clen > uint64(len(data)-hdr) {
-		return nil, 0, corruptf("section %d: compressed length %d exceeds remaining %d bytes", wantID, clen, len(data)-hdr)
+	if clen > uint64(len(data)-sectionHdrSize) {
+		return nil, 0, corruptf("section %d: compressed length %d exceeds remaining %d bytes", wantID, clen, len(data)-sectionHdrSize)
 	}
 	// DEFLATE expands at most ~1032:1; a larger claim is a lying header.
 	if ulen > clen*1032+1024 {
 		return nil, 0, corruptf("section %d: uncompressed length %d implausible for %d compressed bytes", wantID, ulen, clen)
 	}
-	comp := data[hdr : hdr+int(clen)]
+	comp := data[sectionHdrSize : sectionHdrSize+int(clen)]
 	if got := crc32.Checksum(comp, castagnoli); got != wantCRC {
 		return nil, 0, corruptf("section %d: checksum mismatch (stored %08x, computed %08x)", wantID, wantCRC, got)
 	}
@@ -1214,48 +1009,47 @@ func readSection(data []byte, wantID byte) ([]byte, int, error) {
 	if uint64(n) != ulen {
 		return nil, 0, corruptf("section %d: decompressed to %d bytes, header claims %d", wantID, n, ulen)
 	}
-	return body.Bytes(), hdr + int(clen), nil
+	return body.Bytes(), sectionHdrSize + int(clen), nil
 }
 
 // --- files ---
 
-// SaveFile writes a snapshot to path durably: the snapshot is written to a
-// temp file in the same directory, fsync'd, renamed over path, and the
-// parent directory is fsync'd so the rename itself survives a crash. A
+// SaveFile writes a snapshot to path durably (see WriteFileAtomic); a
 // failure at any step leaves the previous snapshot at path untouched.
 func (g *Graph) SaveFile(path string) error {
+	return WriteFileAtomic(path, g.Save)
+}
+
+// WriteFileAtomic durably replaces the file at path with what write
+// produces. It is the one durability routine every snapshot, journal and
+// manifest goes through: the content is written to a temp file in the same
+// directory and fsync'd before the rename (a rename whose data has not
+// reached the disk is exactly the crash window that loses a "successfully"
+// saved file), the temp file is renamed over path, and the parent directory
+// is fsync'd so the rename itself survives a crash. A failure at any step,
+// including an error from write, removes the temp file and leaves whatever
+// was at path untouched. Callers that need a checksum or a byte count wrap
+// the writer inside write.
+func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
 		return err
 	}
-	if err := g.Save(f); err != nil {
-		return fail(err)
-	}
-	// Sync file contents before the rename: rename-before-data-reaches-disk
-	// is exactly the crash window that loses a "successfully" saved snapshot.
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory so a just-renamed entry is durable.
-func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return err

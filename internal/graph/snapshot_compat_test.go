@@ -2,14 +2,18 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// fixtureGraph rebuilds, in code, the exact graph behind the committed
-// testdata/v1-golden.snapshot fixture (written once with the legacy v1
-// writer). Keep in sync with the fixture — regenerating the fixture means
-// regenerating it from this function.
+// fixtureGraph is the deterministic graph behind the snapshot suites (and
+// behind the committed old-format fixtures, which were written from it).
 func fixtureGraph() *Graph {
 	g := New()
 	labels := []string{"AS", "Prefix", "IP", "HostName", "Tag"}
@@ -50,91 +54,116 @@ func fixtureGraph() *Graph {
 	return g
 }
 
-// TestV1GoldenLoads is the backward-compatibility gate: the committed
-// legacy-format fixture must keep loading, bit for bit, into the graph that
-// produced it.
-func TestV1GoldenLoads(t *testing.T) {
-	g, err := LoadFile("testdata/v1-golden.snapshot")
-	if err != nil {
-		t.Fatalf("v1 golden fixture no longer loads: %v", err)
-	}
-	st := g.Stats()
-	if st.Nodes != 37 || st.Rels != 50 {
-		t.Fatalf("golden fixture decoded to %d nodes, %d rels; want 37, 50", st.Nodes, st.Rels)
-	}
-	wantByLabel := map[string]int{"AS": 11, "Prefix": 11, "IP": 10, "HostName": 10, "Tag": 9}
-	for l, n := range wantByLabel {
-		if st.ByLabel[l] != n {
-			t.Errorf("label %s: %d nodes, want %d", l, st.ByLabel[l], n)
-		}
-	}
-	for _, idx := range [][2]string{{"AS", "id"}, {"Prefix", "id"}} {
-		if !g.HasIndex(idx[0], idx[1]) {
-			t.Errorf("index %s.%s lost", idx[0], idx[1])
-		}
-	}
-	// The decoded graph matches the in-code fixture node for node.
-	graphsEquivalent(t, fixtureGraph(), g)
+// oldFormatFixtures are snapshots of fixtureGraph (and of an empty graph)
+// in the two layouts written before the columnar one: a bare gzip stream
+// ("v1"), and the sectioned container without a dictionary section
+// ("v2-boxed"). No decoder for them remains; they are kept so the loader's
+// rejection of them stays tested.
+var oldFormatFixtures = []string{
+	"testdata/v1-golden.snapshot",
+	"testdata/v1-empty.snapshot",
+	"testdata/v2-boxed.snapshot",
 }
 
-// TestV1GoldenResavesAsV2 checks the upgrade path: loading a v1 snapshot
-// and re-saving it yields a v2 file describing the identical graph.
-func TestV1GoldenResavesAsV2(t *testing.T) {
-	g, err := LoadFile("testdata/v1-golden.snapshot")
-	if err != nil {
-		t.Fatal(err)
+// recognisableFrom returns the shortest prefix length of an old-format
+// fixture that already identifies its layout: the two gzip magic bytes,
+// or everything up to and including the third section's id byte. A
+// shorter prefix is equally a prefix of a columnar file, so it can only be
+// called truncated.
+func recognisableFrom(t *testing.T, data []byte) int {
+	t.Helper()
+	if data[0] == 0x1f {
+		return 2
 	}
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
+	off := len(snapshotMagic) + 1
+	for range 2 {
+		off += sectionHdrSize + int(binary.LittleEndian.Uint64(data[off+5:]))
 	}
-	if string(buf.Bytes()[:len(snapshotMagic)]) != snapshotMagic || buf.Bytes()[len(snapshotMagic)] != snapshotV2 {
-		t.Fatal("re-save did not produce a v2 snapshot")
+	if data[off] != secNodes {
+		t.Fatalf("fixture's third section is %#x, not the node section", data[off])
 	}
-	g2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("v2 re-save does not load: %v", err)
-	}
-	graphsEquivalent(t, g, g2)
+	return off + 1
 }
 
-// TestV2BoxedGoldenLoads pins the pre-columnar v2 format: the committed
-// fixture was written by the v2 encoder before the dictionary section
-// existed (inline key/value properties, nodes directly after types). Those
-// files are what deployed replicas and stores hold; they must keep loading.
-func TestV2BoxedGoldenLoads(t *testing.T) {
-	g, rep, err := LoadFileWith("testdata/v2-boxed.snapshot", LoadOptions{})
-	if err != nil {
-		t.Fatalf("pre-columnar v2 fixture no longer loads: %v", err)
-	}
-	if rep.DictStrings != 0 {
-		t.Fatalf("boxed fixture reported %d dictionary strings; the format has no dictionary section", rep.DictStrings)
-	}
-	graphsEquivalent(t, fixtureGraph(), g)
-	for _, idx := range [][2]string{{"AS", "id"}, {"Prefix", "id"}} {
-		if !g.HasIndex(idx[0], idx[1]) {
-			t.Errorf("index %s.%s lost", idx[0], idx[1])
+// TestOldFormatsRejected is the format cut's gate: each committed
+// old-format fixture, and every truncation of it long enough to tell the
+// layout, fails with the unsupported-format error — not ErrCorrupt, which
+// would make a store report an intact old dump as damaged. Shorter
+// truncations and every single-bit flip must still fail cleanly.
+func TestOldFormatsRejected(t *testing.T) {
+	for _, fixture := range oldFormatFixtures {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadFileWith(fixture, LoadOptions{Dict: NewInterner()}); !errors.Is(err, errUnsupportedFormat) {
+			t.Fatalf("%s: LoadFileWith = %v, want the unsupported-format error", fixture, err)
+		}
+		from := recognisableFrom(t, data)
+		for i := 0; i <= len(data); i++ {
+			g, err := Load(bytes.NewReader(data[:i]))
+			switch {
+			case err == nil:
+				t.Fatalf("%s truncated to %d bytes was accepted (%d nodes)", fixture, i, g.NumNodes())
+			case i < from:
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s truncated to %d bytes (layout not yet recognisable): %v, want ErrCorrupt", fixture, i, err)
+				}
+			case !errors.Is(err, errUnsupportedFormat) || errors.Is(err, ErrCorrupt):
+				t.Fatalf("%s truncated to %d bytes: %v, want the unsupported-format error", fixture, i, err)
+			}
+		}
+		for i := range data {
+			flipped := append([]byte(nil), data...)
+			flipped[i] ^= 1 << (i % 8)
+			mustFailLoad(t, flipped, fixture+" bit flip")
 		}
 	}
-	// Round-trip through the current (columnar) encoder.
-	var buf bytes.Buffer
-	if err := g.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("columnar re-save of boxed fixture does not load: %v", err)
-	}
-	graphsEquivalent(t, g, g2)
 }
 
-func TestV1EmptyLoads(t *testing.T) {
-	g, err := LoadFile("testdata/v1-empty.snapshot")
-	if err != nil {
-		t.Fatalf("v1 empty fixture: %v", err)
-	}
-	if st := g.Stats(); st.Nodes != 0 || st.Rels != 0 {
-		t.Fatalf("empty fixture decoded to %d nodes, %d rels", st.Nodes, st.Rels)
+// TestStoreSkipsOldFormatGeneration: a store whose newest generation
+// predates the columnar layout (manifested, checksum intact) opens the
+// next-older columnar generation and says why it skipped the newer one.
+func TestStoreSkipsOldFormatGeneration(t *testing.T) {
+	for _, fixture := range oldFormatFixtures {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := OpenStore(t.TempDir(), StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := st.Save(fixtureGraph())
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := Generation{
+			Seq:        good.Seq + 1,
+			Path:       filepath.Join(st.Dir(), genFileName(good.Seq+1)),
+			Size:       int64(len(data)),
+			CRC:        crc32.Checksum(data, castagnoli),
+			manifested: true,
+		}
+		if err := os.WriteFile(old.Path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.writeManifest([]Generation{old, good}); err != nil {
+			t.Fatal(err)
+		}
+
+		g, rep, err := st.Open()
+		if err != nil {
+			t.Fatalf("%s: Open: %v", fixture, err)
+		}
+		if rep.Loaded.Seq != good.Seq {
+			t.Fatalf("%s: loaded generation %d, want %d", fixture, rep.Loaded.Seq, good.Seq)
+		}
+		if len(rep.Skipped) != 1 || rep.Skipped[0].Seq != old.Seq ||
+			!strings.Contains(rep.Skipped[0].Reason, "unsupported snapshot format") {
+			t.Fatalf("%s: skipped = %+v, want generation %d with the unsupported-format reason", fixture, rep.Skipped, old.Seq)
+		}
+		graphsEquivalent(t, fixtureGraph(), g)
 	}
 }
 

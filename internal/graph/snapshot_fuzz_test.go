@@ -9,10 +9,11 @@ import (
 // FuzzLoad throws arbitrary bytes at the snapshot loader. The invariant is
 // the corruption suite's, universally quantified: Load returns a graph or
 // an error — it never panics, hangs, or allocates beyond what the input
-// can back. Seeds cover both format versions, their truncations, and the
-// journal format (whose magic Load rejects).
+// can back. Seeds cover the format and its truncations, the old-format
+// fixtures (which Load must reject, never mis-decode), and the journal
+// format (whose magic Load rejects).
 func FuzzLoad(f *testing.F) {
-	for _, fixture := range []string{"testdata/v1-golden.snapshot", "testdata/v1-empty.snapshot"} {
+	for _, fixture := range oldFormatFixtures {
 		data, err := os.ReadFile(fixture)
 		if err != nil {
 			f.Fatal(err)

@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -190,5 +192,52 @@ func TestSaveFileLoadFile(t *testing.T) {
 	graphsEquivalent(t, g, loaded)
 	if _, err := LoadFile(filepath.Join(dir, "missing")); err == nil {
 		t.Error("LoadFile(missing) should fail")
+	}
+}
+
+// TestWriteFileAtomic pins the contract every durable write relies on: a
+// failing write callback leaves the previous file byte-identical with no
+// temp sibling behind, and a successful call replaces the content.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "MANIFEST")
+	put := func(content string, fail error) error {
+		return WriteFileAtomic(path, func(w io.Writer) error {
+			if _, err := io.WriteString(w, content); err != nil {
+				return err
+			}
+			return fail
+		})
+	}
+	check := func(want string) {
+		t.Helper()
+		got, err := os.ReadFile(path)
+		if err != nil || string(got) != want {
+			t.Fatalf("file holds %q (%v), want %q", got, err, want)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("directory holds %d entries, want only %s", len(entries), filepath.Base(path))
+		}
+	}
+
+	if err := put("first\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	check("first\n")
+	boom := errors.New("disk on fire")
+	if err := put("half-written", boom); !errors.Is(err, boom) {
+		t.Fatalf("failing callback returned %v, want its own error", err)
+	}
+	check("first\n")
+	if err := put("second\n", nil); err != nil {
+		t.Fatal(err)
+	}
+	check("second\n")
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "f"), func(io.Writer) error { return nil }); err == nil {
+		t.Fatal("write into a missing directory succeeded")
 	}
 }

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -55,6 +56,8 @@ const (
 	checkpointManifest = "MANIFEST"
 	checkpointHeader   = "iyp-checkpoint v1"
 )
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrNoCheckpoint is returned by OpenCheckpoint when dir holds no usable
 // checkpoint.
@@ -165,7 +168,7 @@ func (cp *Checkpoint) verifyJournal(e checkpointEntry) string {
 		return fmt.Sprintf("unreadable: %v", err)
 	}
 	defer f.Close()
-	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	h := crc32.New(castagnoli)
 	if _, err := io.Copy(h, f); err != nil {
 		return fmt.Sprintf("unreadable: %v", err)
 	}
@@ -175,38 +178,17 @@ func (cp *Checkpoint) verifyJournal(e checkpointEntry) string {
 	return ""
 }
 
+// rewriteManifest durably replaces the manifest with the validated records.
 func (cp *Checkpoint) rewriteManifest() error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s %s %s\n", checkpointHeader, cp.fingerprint, cp.fetchTime.Format(time.RFC3339Nano))
 	for _, e := range cp.committed {
 		fmt.Fprintf(&sb, "commit %d %s %d %08x %q\n", e.seq, e.file, e.size, e.crc, e.dataset)
 	}
-	path := filepath.Join(cp.dir, checkpointManifest)
-	f, err := os.CreateTemp(cp.dir, checkpointManifest+".tmp-*")
-	if err != nil {
+	return graph.WriteFileAtomic(filepath.Join(cp.dir, checkpointManifest), func(w io.Writer) error {
+		_, err := io.WriteString(w, sb.String())
 		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.WriteString(sb.String()); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }
 
 // Fingerprint returns the build fingerprint pinned at creation.
@@ -261,12 +243,12 @@ func (cp *Checkpoint) Replay(g *graph.Graph) ([]ReplayedCommit, error) {
 	return out, nil
 }
 
-// Record durably journals a just-committed session: the staged batch is
-// written to a temp file, fsync'd, renamed, the directory is fsync'd, and
-// only then is the manifest record appended and fsync'd — the record never
-// exists without its journal. A recording failure disables further
-// checkpointing (the build carries on; the affected datasets are simply
-// re-crawled on resume) and is reported once.
+// Record durably journals a just-committed session: the staged batch goes
+// through graph.WriteFileAtomic, and only then is the manifest record
+// appended and fsync'd — the record never exists without its journal. A
+// recording failure disables further checkpointing (the build carries on;
+// the affected datasets are simply re-crawled on resume) and is reported
+// once.
 func (cp *Checkpoint) Record(dataset string, s *Session) error {
 	if cp == nil {
 		return nil
@@ -286,45 +268,26 @@ func (cp *Checkpoint) Record(dataset string, s *Session) error {
 func (cp *Checkpoint) record(dataset string, b *graph.Batch) error {
 	seq := len(cp.committed) + 1
 	name := fmt.Sprintf("j-%06d.batch", seq)
-	path := filepath.Join(cp.dir, name)
-
-	f, err := os.CreateTemp(cp.dir, name+".tmp-*")
-	if err != nil {
+	// A journal is small next to the graph it feeds and WriteBatch assembles
+	// it in memory anyway, so its size and checksum come from the bytes.
+	var journal bytes.Buffer
+	if err := graph.WriteBatch(&journal, b); err != nil {
 		return err
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
+	size, crc := int64(journal.Len()), crc32.Checksum(journal.Bytes(), castagnoli)
+	if err := graph.WriteFileAtomic(filepath.Join(cp.dir, name), func(w io.Writer) error {
+		_, err := w.Write(journal.Bytes())
+		return err
+	}); err != nil {
 		return err
 	}
-	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
-	cw := io.MultiWriter(f, h)
-	var size int64
-	if err := graph.WriteBatch(&countingWriter{w: cw, n: &size}, b); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(cp.dir); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(cp.manifest, "commit %d %s %d %08x %q\n", seq, name, size, h.Sum32(), dataset); err != nil {
+	if _, err := fmt.Fprintf(cp.manifest, "commit %d %s %d %08x %q\n", seq, name, size, crc, dataset); err != nil {
 		return err
 	}
 	if err := cp.manifest.Sync(); err != nil {
 		return err
 	}
-	cp.committed = append(cp.committed, checkpointEntry{seq: seq, dataset: dataset, file: name, size: size, crc: h.Sum32()})
+	cp.committed = append(cp.committed, checkpointEntry{seq: seq, dataset: dataset, file: name, size: size, crc: crc})
 	return nil
 }
 
@@ -343,24 +306,4 @@ func (cp *Checkpoint) Close() error {
 func (cp *Checkpoint) Remove() error {
 	cp.Close()
 	return os.RemoveAll(cp.dir)
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
-type countingWriter struct {
-	w io.Writer
-	n *int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	*cw.n += int64(n)
-	return n, err
 }

@@ -89,8 +89,8 @@ type Config struct {
 	WatchdogGrace time.Duration
 	// DisableGovernance reverts admission to the bare semaphore (instant
 	// shed at MaxConcurrent, no budgets, no cost shedding, no degrade
-	// ladder). Exists for the iyp-bench -overload baseline; production
-	// servers should leave it off.
+	// ladder). Exists as the ungoverned reference the root overload storm
+	// test compares against; production servers should leave it off.
 	DisableGovernance bool
 	// SlowQuery is the latency above which a completed query is logged
 	// through Logf (0 = 1s).

@@ -376,13 +376,6 @@ func hasASN(s []uint32, asn uint32) bool {
 	return false
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // --- addressing ---
 
 // allocV4 carves the next /bits IPv4 prefix. The cursor is aligned *up*

@@ -162,7 +162,7 @@ func (g *generator) genNSProviders() {
 		var wantCovered bool
 		switch {
 		case i < n*32/100:
-			wantCovered = g.r.bernoulli(minF(1, nsCov/0.48))
+			wantCovered = g.r.bernoulli(min(1, nsCov/0.48))
 		case i < n*70/100:
 			wantCovered = g.r.bernoulli(nsCov * 0.62)
 		default:
@@ -542,20 +542,6 @@ func nsIP(p *Prefix) string {
 	ip := ipFrom(p, p.HostedIPs%250)
 	p.HostedIPs++
 	return ip
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // hosterTLD deterministically assigns a hosting company's nameserver zone

@@ -630,10 +630,3 @@ func unmatchedRels(a, b []relEntry) (restA, restB []relEntry) {
 	restB = append(restB, b[j:]...)
 	return restA, restB
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -143,7 +143,7 @@ func (h *History) load(gen uint64) (*graph.Graph, error) {
 // LoadGeneration materializes one persisted generation from the store as a
 // frozen graph, verifying its manifest checksum first. Callers that need
 // caching and pin management should go through History; this is the raw
-// load used by offline tools (iyp-report -diff, iyp-bench -diff).
+// load used by offline tools (iyp-report -diff).
 func LoadGeneration(store *graph.Store, gen uint64) (*graph.Graph, error) {
 	gens, err := store.Generations()
 	if err != nil {
