@@ -10,6 +10,8 @@
 //	iyp-report -db iyp.snapshot -inventory # also print the dataset inventory
 //	iyp-report -diff old.snapshot new.snapshot  # diff two snapshots
 //	iyp-report -diff -store gens/ 3 5      # diff two persisted generations
+//
+// The diff uses every CPU; its output does not depend on how many.
 package main
 
 import (
@@ -42,12 +44,11 @@ func main() {
 		algoRun   = flag.Bool("algo", false, "run the whole-graph analytics kernels and print a structural summary")
 		diffRun   = flag.Bool("diff", false, "diff two snapshots (or, with -store, two generation numbers)")
 		storeDir  = flag.String("store", "", "generation store directory for -diff")
-		workers   = flag.Int("workers", 0, "diff workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 
 	if *diffRun {
-		if err := runDiff(*storeDir, flag.Args(), *workers); err != nil {
+		if err := runDiff(*storeDir, flag.Args()); err != nil {
 			log.Fatalf("iyp-report: diff: %v", err)
 		}
 		return
@@ -123,7 +124,7 @@ func main() {
 // runDiff is the -diff path: it loads two frozen generations — either two
 // snapshot files, or two generation numbers out of a -store directory —
 // and prints the temporal diff between them.
-func runDiff(storeDir string, args []string, workers int) error {
+func runDiff(storeDir string, args []string) error {
 	if len(args) != 2 {
 		return fmt.Errorf("need exactly two arguments (got %d): two snapshot paths, or with -store two generation numbers", len(args))
 	}
@@ -161,7 +162,7 @@ func runDiff(storeDir string, args []string, workers int) error {
 		toG.Freeze()
 		fromSeq, toSeq = 1, 2
 	}
-	res, err := temporal.Diff(context.Background(), fromG, toG, temporal.DiffOptions{Workers: workers})
+	res, err := temporal.Diff(context.Background(), fromG, toG, temporal.DiffOptions{})
 	if err != nil {
 		return err
 	}

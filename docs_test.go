@@ -8,12 +8,25 @@ package iyp_test
 import (
 	"context"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"iyp"
+	"iyp/internal/core"
+	"iyp/internal/cypher"
 	"iyp/internal/graph"
+	"iyp/internal/ingest"
+	"iyp/internal/replica"
+	"iyp/internal/server"
+	"iyp/internal/temporal"
 )
 
 func TestReadmeExplainExamples(t *testing.T) {
@@ -213,4 +226,148 @@ AS OF $gen`, iyp.WithParams(map[string]iyp.Value{"gen": iyp.IntValue(1)}))
 	if res.Len() == 0 {
 		t.Fatal("temporal.diff returned no rows")
 	}
+}
+
+// knobRule is why TestKnobCensus fails when a count grows.
+const knobRule = "a new option needs two existing non-test callers that need different values; " +
+	"with one value in use, make it a constant instead"
+
+// TestKnobCensus pins how many settings each configuration surface has —
+// the exported fields of the option structs and the flags each command
+// defines — so an option cannot be added, or one removed, by accident.
+// It also checks that every flag a README `go run ./cmd/<name>` example
+// passes is one that command defines.
+func TestKnobCensus(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want int
+	}{
+		{server.Config{}, 14},
+		{cypher.ExecOptions{}, 5},
+		{core.BuildOptions{}, 12},
+		{ingest.Pipeline{}, 9},
+		{iyp.Options{}, 11},
+		{replica.Config{}, 9},
+		{temporal.DiffOptions{}, 1},
+	} {
+		typ := reflect.TypeOf(c.v)
+		n := 0
+		for i := 0; i < typ.NumField(); i++ {
+			if typ.Field(i).IsExported() {
+				n++
+			}
+		}
+		if n != c.want {
+			t.Errorf("%s has %d exported fields, want %d: %s", typ, n, c.want, knobRule)
+		}
+	}
+
+	want := map[string]int{"iyp-build": 15, "iyp-query": 6, "iyp-report": 9, "iyp-serve": 17}
+	mains, err := filepath.Glob(filepath.Join("cmd", "*", "main.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]map[string]bool{}
+	for _, path := range mains {
+		cmd := filepath.Base(filepath.Dir(path))
+		names := cmdFlags(t, path)
+		if len(names) != want[cmd] {
+			t.Errorf("%s defines %d flags, want %d: %s", cmd, len(names), want[cmd], knobRule)
+		}
+		flags[cmd] = map[string]bool{}
+		for _, name := range names {
+			flags[cmd][name] = true
+		}
+	}
+	for cmd := range want {
+		if flags[cmd] == nil {
+			t.Errorf("cmd/%s/main.go not found", cmd)
+		}
+	}
+
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	goRun := regexp.MustCompile(`^go run \./cmd/([\w-]+)(.*)$`)
+	quoted := regexp.MustCompile(`"[^"]*"|'[^']*'`)
+	lines := strings.Split(string(readme), "\n")
+	examples := 0
+	for i := 0; i < len(lines); i++ {
+		line := strings.TrimSpace(lines[i])
+		for strings.HasSuffix(line, `\`) && i+1 < len(lines) {
+			i++
+			line = strings.TrimSuffix(line, `\`) + " " + strings.TrimSpace(lines[i])
+		}
+		m := goRun.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		examples++
+		defined, ok := flags[m[1]]
+		if !ok {
+			t.Errorf("README runs ./cmd/%s, which does not exist: %s", m[1], line)
+			continue
+		}
+		args, _, _ := strings.Cut(quoted.ReplaceAllString(m[2], ""), "#")
+		for _, f := range strings.Fields(args) {
+			if !strings.HasPrefix(f, "-") {
+				continue
+			}
+			if name, _, _ := strings.Cut(strings.TrimLeft(f, "-"), "="); !defined[name] {
+				t.Errorf("README passes %s to %s, which defines no such flag: %s", f, m[1], line)
+			}
+		}
+	}
+	if examples == 0 {
+		t.Error("README.md shows no `go run ./cmd/…` example")
+	}
+}
+
+// flagDefiners are the flag package functions that define a flag; the
+// ones ending in Var take the flag name as their second argument.
+var flagDefiners = map[string]bool{
+	"Bool": true, "BoolFunc": true, "Duration": true, "Float64": true, "Func": true,
+	"Int": true, "Int64": true, "String": true, "Uint": true, "Uint64": true,
+	"BoolVar": true, "DurationVar": true, "Float64Var": true, "IntVar": true, "Int64Var": true,
+	"StringVar": true, "TextVar": true, "UintVar": true, "Uint64Var": true, "Var": true,
+}
+
+// cmdFlags returns the names of the flags a command's main.go defines.
+func cmdFlags(t *testing.T, path string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" || !flagDefiners[sel.Sel.Name] {
+			return true
+		}
+		arg := 0
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg = 1
+		}
+		lit, ok := call.Args[arg].(*ast.BasicLit)
+		if !ok || lit.Kind != token.STRING {
+			t.Errorf("%s: flag.%s defines a flag whose name is not a string literal", path, sel.Sel.Name)
+			return true
+		}
+		name, err := strconv.Unquote(lit.Value)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		names = append(names, name)
+		return true
+	})
+	return names
 }

@@ -36,9 +36,6 @@ type BuildOptions struct {
 	// CrawlerTimeout bounds one crawler's run (0 = none). Hung feeds are
 	// abandoned and reported failed; their staged writes are discarded.
 	CrawlerTimeout time.Duration
-	// MaxFetchBytes caps one dataset payload (0 = source default,
-	// 256 MiB), so a malformed giant feed cannot OOM the build.
-	MaxFetchBytes int64
 	// WrapFetcher, when set, wraps the build's dataset fetcher — the hook
 	// chaos tests use to inject faults (source.FaultFetcher) and operators
 	// use to add retry policies (source.RetryFetcher).
@@ -194,16 +191,15 @@ func Build(ctx context.Context, opts BuildOptions) (*BuildResult, error) {
 	}
 
 	pipe := &ingest.Pipeline{
-		Graph:         g,
-		Fetcher:       fetcher,
-		Crawlers:      runCs,
-		Concurrency:   opts.Concurrency,
-		Timeout:       opts.CrawlerTimeout,
-		MaxFetchBytes: opts.MaxFetchBytes,
-		FetchTime:     fetchTime,
-		Checkpoint:    cp,
-		OnCommit:      opts.onCommit,
-		Logf:          logf,
+		Graph:       g,
+		Fetcher:     fetcher,
+		Crawlers:    runCs,
+		Concurrency: opts.Concurrency,
+		Timeout:     opts.CrawlerTimeout,
+		FetchTime:   fetchTime,
+		Checkpoint:  cp,
+		OnCommit:    opts.onCommit,
+		Logf:        logf,
 	}
 	report, err := pipe.Run(ctx)
 	if err != nil {

@@ -226,15 +226,14 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 		}
 	}
 	pipe := &ingest.Pipeline{
-		Graph:         g,
-		Fetcher:       fetcher,
-		Crawlers:      runCs,
-		Concurrency:   opts.Build.Concurrency,
-		Timeout:       opts.Build.CrawlerTimeout,
-		MaxFetchBytes: opts.Build.MaxFetchBytes,
-		FetchTime:     fetchTime,
-		OnCommit:      opts.Build.onCommit,
-		Logf:          logf,
+		Graph:       g,
+		Fetcher:     fetcher,
+		Crawlers:    runCs,
+		Concurrency: opts.Build.Concurrency,
+		Timeout:     opts.Build.CrawlerTimeout,
+		FetchTime:   fetchTime,
+		OnCommit:    opts.Build.onCommit,
+		Logf:        logf,
 	}
 	report, err := pipe.Run(ctx)
 	if err != nil {

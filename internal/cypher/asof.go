@@ -35,15 +35,6 @@ func AsOfGeneration(q *Query, opts ExecOptions) (gen uint64, ok bool, err error)
 			}
 			return fail("parameter $%s must be a positive integer", e.Name)
 		}
-		if v, found := opts.Params[e.Name]; found {
-			if n, isInt := v.AsInt(); isInt {
-				if n <= 0 {
-					return fail("generation must be positive, got %d", n)
-				}
-				return uint64(n), true, nil
-			}
-			return fail("parameter $%s must be a positive integer", e.Name)
-		}
 		return fail("parameter $%s is not bound", e.Name)
 	default:
 		return fail("generation must be an integer literal or $parameter")

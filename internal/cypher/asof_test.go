@@ -23,14 +23,14 @@ func TestParseAsOfParam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen, ok, err := AsOfGeneration(q, ExecOptions{Params: map[string]graph.Value{"gen": graph.Int(7)}})
+	gen, ok, err := AsOfGeneration(q, ExecOptions{ParamVals: map[string]Val{"gen": ScalarVal(graph.Int(7))}})
 	if err != nil || !ok || gen != 7 {
 		t.Fatalf("AsOfGeneration = (%d, %v, %v), want (7, true, nil)", gen, ok, err)
 	}
 	if _, _, err := AsOfGeneration(q, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "not bound") {
 		t.Fatalf("unbound param: err = %v", err)
 	}
-	if _, _, err := AsOfGeneration(q, ExecOptions{Params: map[string]graph.Value{"gen": graph.String("x")}}); err == nil {
+	if _, _, err := AsOfGeneration(q, ExecOptions{ParamVals: map[string]Val{"gen": ScalarVal(graph.String("x"))}}); err == nil {
 		t.Fatal("non-integer param accepted")
 	}
 }

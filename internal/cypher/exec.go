@@ -33,7 +33,6 @@ type executor struct {
 	g       *graph.Graph
 	ec      *evalCtx
 	res     *Result
-	params  map[string]Val
 	ctx     context.Context
 	q       *Query      // the UNION branch being executed (writes in it keep MATCH clauses unsplit)
 	budget  int         // max final result rows (0 = unlimited)
@@ -70,12 +69,10 @@ func ctxErr(ctx context.Context) error {
 
 // ExecOptions control query execution.
 type ExecOptions struct {
-	// Params provides $parameter values (may be nil).
-	Params map[string]graph.Value
-	// ParamVals provides $parameter values in the engine's runtime
-	// representation, which unlike graph.Value can carry maps and nested
-	// lists (use ValOf to build them from native Go values). Keys here
-	// shadow Params.
+	// ParamVals provides $parameter values (may be nil) in the engine's
+	// runtime representation, which unlike graph.Value can carry maps and
+	// nested lists (use ScalarVal for a graph.Value, ValOf for native Go
+	// values). Execution only reads the map.
 	ParamVals map[string]Val
 	// MaxRows, when > 0, bounds the number of result rows. Where the
 	// query shape allows it (final RETURN without aggregation, DISTINCT
@@ -109,7 +106,11 @@ func Run(g *graph.Graph, src string, params map[string]graph.Value) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	return Exec(context.Background(), g, q, ExecOptions{Params: params})
+	vals := make(map[string]Val, len(params))
+	for k, v := range params {
+		vals[k] = ScalarVal(v)
+	}
+	return Exec(context.Background(), g, q, ExecOptions{ParamVals: vals})
 }
 
 // Exec executes an already-parsed query under ctx with the given options.
@@ -153,16 +154,9 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	params := make(map[string]Val, len(opts.Params)+len(opts.ParamVals))
-	for k, v := range opts.Params {
-		params[k] = ScalarVal(v)
-	}
-	for k, v := range opts.ParamVals {
-		params[k] = v
-	}
 	// One tracker for the whole statement: UNION branches share the budget.
 	mem := newMemTracker(opts.MaxMemBytes)
-	res, err = runSingle(ctx, g, q, params, branchBudget, par, mem, opts.GenResolver)
+	res, err = runSingle(ctx, g, q, opts.ParamVals, branchBudget, par, mem, opts.GenResolver)
 	if err != nil {
 		return nil, err
 	}
@@ -170,7 +164,7 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		next, err := runSingle(ctx, g, cur.Next, params, 0, par, mem, opts.GenResolver)
+		next, err := runSingle(ctx, g, cur.Next, opts.ParamVals, 0, par, mem, opts.GenResolver)
 		if err != nil {
 			return nil, err
 		}
@@ -208,13 +202,10 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 
 // runSingle executes one UNION branch.
 func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]Val, budget, par int, mem *memTracker, resolve GenResolver) (*Result, error) {
-	if params == nil {
-		params = map[string]Val{}
-	}
 	if par < 1 {
 		par = 1
 	}
-	ex := &executor{g: g, params: params, res: &Result{g: g}, ctx: ctx, q: q, budget: budget, par: par, mem: mem, resolve: resolve}
+	ex := &executor{g: g, res: &Result{g: g}, ctx: ctx, q: q, budget: budget, par: par, mem: mem, resolve: resolve}
 	ex.ec = &evalCtx{g: g, params: params, ex: ex}
 
 	rows := []row{{}}

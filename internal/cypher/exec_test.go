@@ -654,7 +654,7 @@ func TestExecQueryReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, asn := range []int64{2497, 65001, 1} {
-		res, err := Exec(context.Background(), g, q, ExecOptions{Params: map[string]graph.Value{"asn": graph.Int(asn)}})
+		res, err := Exec(context.Background(), g, q, ExecOptions{ParamVals: map[string]Val{"asn": ScalarVal(graph.Int(asn))}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -125,6 +125,6 @@ func TestExecutorNeverPanicsOnValidParses(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		_, _ = Exec(context.Background(), g, q, ExecOptions{Params: map[string]graph.Value{"param": graph.Int(1)}})
+		_, _ = Exec(context.Background(), g, q, ExecOptions{ParamVals: map[string]Val{"param": ScalarVal(graph.Int(1))}})
 	}
 }

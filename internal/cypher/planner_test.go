@@ -194,7 +194,7 @@ func TestDriverPlansOncePerRow(t *testing.T) {
 			}
 			_, err = Exec(context.Background(), g, q, ExecOptions{
 				Parallelism: workers,
-				Params:      map[string]graph.Value{"asn": graph.Int(64001)},
+				ParamVals:   map[string]Val{"asn": ScalarVal(graph.Int(64001))},
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", tc.q, err)

@@ -46,10 +46,6 @@ type Crawler interface {
 // sessions are serialized by the graph.
 type Session struct {
 	Fetcher source.Fetcher
-	// MaxFetchBytes caps one Fetch payload (0 = source default). Oversized
-	// payloads fail the fetch with source.ErrPayloadTooLarge instead of
-	// ballooning the build.
-	MaxFetchBytes int64
 
 	g     *graph.Graph
 	ref   ontology.Reference
@@ -94,9 +90,11 @@ func (s *Session) Reference() ontology.Reference { return s.ref }
 func (s *Session) Graph() *graph.Graph { return s.g }
 
 // Fetch retrieves a dataset payload through the session's fetcher and
-// records its content hash (see Fetches).
+// records its content hash (see Fetches). Payloads over
+// source.DefaultMaxPayloadBytes fail with source.ErrPayloadTooLarge instead
+// of ballooning the build.
 func (s *Session) Fetch(ctx context.Context, path string) ([]byte, error) {
-	data, err := source.ReadAllLimit(ctx, s.Fetcher, path, s.MaxFetchBytes)
+	data, err := source.ReadAll(ctx, s.Fetcher, path)
 	if err != nil {
 		return nil, err
 	}

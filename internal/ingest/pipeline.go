@@ -42,8 +42,6 @@ type Pipeline struct {
 	// overruns is abandoned and reported failed with ErrCrawlTimeout;
 	// its staged writes are discarded and the rest of the build proceeds.
 	Timeout time.Duration
-	// MaxFetchBytes caps a single dataset payload (0 = source default).
-	MaxFetchBytes int64
 	// FetchTime is stamped on all provenance (zero = now).
 	FetchTime time.Time
 	// Checkpoint, when set, durably journals every committed batch so an
@@ -213,7 +211,6 @@ func (p *Pipeline) crawlOne(ctx context.Context, c Crawler, fetchTime time.Time)
 	ref := c.Reference()
 	ref.FetchTime = fetchTime
 	s := NewSession(p.Graph, p.Fetcher, ref)
-	s.MaxFetchBytes = p.MaxFetchBytes
 
 	cctx := ctx
 	if p.Timeout > 0 {

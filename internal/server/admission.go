@@ -395,9 +395,6 @@ func (r *latencyRing) p99() time.Duration {
 // degradeLevel computes the current level from slot utilization, queue
 // depth and the recent latency tail, and records it for the metrics gauge.
 func (s *Server) degradeLevel() int {
-	if s.cfg.DisableGovernance {
-		return 0
-	}
 	util := float64(s.adm.inflight()) / float64(cap(s.adm.slots))
 	if s.adm.queueCap > 0 {
 		if qu := float64(s.adm.queued.Load()) / float64(s.adm.queueCap); qu > util {
@@ -424,17 +421,11 @@ func (s *Server) degradeLevel() int {
 }
 
 // costThreshold is the estimate above which a query counts as expensive for
-// the degrade ladder: Config.MaxQueryCost, or one full pass over the graph
-// by default. Higher levels tighten it.
+// the degrade ladder: one full pass over the current graph (nodes+rels,
+// floor 1000). Higher levels tighten it.
 func (s *Server) costThreshold(level int) float64 {
-	t := s.cfg.MaxQueryCost
-	if t <= 0 {
-		g := s.st.Current()
-		t = float64(g.NumNodes() + g.NumRels())
-		if t < 1000 {
-			t = 1000
-		}
-	}
+	g := s.st.Current()
+	t := max(float64(g.NumNodes()+g.NumRels()), 1000)
 	if level >= 2 {
 		t /= 8
 	}

@@ -271,14 +271,6 @@ func TestDegradeLevelLadder(t *testing.T) {
 	if t2, t0 := srv.costThreshold(2), srv.costThreshold(0); t2 >= t0 {
 		t.Fatalf("costThreshold(2) = %v not below costThreshold(0) = %v", t2, t0)
 	}
-
-	// DisableGovernance pins the ladder at 0 regardless of load.
-	off := newTestServer(testGraph(), Config{MaxConcurrent: 1, DisableGovernance: true})
-	off.adm.slots <- struct{}{}
-	if lvl := off.degradeLevel(); lvl != 0 {
-		t.Fatalf("ungoverned level = %d, want 0", lvl)
-	}
-	<-off.adm.slots
 }
 
 // atomic32 is a tiny test-local counter safe for use from the watchdog.

@@ -2,7 +2,9 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"iyp/internal/graph"
@@ -97,6 +99,52 @@ func TestQueryCallTemporalDiff(t *testing.T) {
 	}
 	if len(resp.Rows) != 2 {
 		t.Fatalf("rows = %v, want the nodes and rels totals", resp.Rows)
+	}
+}
+
+// TestDiffWorkerCountNotARequestKnob: neither diff surface takes a worker
+// count. A huge `workers` on /v1/diff or in CALL temporal.diff once split
+// the kernel into one goroutine and one 64-bucket shard set per entity;
+// now it is ignored, so the request allocates what the plain one does.
+func TestDiffWorkerCountNotARequestKnob(t *testing.T) {
+	g := graph.New()
+	for i := 0; i < 1500; i++ {
+		a := g.AddNode([]string{"AS"}, graph.Props{"asn": graph.Int(int64(10000 + i))})
+		p := g.AddNode([]string{"Prefix"}, graph.Props{"prefix": graph.String(fmt.Sprintf("10.%d.%d.0/24", i/256, i%256))})
+		if _, err := g.AddRel("ORIGINATE", a, p, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := graph.NewMVStore(g)
+	if _, err := st.Update(func(g *graph.Graph) error {
+		g.AddNode([]string{"AS"}, graph.Props{"asn": graph.Int(3333)})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st)
+	const call = `{"query": "CALL temporal.diff({from: 1%s}) YIELD kind RETURN count(*) AS n"}`
+	for _, tc := range []struct {
+		name, workers string
+		serve         func(workers string) *httptest.ResponseRecorder
+	}{
+		{"GET /v1/diff", "&workers=1048576", func(workers string) *httptest.ResponseRecorder {
+			return get(t, srv, "/v1/diff?from=1"+workers)
+		}},
+		{"CALL temporal.diff", ", workers: 1048576", func(workers string) *httptest.ResponseRecorder {
+			return post(t, srv, "/v1/query", fmt.Sprintf(call, workers))
+		}},
+	} {
+		allocs := func(workers string) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if w := tc.serve(workers); w.Code != http.StatusOK {
+					t.Fatalf("%s: status = %d: %s", tc.name, w.Code, w.Body)
+				}
+			})
+		}
+		if plain, huge := allocs(""), allocs(tc.workers); huge > 1.5*plain {
+			t.Errorf("%s: workers=1048576 allocates %.0f per request, the plain request %.0f (> 1.5x)", tc.name, huge, plain)
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"iyp/internal/cypher"
 	"iyp/internal/graph"
@@ -30,7 +29,7 @@ func init() {
 }
 
 func TestPanicRecoveryAndQuarantine(t *testing.T) {
-	srv := newTestServer(testGraph(), Config{QuarantineFor: time.Minute})
+	srv := newTestServer(testGraph())
 	const crash = `{"query": "CALL test.panic() YIELD x RETURN x"}`
 
 	// First execution: the panic is recovered into a typed 500 and the
@@ -238,23 +237,4 @@ func TestHealthEndpoint(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		<-srv.adm.slots
 	}
-}
-
-func TestGovernanceDisabled(t *testing.T) {
-	// DisableGovernance restores the bare semaphore: no budgets, no
-	// ladder, instant shed at capacity.
-	srv := newTestServer(testGraph(), Config{
-		MaxConcurrent: 1, ClientQPS: 0.001, ClientBurst: 1, DisableGovernance: true,
-	})
-	for i := 0; i < 5; i++ {
-		if w := post(t, srv, "/v1/query", `{"query": "RETURN 1 AS n"}`); w.Code != http.StatusOK {
-			t.Fatalf("ungoverned request %d: status = %d (budgets must be off)", i, w.Code)
-		}
-	}
-	srv.adm.slots <- struct{}{}
-	w := post(t, srv, "/v1/query", `{"query": "RETURN 1 AS n"}`)
-	if w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("ungoverned at capacity: status = %d, want 503", w.Code)
-	}
-	<-srv.adm.slots
 }

@@ -3,9 +3,9 @@
 // and metrics endpoints. It is the reproduction's equivalent of the Neo4j
 // HTTP API the paper's public deployment exposes, hardened for arbitrary
 // user Cypher under heavy load: every query runs under a deadline and a
-// row budget, a concurrency limiter sheds load instead of queueing it, a
-// plan cache parses each distinct query text once, and GET /metrics
-// exposes the serving counters.
+// row budget, one admission path (budgets, degrade ladder, bounded queue)
+// sheds load it cannot serve, a plan cache parses each distinct query text
+// once, and GET /metrics exposes the serving counters.
 //
 // The server reads through the MVCC generation store: every query pins one
 // immutable generation for its whole execution — lock-free reads, no
@@ -54,8 +54,6 @@ type Config struct {
 	// DefaultMaxRows bounds result rows when the request doesn't set
 	// max_rows (0 = 100000).
 	DefaultMaxRows int
-	// HardMaxRows caps the per-request max_rows field (0 = 1000000).
-	HardMaxRows int
 	// MaxConcurrent bounds queries executing at once; excess requests
 	// queue up to QueueDepth, then shed with 503 (0 = 64).
 	MaxConcurrent int
@@ -77,21 +75,6 @@ type Config struct {
 	// aggregation buffers, sort keys); exceeding it aborts the query with
 	// code "memory_budget" (0 = 256 MiB; < 0 disables the budget).
 	MaxQueryMem int64
-	// MaxQueryCost is the pre-execution cost estimate above which a query
-	// counts as expensive for the degrade ladder (0 = one full pass over
-	// the current graph, nodes+rels).
-	MaxQueryCost float64
-	// QuarantineFor is how long a query text whose plan panicked stays
-	// quarantined (0 = 1m).
-	QuarantineFor time.Duration
-	// WatchdogGrace is how far past its deadline an executing query may
-	// run before the watchdog hard-cancels it (0 = 5s).
-	WatchdogGrace time.Duration
-	// DisableGovernance reverts admission to the bare semaphore (instant
-	// shed at MaxConcurrent, no budgets, no cost shedding, no degrade
-	// ladder). Exists as the ungoverned reference the root overload storm
-	// test compares against; production servers should leave it off.
-	DisableGovernance bool
 	// SlowQuery is the latency above which a completed query is logged
 	// through Logf (0 = 1s).
 	SlowQuery time.Duration
@@ -112,6 +95,17 @@ type Config struct {
 // sent in the Sunset header (RFC 8594) alongside Deprecation (RFC 9745).
 const legacySunset = "Sun, 01 Nov 2026 00:00:00 GMT"
 
+const (
+	// hardMaxRows caps the per-request max_rows field.
+	hardMaxRows = 1000000
+	// quarantineFor is how long a query text whose plan panicked stays
+	// quarantined.
+	quarantineFor = time.Minute
+	// watchdogGrace is how far past its deadline an executing query may run
+	// before the watchdog hard-cancels it.
+	watchdogGrace = 5 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 30 * time.Second
@@ -121,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultMaxRows <= 0 {
 		c.DefaultMaxRows = 100000
-	}
-	if c.HardMaxRows <= 0 {
-		c.HardMaxRows = 1000000
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 64
@@ -142,12 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueryMem < 0 {
 		c.MaxQueryMem = 0
-	}
-	if c.QuarantineFor <= 0 {
-		c.QuarantineFor = time.Minute
-	}
-	if c.WatchdogGrace <= 0 {
-		c.WatchdogGrace = 5 * time.Second
 	}
 	if c.SlowQuery <= 0 {
 		c.SlowQuery = time.Second
@@ -184,7 +169,7 @@ func New(st *graph.MVStore, cfgs ...Config) *Server {
 		cfg:   cfg,
 		cache: cache,
 		adm: newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.MaxQueueWait,
-			cfg.ClientQPS, cfg.ClientBurst, cfg.QuarantineFor, cfg.WatchdogGrace),
+			cfg.ClientQPS, cfg.ClientBurst, quarantineFor, watchdogGrace),
 	}
 	endpoints := []struct {
 		pattern string // method + path, relative to the prefix
@@ -240,7 +225,7 @@ type queryRequest struct {
 	// Config.MaxTimeout.
 	TimeoutMS int64 `json:"timeout_ms"`
 	// MaxRows overrides the server's default row budget, capped at
-	// Config.HardMaxRows.
+	// hardMaxRows.
 	MaxRows int `json:"max_rows"`
 	// Parallelism bounds the worker count for morsel-parallel MATCH
 	// execution: 0 uses all CPUs, 1 forces serial execution. Results are
@@ -297,11 +282,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	governed := !s.cfg.DisableGovernance
 	client := clientKey(r)
 	// Per-client budget first: one token per request, parse errors
 	// included — the budget is for server attention, not successes.
-	if governed && s.adm.buckets != nil {
+	if s.adm.buckets != nil {
 		if ok, retry := s.adm.buckets.take(client); !ok {
 			s.met.shed(shedReasonBudget)
 			writeShed(w, http.StatusTooManyRequests, "budget_exhausted",
@@ -316,19 +300,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Cap timeout_ms before converting: a huge value would overflow the
+	// Duration into an already-expired deadline.
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
+		timeout = s.cfg.MaxTimeout
+		if req.TimeoutMS <= s.cfg.MaxTimeout.Milliseconds() {
+			timeout = time.Duration(req.TimeoutMS) * time.Millisecond
 		}
 	}
 	maxRows := s.cfg.DefaultMaxRows
 	if req.MaxRows > 0 {
-		maxRows = req.MaxRows
-		if maxRows > s.cfg.HardMaxRows {
-			maxRows = s.cfg.HardMaxRows
-		}
+		maxRows = min(req.MaxRows, hardMaxRows)
 	}
 	parallelism := req.Parallelism
 	if parallelism < 0 {
@@ -372,13 +355,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Plans that panicked recently are circuit-broken: replaying a
 	// crashing query in a retry loop buys nothing and costs a slot each
 	// time.
-	if governed {
-		if left, blocked := s.adm.quar.blocked(req.Query); blocked {
-			s.met.shed(shedReasonQuarantine)
-			writeShed(w, http.StatusServiceUnavailable, "plan_quarantined",
-				"this query recently crashed its plan and is quarantined, retry later", left)
-			return
-		}
+	if left, blocked := s.adm.quar.blocked(req.Query); blocked {
+		s.met.shed(shedReasonQuarantine)
+		writeShed(w, http.StatusServiceUnavailable, "plan_quarantined",
+			"this query recently crashed its plan and is quarantined, retry later", left)
+		return
 	}
 
 	// Pin one immutable generation for the whole query: reads are
@@ -414,56 +395,47 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Degrade ladder: under load, expensive work is refused up front so
 	// cheap indexed lookups keep their latency. The estimate comes from
 	// the same planner that will execute the query.
-	if governed {
-		if level := s.degradeLevel(); level >= 1 {
-			est := estimate()
-			retry := s.shedRetryAfter()
-			switch {
-			case est.Analytics:
-				s.met.shed(shedReasonAnalytics)
-				writeShed(w, http.StatusServiceUnavailable, "overloaded",
-					"server is under load and shedding CALL algo.* analytics, retry later", retry)
-				return
-			case est.Cost > s.costThreshold(level):
-				s.met.shed(shedReasonCost)
-				writeShed(w, http.StatusServiceUnavailable, "overloaded",
-					"server is under load and shedding expensive queries (estimated cost too high), retry later", retry)
-				return
-			case level >= 3 && !est.IndexOnly:
-				s.met.shed(shedReasonIndexOnly)
-				writeShed(w, http.StatusServiceUnavailable, "overloaded",
-					"server is heavily loaded and serving only index-anchored queries, retry later", retry)
-				return
-			}
-			if level >= 2 {
-				parallelism = 1 // keep CPUs for the queue, not per-query fan-out
-			}
+	if level := s.degradeLevel(); level >= 1 {
+		est := estimate()
+		retry := s.shedRetryAfter()
+		switch {
+		case est.Analytics:
+			s.met.shed(shedReasonAnalytics)
+			writeShed(w, http.StatusServiceUnavailable, "overloaded",
+				"server is under load and shedding CALL algo.* analytics, retry later", retry)
+			return
+		case est.Cost > s.costThreshold(level):
+			s.met.shed(shedReasonCost)
+			writeShed(w, http.StatusServiceUnavailable, "overloaded",
+				"server is under load and shedding expensive queries (estimated cost too high), retry later", retry)
+			return
+		case level >= 3 && !est.IndexOnly:
+			s.met.shed(shedReasonIndexOnly)
+			writeShed(w, http.StatusServiceUnavailable, "overloaded",
+				"server is heavily loaded and serving only index-anchored queries, retry later", retry)
+			return
+		}
+		if level >= 2 {
+			parallelism = 1 // keep CPUs for the queue, not per-query fan-out
 		}
 	}
 
-	// Admission: take an executing slot, queueing (deadline- and
-	// cancellation-aware) when governed, shedding instantly otherwise.
-	if governed {
-		if err := s.adm.acquire(r.Context()); err != nil {
-			if r.Context().Err() != nil {
-				// Client disconnected while queued: give the budget token
-				// back — the server never did the work it was spent on.
-				if s.adm.buckets != nil {
-					s.adm.buckets.refund(client)
-				}
-				s.met.canceled.Add(1)
-				writeError(w, http.StatusRequestTimeout, "canceled", "client canceled the request while queued")
-				return
+	// Admission: take an executing slot, queueing deadline- and
+	// cancellation-aware.
+	if err := s.adm.acquire(r.Context()); err != nil {
+		if r.Context().Err() != nil {
+			// Client disconnected while queued: give the budget token
+			// back — the server never did the work it was spent on.
+			if s.adm.buckets != nil {
+				s.adm.buckets.refund(client)
 			}
-			s.met.shed(shedReasonQueueFull)
-			writeShed(w, http.StatusServiceUnavailable, "overloaded",
-				"server is at capacity and its admission queue is full, retry later", s.shedRetryAfter())
+			s.met.canceled.Add(1)
+			writeError(w, http.StatusRequestTimeout, "canceled", "client canceled the request while queued")
 			return
 		}
-	} else if !s.adm.tryAcquire() {
 		s.met.shed(shedReasonQueueFull)
 		writeShed(w, http.StatusServiceUnavailable, "overloaded",
-			"server is at its concurrent query limit, retry later", s.shedRetryAfter())
+			"server is at capacity and its admission queue is full, retry later", s.shedRetryAfter())
 		return
 	}
 	defer s.adm.release()
@@ -494,9 +466,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			// crash is not replayed while the bug stands.
 			s.met.panics.Add(1)
 			s.met.errors.Add(1)
-			if governed {
-				s.adm.quar.trip(req.Query)
-			}
+			s.adm.quar.trip(req.Query)
 			s.logf("query panic recovered (plan quarantined): query=%q err=%v", req.Query, err)
 			writeError(w, http.StatusInternalServerError, "internal_panic", err.Error())
 		case errors.Is(err, cypher.ErrMemoryBudget):
@@ -625,12 +595,11 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// handleDiff serves GET /v1/diff?from=N[&to=M][&workers=K]: the
-// generation-diff engine over HTTP. `to` defaults to the current
-// generation. Both generations resolve through AcquireGen, so persisted
-// history (when attached) is reachable; an unavailable generation answers
-// 404 generation_gone. The diff runs under the server's default query
-// deadline and is deterministic at any worker count.
+// handleDiff serves GET /v1/diff?from=N[&to=M]: the generation-diff engine
+// over HTTP. `to` defaults to the current generation. Both generations
+// resolve through AcquireGen, so persisted history (when attached) is
+// reachable; an unavailable generation answers 404 generation_gone. The
+// diff runs under the server's default query deadline.
 func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	from, err := strconv.ParseUint(q.Get("from"), 10, 64)
@@ -645,8 +614,6 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	workers, _ := strconv.Atoi(q.Get("workers"))
-
 	fromG, releaseFrom, err := s.st.AcquireGen(from)
 	if err != nil {
 		writeError(w, http.StatusNotFound, "generation_gone", err.Error())
@@ -671,7 +638,7 @@ func (s *Server) handleDiff(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.DefaultTimeout)
 	defer cancel()
 	t0 := time.Now()
-	res, err := temporal.Diff(ctx, fromG, toG, temporal.DiffOptions{Workers: workers})
+	res, err := temporal.Diff(ctx, fromG, toG, temporal.DiffOptions{})
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):

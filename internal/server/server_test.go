@@ -250,6 +250,18 @@ func TestQueryDeadlineReturns504(t *testing.T) {
 	}
 }
 
+// TestHugeTimeoutClampsToMax: a timeout_ms too large for a Duration must
+// clamp to MaxTimeout, not wrap around into an already-expired deadline.
+func TestHugeTimeoutClampsToMax(t *testing.T) {
+	srv := newTestServer(testGraph())
+	for _, ms := range []string{"9223372036854775807", "4611686018427387904"} {
+		w := post(t, srv, "/v1/query", `{"query": "RETURN 1 AS n", "timeout_ms": `+ms+`}`)
+		if w.Code != http.StatusOK {
+			t.Errorf("timeout_ms=%s: status = %d, want 200: %s", ms, w.Code, w.Body)
+		}
+	}
+}
+
 func TestQueryCancellationMidQuery(t *testing.T) {
 	srv := newTestServer(bigGraph(300))
 	// Cancel the request context shortly after the query starts — the

@@ -54,8 +54,9 @@ func Diff(ctx context.Context, from, to *graph.Graph, opts DiffOptions) (*DiffRe
 
 // DiffOptions tunes Diff.
 type DiffOptions struct {
-	// Workers bounds the parallel scan/diff workers (0 = GOMAXPROCS).
-	// The result is byte-identical at every setting.
+	// Workers bounds the parallel scan/diff workers, clamped to
+	// [1, GOMAXPROCS] (0 = GOMAXPROCS). The result is byte-identical at
+	// every setting.
 	Workers int
 }
 
@@ -183,9 +184,11 @@ func (tk tokener) identity(br *graph.BulkReader, id graph.NodeID, key string, v 
 }
 
 func diff(ctx context.Context, a, b *graph.BulkReader, opts DiffOptions) (*DiffResult, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	// More workers than CPUs only shrinks the chunks, down to one goroutine
+	// and one shard set per entity.
+	workers := runtime.GOMAXPROCS(0)
+	if opts.Workers > 0 {
+		workers = min(opts.Workers, workers)
 	}
 	tok := newTokener(a, b)
 

@@ -33,7 +33,6 @@ func diffProc(pc cypher.ProcContext, cfg map[string]cypher.Val, emit func([]cyph
 		return fmt.Errorf("temporal.diff: config key `from` (a generation number) is required")
 	}
 	to := cypher.CfgInt(cfg, "to", 0)
-	workers := int(cypher.CfgInt(cfg, "workers", 0))
 	if pc.Resolve == nil {
 		return fmt.Errorf("temporal.diff: no generation resolver in this execution context (run through iyp.DB or the HTTP API)")
 	}
@@ -53,7 +52,7 @@ func diffProc(pc cypher.ProcContext, cfg map[string]cypher.Val, emit func([]cyph
 		toG = g
 	}
 
-	res, err := Diff(pc.Ctx, fromG, toG, DiffOptions{Workers: workers})
+	res, err := Diff(pc.Ctx, fromG, toG, DiffOptions{})
 	if err != nil {
 		return err
 	}

@@ -245,11 +245,7 @@ func explain(g *graph.Graph, q string, opts []QueryOption) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	params := make(map[string]cypher.Val, len(cfg.params))
-	for k, v := range cfg.params {
-		params[k] = cypher.ScalarVal(v)
-	}
-	return cypher.ExplainQuery(g, plan, params), nil
+	return cypher.ExplainQuery(g, plan, cfg.params), nil
 }
 
 // Query runs a read-only Cypher query against the pinned generation,
@@ -279,7 +275,7 @@ func (s *Snapshot) Query(ctx context.Context, q string, opts ...QueryOption) (*c
 type QueryOption func(*queryConfig)
 
 type queryConfig struct {
-	params      map[string]graph.Value
+	params      map[string]cypher.Val
 	timeout     time.Duration
 	maxRows     int
 	parallelism int
@@ -290,7 +286,7 @@ type queryConfig struct {
 
 func (c *queryConfig) execOptions() cypher.ExecOptions {
 	return cypher.ExecOptions{
-		Params:      c.params,
+		ParamVals:   c.params,
 		MaxRows:     c.maxRows,
 		Parallelism: c.parallelism,
 		MaxMemBytes: c.maxMem,
@@ -316,7 +312,11 @@ func buildQueryConfig(ctx context.Context, opts []QueryOption) (queryConfig, con
 
 // WithParams supplies $parameter values for the query.
 func WithParams(params map[string]Value) QueryOption {
-	return func(c *queryConfig) { c.params = params }
+	vals := make(map[string]cypher.Val, len(params))
+	for k, v := range params {
+		vals[k] = cypher.ScalarVal(v)
+	}
+	return func(c *queryConfig) { c.params = vals }
 }
 
 // WithTimeout bounds the query's execution time. The deadline is enforced

@@ -4,7 +4,7 @@ package iyp_test
 // keep serving cheap indexed lookups while abusive expensive clients
 // hammer it, and must come back to a clean idle state (no leaked
 // goroutines, slots or queue positions) once the storm passes. The same
-// storm against an ungoverned server (bare semaphore, the pre-governance
+// storm against a test-local bare-semaphore handler (the pre-governance
 // behaviour) demonstrates the collapse the admission layer prevents.
 //
 // The expensive workload is an injected `algo.stall` procedure that holds
@@ -29,6 +29,7 @@ import (
 	"testing"
 	"time"
 
+	"iyp"
 	"iyp/internal/cypher"
 	"iyp/internal/graph"
 	"iyp/internal/server"
@@ -66,6 +67,39 @@ func postJSON(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	w := httptest.NewRecorder()
 	h.ServeHTTP(w, req)
 	return w
+}
+
+// semaphoreServer is the ungoverned baseline: a bare semaphore in front of
+// the executor, answering 503 the moment its slots are taken — no budgets,
+// no queue, no degrade ladder.
+type semaphoreServer struct {
+	db    *iyp.DB
+	slots chan struct{}
+}
+
+func (s *semaphoreServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	var req struct {
+		Query  string           `json:"query"`
+		Params map[string]int64 `json:"params"`
+	}
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	select {
+	case s.slots <- struct{}{}:
+		defer func() { <-s.slots }()
+	default:
+		http.Error(w, "at capacity", http.StatusServiceUnavailable)
+		return
+	}
+	params := make(map[string]iyp.Value, len(req.Params))
+	for k, v := range req.Params {
+		params[k] = iyp.IntValue(v)
+	}
+	if _, err := s.db.Query(r.Context(), req.Query, iyp.WithParams(params)); err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
 }
 
 // runOverloadStorm fires expensiveClients abusive analytics loops and
@@ -140,10 +174,7 @@ func TestOverloadGovernedKeepsCheapGoodput(t *testing.T) {
 		SlowQuery:     10 * time.Second, // keep the latency-tail ladder term quiet
 	}
 	governed := server.New(graph.NewMVStore(g), cfg)
-
-	ungovCfg := cfg
-	ungovCfg.DisableGovernance = true
-	ungoverned := server.New(graph.NewMVStore(g), ungovCfg)
+	ungoverned := &semaphoreServer{db: iyp.Wrap(g), slots: make(chan struct{}, cfg.MaxConcurrent)}
 
 	goroutinesBefore := runtime.NumGoroutine()
 
@@ -180,32 +211,30 @@ func TestOverloadGovernedKeepsCheapGoodput(t *testing.T) {
 	}
 
 	// Drain and check for leaks: health must report an idle admission
-	// layer on both servers...
-	for _, srv := range []*server.Server{governed, ungoverned} {
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			w := httptest.NewRecorder()
-			srv.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
-			var h struct {
-				InFlight   int `json:"in_flight"`
-				QueueDepth int `json:"queue_depth"`
-			}
-			if err := json.Unmarshal(w.Body.Bytes(), &h); err != nil {
-				t.Fatalf("health payload: %v", err)
-			}
-			if h.InFlight == 0 && h.QueueDepth == 0 {
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("admission layer never drained: %+v", h)
-			}
-			time.Sleep(10 * time.Millisecond)
+	// layer...
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w := httptest.NewRecorder()
+		governed.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/health", nil))
+		var h struct {
+			InFlight   int `json:"in_flight"`
+			QueueDepth int `json:"queue_depth"`
 		}
+		if err := json.Unmarshal(w.Body.Bytes(), &h); err != nil {
+			t.Fatalf("health payload: %v", err)
+		}
+		if h.InFlight == 0 && h.QueueDepth == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("admission layer never drained: %+v", h)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	// ...and the goroutine count must come back to where it started
 	// (in-flight stall procedures may take a moment to observe their
 	// cancelled contexts).
-	deadline := time.Now().Add(10 * time.Second)
+	deadline = time.Now().Add(10 * time.Second)
 	for {
 		runtime.GC()
 		if n := runtime.NumGoroutine(); n <= goroutinesBefore+3 {
