@@ -128,6 +128,52 @@ RETURN DISTINCT h.name`)
 	}
 }
 
+// listing4Query is the RiPKI study's Listing 4 text (rpkiPrefixQuery in
+// internal/studies/rpki.go): ranked domains in a rank window, through
+// their hostnames' OpenINTEL resolutions to covering prefixes and their
+// RPKI tags.
+const listing4Query = `
+MATCH (:Ranking {name:'Tranco top 1M'})-[r:RANK]-(d:DomainName)
+WHERE r.rank >= $lo AND r.rank <= $hi
+MATCH (d)-[:PART_OF]-(h:HostName)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
+WHERE t.label STARTS WITH 'RPKI'
+RETURN DISTINCT pfx.prefix AS prefix, t.label AS label`
+
+// listing4TopTenth returns the parameters of Listing 4's "Top 100k" window:
+// the first tenth of db's ranking, as studies.RPKI computes it.
+func listing4TopTenth(tb testing.TB, db *iyp.DB) iyp.QueryOption {
+	tb.Helper()
+	res, err := db.Query(context.Background(),
+		`MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName) RETURN count(DISTINCT d) AS n`)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, err := res.ScalarInt()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return iyp.WithParams(map[string]iyp.Value{"lo": iyp.IntValue(1), "hi": iyp.IntValue(n / 10)})
+}
+
+// BenchmarkListing4_RPKIWindow runs Listing 4 over the top tenth of the
+// ranking — the query behind Table 2's "Top 100k" column — and reports its
+// allocations, which the executor's row and key handling dominate.
+func BenchmarkListing4_RPKIWindow(b *testing.B) {
+	benchGraph(b)
+	window := listing4TopTenth(b, benchDB)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var rows int
+	for i := 0; i < b.N; i++ {
+		res, err := benchDB.Query(context.Background(), listing4Query, window)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows = res.Len()
+	}
+	b.ReportMetric(float64(rows), "prefix_tags")
+}
+
 // --- E1: Table 2 — the RiPKI reproduction ---
 
 func BenchmarkTable2_RPKIReproduction(b *testing.B) {

@@ -32,8 +32,9 @@ func newAggState(fn *FnCall) *aggState {
 	return st
 }
 
-// add folds the next input row into the state.
-func (st *aggState) add(ec *evalCtx, r row, fn *FnCall) error {
+// add folds the next input row into the state. key is the caller's scratch
+// buffer for DISTINCT keys, reused across states and rows.
+func (st *aggState) add(ec *evalCtx, r row, fn *FnCall, key *[]byte) error {
 	if fn.Star { // count(*)
 		st.count++
 		return nil
@@ -49,14 +50,14 @@ func (st *aggState) add(ec *evalCtx, r row, fn *FnCall) error {
 		return nil // aggregates skip nulls
 	}
 	if st.seen != nil {
-		k := v.groupKey()
-		if st.seen[k] {
+		*key = v.appendKey((*key)[:0])
+		if st.seen[string(*key)] {
 			return nil
 		}
-		if err := st.chargeBuf(ec, int64(len(k))+16); err != nil {
+		if err := st.chargeBuf(ec, int64(len(*key))+16); err != nil {
 			return err
 		}
-		st.seen[k] = true
+		st.seen[string(*key)] = true
 	}
 	switch fn.Name {
 	case "count":

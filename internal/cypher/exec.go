@@ -1,9 +1,11 @@
 package cypher
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 
 	"iyp/internal/graph"
@@ -180,13 +182,11 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 		if !cur.UnionAll {
 			seen := map[string]bool{}
 			dedup := res.Rows[:0]
+			var key []byte
 			for _, vals := range res.Rows {
-				key := ""
-				for _, v := range vals {
-					key += v.groupKey() + "\x1e"
-				}
-				if !seen[key] {
-					seen[key] = true
+				key = appendRowKey(key[:0], vals)
+				if !seen[string(key)] {
+					seen[string(key)] = true
 					dedup = append(dedup, vals)
 				}
 			}
@@ -564,13 +564,14 @@ func (ex *executor) project(items []ReturnItem, distinct bool, in []row) ([]row,
 		seen := map[string]bool{}
 		out := projected[:0]
 		var outOrigs []row
+		var key []byte
 		for i, r := range projected {
-			key := ""
+			key = key[:0]
 			for _, b := range r {
-				key += b.val.groupKey() + "\x1e"
+				key = append(b.val.appendKey(key), keyRowSep)
 			}
-			if !seen[key] {
-				seen[key] = true
+			if !seen[string(key)] {
+				seen[string(key)] = true
 				out = append(out, r)
 				if origs != nil {
 					outOrigs = append(outOrigs, origs[i])
@@ -616,14 +617,17 @@ func (ex *executor) aggregate(items []ReturnItem, cols []string, in []row) ([]ro
 		states []*aggState
 	}
 	groups := map[string]*group{}
-	var order []string
+	var order []*group
+	// The key buffers serve every input row; only a new group copies its
+	// key and key values.
+	var key, distinctKey []byte
+	var keyParts []Val
 
 	for _, r := range in {
 		if err := ex.tick(); err != nil {
 			return nil, err
 		}
-		var keyParts []Val
-		key := ""
+		keyParts = keyParts[:0]
 		for i, p := range plans {
 			if p.isAgg {
 				continue
@@ -633,9 +637,9 @@ func (ex *executor) aggregate(items []ReturnItem, cols []string, in []row) ([]ro
 				return nil, err
 			}
 			keyParts = append(keyParts, v)
-			key += v.groupKey() + "\x1e"
 		}
-		grp := groups[key]
+		key = appendRowKey(key[:0], keyParts)
+		grp := groups[string(key)]
 		if grp == nil {
 			// Aggregation-map growth: each new group retains its key string,
 			// key values and a representative input row for the output pass.
@@ -648,22 +652,21 @@ func (ex *executor) aggregate(items []ReturnItem, cols []string, in []row) ([]ro
 					return nil, err
 				}
 			}
-			grp = &group{rep: r, keys: keyParts}
+			grp = &group{rep: r, keys: slices.Clone(keyParts)}
 			for _, p := range plans {
 				for _, fc := range p.aggs {
 					grp.states = append(grp.states, newAggState(fc))
 				}
 			}
-			groups[key] = grp
-			order = append(order, key)
+			groups[string(key)] = grp
+			order = append(order, grp)
 		}
 		si := 0
 		for _, p := range plans {
-			for ai, fc := range p.aggs {
-				_ = ai
+			for _, fc := range p.aggs {
 				st := grp.states[si]
 				si++
-				if err := st.add(ex.ec, r, fc); err != nil {
+				if err := st.add(ex.ec, r, fc, &distinctKey); err != nil {
 					return nil, err
 				}
 			}
@@ -679,20 +682,18 @@ func (ex *executor) aggregate(items []ReturnItem, cols []string, in []row) ([]ro
 			break
 		}
 	}
-	if len(groups) == 0 && allAgg {
+	if len(order) == 0 && allAgg {
 		grp := &group{rep: row{}}
 		for _, p := range plans {
 			for _, fc := range p.aggs {
 				grp.states = append(grp.states, newAggState(fc))
 			}
 		}
-		groups[""] = grp
-		order = append(order, "")
+		order = append(order, grp)
 	}
 
-	out := make([]row, 0, len(groups))
-	for _, key := range order {
-		grp := groups[key]
+	out := make([]row, 0, len(order))
+	for _, grp := range order {
 		nr := make(row, 0, len(items))
 		ki, si := 0, 0
 		env := grp.rep.clone()
@@ -859,7 +860,7 @@ func (ex *executor) orderRows(rows []row, origs []row, sortItems []SortItem) err
 }
 
 // compareVals orders values for ORDER BY: nulls sort last, scalars by
-// Compare, everything else by groupKey for stability.
+// Compare, everything else by appendKey for stability.
 func compareVals(a, b Val) int {
 	an, bn := a.IsNull(), b.IsNull()
 	switch {
@@ -876,14 +877,8 @@ func compareVals(a, b Val) int {
 		c, _ := as.Compare(bs)
 		return c
 	}
-	ak, bk := a.groupKey(), b.groupKey()
-	switch {
-	case ak < bk:
-		return -1
-	case ak > bk:
-		return 1
-	}
-	return 0
+	var ab, bb [64]byte
+	return bytes.Compare(a.appendKey(ab[:0]), b.appendKey(bb[:0]))
 }
 
 func (ex *executor) skipLimit(rows []row, skipE, limitE Expr) ([]row, error) {

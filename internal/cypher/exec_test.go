@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"iyp/internal/graph"
 )
@@ -876,5 +877,43 @@ RETURN count(x) AS n`, nil)
 	res = mustRun(t, g, `MATCH (x:AS) WHERE (x.asn = 2497 OR x.asn = 65001) AND (x.asn > 0) RETURN count(x) AS n`, nil)
 	if v, _ := res.Get(0, "n"); mustInt(t, v) != 2 {
 		t.Errorf("parenthesized expr = %v", v)
+	}
+}
+
+// TestDistinctKeysAreInjective feeds every deduplicating operator distinct
+// values whose payloads contain the key encoding's own structure bytes, so
+// that raw concatenation would give them one key. Each must keep them
+// apart.
+func TestDistinctKeysAreInjective(t *testing.T) {
+	const pairs = `UNWIND [['a', 'b\u001eSsc'], ['a\u001eSsb', 'c']] AS p `
+	cases := []struct {
+		q      string
+		params map[string]graph.Value
+	}{
+		{q: pairs + `RETURN DISTINCT p[0] AS x, p[1] AS y`},
+		{q: pairs + `RETURN p[0] AS x, p[1] AS y, count(*) AS n`},
+		{q: `RETURN 'a' AS x, 'b\u001eSsc' AS y UNION RETURN 'a\u001eSsb' AS x, 'c' AS y`},
+		{q: `UNWIND [{k: 'v', x: 1}, {k: 'v\u001fx=Si1'}] AS m RETURN DISTINCT m`},
+		{q: `UNWIND [{a: 'b=Si1'}, {` + "`a=Ssb`" + `: 1}] AS m RETURN DISTINCT m`},
+		{q: `UNWIND [{a: {b: 1}, c: 2}, {a: {b: 1, c: 2}}] AS m RETURN DISTINCT m`},
+		{q: `UNWIND [$a, $b] AS l RETURN DISTINCT l`,
+			params: map[string]graph.Value{"a": graph.Strings("a\x1fsb"), "b": graph.Strings("a", "b")}},
+	}
+	for _, tc := range cases {
+		if res := mustRun(t, graph.New(), tc.q, tc.params); res.Len() != 2 {
+			t.Errorf("%s: %d rows, want 2", tc.q, res.Len())
+		}
+	}
+	res := mustRun(t, graph.New(), `UNWIND [['a', 'b\u001fSsc'], ['a\u001fSsb', 'c']] AS p RETURN count(DISTINCT p) AS n`, nil)
+	if n, _ := res.ScalarInt(); n != 2 {
+		t.Errorf("count(DISTINCT p) = %d, want 2", n)
+	}
+}
+
+// TestValIsCompact pins Val's size: every binding the matcher emits holds
+// one, so list, map and path payloads stay behind the ext pointer.
+func TestValIsCompact(t *testing.T) {
+	if n := unsafe.Sizeof(Val{}); n > 88 {
+		t.Errorf("unsafe.Sizeof(Val{}) = %d bytes, want <= 88", n)
 	}
 }

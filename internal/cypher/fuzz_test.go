@@ -128,3 +128,33 @@ func TestExecutorNeverPanicsOnValidParses(t *testing.T) {
 		_, _ = Exec(context.Background(), g, q, ExecOptions{ParamVals: map[string]Val{"param": ScalarVal(graph.Int(1))}})
 	}
 }
+
+// groupKey is one value's key as a string, for tests comparing results.
+func (v Val) groupKey() string { return string(v.appendKey(nil)) }
+
+// FuzzGroupKey checks that the DISTINCT / grouping key encoding is
+// injective on the shapes whose payloads are raw bytes: two-column rows of
+// strings, one-entry maps, and scalar lists of different lengths.
+func FuzzGroupKey(f *testing.F) {
+	f.Add("a", "b\x1eSsc", "a\x1eSsb", "c")
+	f.Add("k", "v\x1fx=Si1", "k", "v")
+	f.Add("a\x1fsb", "", "a", "b")
+	f.Add("a=Ssb", "x", "a", "b=Ssx")
+	f.Add("\x1d", "\x1d\x1e", "\x1d\x1d", "\x1e")
+	f.Fuzz(func(t *testing.T, a, b, c, d string) {
+		str := func(s string) Val { return ScalarVal(graph.String(s)) }
+		row1 := string(appendRowKey(nil, []Val{str(a), str(b)}))
+		row2 := string(appendRowKey(nil, []Val{str(c), str(d)}))
+		if same := a == c && b == d; (row1 == row2) != same {
+			t.Errorf("rows (%q, %q) and (%q, %q): keys equal = %v, want %v", a, b, c, d, row1 == row2, same)
+		}
+		m1 := MapVal(map[string]Val{a: str(b)}).groupKey()
+		m2 := MapVal(map[string]Val{c: str(d)}).groupKey()
+		if same := a == c && b == d; (m1 == m2) != same {
+			t.Errorf("maps {%q: %q} and {%q: %q}: keys equal = %v, want %v", a, b, c, d, m1 == m2, same)
+		}
+		if l1, l2 := ScalarVal(graph.Strings(a)).groupKey(), ScalarVal(graph.Strings(c, d)).groupKey(); l1 == l2 {
+			t.Errorf("lists [%q] and [%q, %q] share key %q", a, c, d, l1)
+		}
+	})
+}

@@ -24,7 +24,25 @@ type matcher struct {
 	emit    func() error    // called with binding fully extended
 	ticks   int             // cooperative-cancellation tick counter
 	scratch *bfsScratch     // pooled shortestPath BFS state (lazily allocated)
+	relBufs [][]graph.RelID // adjacency buffers, one per scan nesting depth
+	depth   int             // adjacency scans in progress
 }
+
+// scanRels lists the relationships of node id into the adjacency buffer of
+// the next scan depth and claims it until the caller's deferred release.
+// Scans nest — each relationship's continuation may scan again — so every
+// depth keeps its own buffer, which every later scan at that depth reuses.
+func (m *matcher) scanRels(id graph.NodeID, dir graph.Dir, types []string) []graph.RelID {
+	if m.depth == len(m.relBufs) {
+		m.relBufs = append(m.relBufs, nil)
+	}
+	rels := m.g.Rels(id, dir, types, m.relBufs[m.depth][:0])
+	m.relBufs[m.depth] = rels
+	m.depth++
+	return rels
+}
+
+func (m *matcher) release() { m.depth-- }
 
 // tick polls the context every tickMask+1 calls. It sits on the matcher's
 // hottest loops (one call per candidate binding), so a pathological
@@ -244,16 +262,10 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 				return err
 			}
 		}
-		for len(queue) > 0 {
-			if err := m.tick(); err != nil {
-				return err
-			}
-			cur := queue[0]
-			queue = queue[1:]
-			if cur.depth >= maxHops {
-				continue
-			}
-			for _, rid := range m.g.Rels(cur.id, dir, rp.Types, nil) {
+		expand := func(cur bfsNode) error {
+			rels := m.scanRels(cur.id, dir, rp.Types)
+			defer m.release()
+			for _, rid := range rels {
 				ok, err := m.relPropsMatch(rp, rid)
 				if err != nil {
 					return err
@@ -276,6 +288,20 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 					return err
 				}
 				queue = append(queue, bfsNode{other, cur.depth + 1})
+			}
+			return nil
+		}
+		for len(queue) > 0 {
+			if err := m.tick(); err != nil {
+				return err
+			}
+			cur := queue[0]
+			queue = queue[1:]
+			if cur.depth >= maxHops {
+				continue
+			}
+			if err := expand(cur); err != nil {
+				return err
 			}
 		}
 		return nil
@@ -410,7 +436,8 @@ func (m *matcher) expandStep(path PatternPath, relIdx, toIdx int, nodeIDs []grap
 		}
 	}
 
-	rels := m.g.Rels(cur, dir, rp.Types, nil)
+	rels := m.scanRels(cur, dir, rp.Types)
+	defer m.release()
 	for _, rid := range rels {
 		if err := m.tryRel(rp, np, cur, dir, rid, toIdx, nodeIDs, relVals, relIdx, false, cont); err != nil {
 			return err
@@ -504,21 +531,18 @@ func (m *matcher) expandVarLen(rp RelPattern, np NodePattern, cur graph.NodeID, 
 		if !ok {
 			return nil
 		}
-		if rp.Var != "" {
-			if _, exists := m.binding.get(rp.Var); !exists {
-				vs := make([]Val, len(pathRels))
-				for i, r := range pathRels {
-					vs[i] = RelVal(r)
-				}
-				m.binding = append(m.binding, binding{rp.Var, ListVal(vs)})
-			}
-		}
-		nodeIDs[toIdx] = at
 		vs := make([]Val, len(pathRels))
 		for i, r := range pathRels {
 			vs[i] = RelVal(r)
 		}
-		relVals[relIdx] = ListVal(vs)
+		rels := ListVal(vs) // immutable, so the binding and relVals share it
+		if rp.Var != "" {
+			if _, exists := m.binding.get(rp.Var); !exists {
+				m.binding = append(m.binding, binding{rp.Var, rels})
+			}
+		}
+		nodeIDs[toIdx] = at
+		relVals[relIdx] = rels
 
 		err = cont()
 
@@ -536,7 +560,8 @@ func (m *matcher) expandVarLen(rp RelPattern, np NodePattern, cur graph.NodeID, 
 		if depth >= maxHops {
 			return nil
 		}
-		rels := m.g.Rels(at, dir, rp.Types, nil)
+		rels := m.scanRels(at, dir, rp.Types)
+		defer m.release()
 		for _, rid := range rels {
 			if err := m.tick(); err != nil {
 				return err

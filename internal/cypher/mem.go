@@ -122,15 +122,15 @@ func valBytes(v Val) int64 {
 		return n
 	case ValList:
 		n := int64(24)
-		for _, e := range v.list {
+		for _, e := range v.ext.list {
 			n += valBytes(e)
 		}
 		return n
 	case ValPath:
-		return int64(48 + 8*(len(v.pNodes)+len(v.pRels)))
+		return int64(48 + 8*(len(v.ext.nodes)+len(v.ext.rels)))
 	case ValMap:
 		n := int64(48)
-		for k, e := range v.m {
+		for k, e := range v.ext.m {
 			n += int64(len(k)) + valBytes(e)
 		}
 		return n

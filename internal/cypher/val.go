@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -29,16 +30,23 @@ const (
 )
 
 // Val is a runtime value: either a scalar, a graph entity reference, a
-// list, or a path.
+// list, a map, or a path. It is 88 bytes: scan rows hold scalars and entity
+// IDs only, so the payloads of lists, maps and paths sit behind one pointer
+// instead of widening every binding the matcher copies.
 type Val struct {
 	kind   ValKind
 	scalar graph.Value
-	node   graph.NodeID
-	rel    graph.RelID
-	list   []Val
-	pNodes []graph.NodeID
-	pRels  []graph.RelID
-	m      map[string]Val
+	id     uint64  // node or relationship ID
+	ext    *valExt // list, map or path payload (nil for other kinds)
+}
+
+// valExt holds the payload of a list, map or path value. It is immutable
+// once built and may be shared by any number of Vals.
+type valExt struct {
+	list  []Val
+	m     map[string]Val
+	nodes []graph.NodeID
+	rels  []graph.RelID
 }
 
 // ScalarVal wraps a graph.Value.
@@ -48,21 +56,21 @@ func ScalarVal(v graph.Value) Val { return Val{kind: ValScalar, scalar: v} }
 func NullVal() Val { return ScalarVal(graph.Null()) }
 
 // NodeVal references node id.
-func NodeVal(id graph.NodeID) Val { return Val{kind: ValNode, node: id} }
+func NodeVal(id graph.NodeID) Val { return Val{kind: ValNode, id: uint64(id)} }
 
 // RelVal references relationship id.
-func RelVal(id graph.RelID) Val { return Val{kind: ValRel, rel: id} }
+func RelVal(id graph.RelID) Val { return Val{kind: ValRel, id: uint64(id)} }
 
 // ListVal wraps a list.
-func ListVal(vs []Val) Val { return Val{kind: ValList, list: vs} }
+func ListVal(vs []Val) Val { return Val{kind: ValList, ext: &valExt{list: vs}} }
 
 // MapVal wraps a map. The map is used directly; callers must not mutate it
 // afterwards.
-func MapVal(m map[string]Val) Val { return Val{kind: ValMap, m: m} }
+func MapVal(m map[string]Val) Val { return Val{kind: ValMap, ext: &valExt{m: m}} }
 
 // PathVal builds a path value.
 func PathVal(nodes []graph.NodeID, rels []graph.RelID) Val {
-	return Val{kind: ValPath, pNodes: nodes, pRels: rels}
+	return Val{kind: ValPath, ext: &valExt{nodes: nodes, rels: rels}}
 }
 
 // ValOf converts a native Go value — the shapes encoding/json produces —
@@ -122,21 +130,44 @@ func (v Val) IsNull() bool { return v.kind == ValScalar && v.scalar.IsNull() }
 func (v Val) Scalar() (graph.Value, bool) { return v.scalar, v.kind == ValScalar }
 
 // AsNode returns the node ID; ok is false for non-nodes.
-func (v Val) AsNode() (graph.NodeID, bool) { return v.node, v.kind == ValNode }
+func (v Val) AsNode() (graph.NodeID, bool) {
+	if v.kind != ValNode {
+		return 0, false
+	}
+	return graph.NodeID(v.id), true
+}
 
 // AsRel returns the relationship ID; ok is false for non-rels.
-func (v Val) AsRel() (graph.RelID, bool) { return v.rel, v.kind == ValRel }
+func (v Val) AsRel() (graph.RelID, bool) {
+	if v.kind != ValRel {
+		return 0, false
+	}
+	return graph.RelID(v.id), true
+}
 
 // AsList returns list elements; ok is false for non-lists.
-func (v Val) AsList() ([]Val, bool) { return v.list, v.kind == ValList }
+func (v Val) AsList() ([]Val, bool) {
+	if v.kind != ValList {
+		return nil, false
+	}
+	return v.ext.list, true
+}
 
 // AsMap returns map entries; ok is false for non-maps. The returned map
 // must not be mutated.
-func (v Val) AsMap() (map[string]Val, bool) { return v.m, v.kind == ValMap }
+func (v Val) AsMap() (map[string]Val, bool) {
+	if v.kind != ValMap {
+		return nil, false
+	}
+	return v.ext.m, true
+}
 
 // AsPath returns path nodes and rels; ok is false for non-paths.
 func (v Val) AsPath() ([]graph.NodeID, []graph.RelID, bool) {
-	return v.pNodes, v.pRels, v.kind == ValPath
+	if v.kind != ValPath {
+		return nil, nil, false
+	}
+	return v.ext.nodes, v.ext.rels, true
 }
 
 // Convenience scalar accessors used heavily by studies and tests.
@@ -182,131 +213,131 @@ func (v Val) Equal(o Val) bool {
 	switch v.kind {
 	case ValScalar:
 		return v.scalar.Equal(o.scalar)
-	case ValNode:
-		return v.node == o.node
-	case ValRel:
-		return v.rel == o.rel
+	case ValNode, ValRel:
+		return v.id == o.id
 	case ValList:
-		if len(v.list) != len(o.list) {
-			return false
-		}
-		for i := range v.list {
-			if !v.list[i].Equal(o.list[i]) {
-				return false
-			}
-		}
-		return true
+		return slices.EqualFunc(v.ext.list, o.ext.list, Val.Equal)
 	case ValMap:
-		if len(v.m) != len(o.m) {
+		if len(v.ext.m) != len(o.ext.m) {
 			return false
 		}
-		for k, e := range v.m {
-			oe, ok := o.m[k]
+		for k, e := range v.ext.m {
+			oe, ok := o.ext.m[k]
 			if !ok || !e.Equal(oe) {
 				return false
 			}
 		}
 		return true
 	case ValPath:
-		if len(v.pNodes) != len(o.pNodes) || len(v.pRels) != len(o.pRels) {
-			return false
-		}
-		for i := range v.pNodes {
-			if v.pNodes[i] != o.pNodes[i] {
-				return false
-			}
-		}
-		for i := range v.pRels {
-			if v.pRels[i] != o.pRels[i] {
-				return false
-			}
-		}
-		return true
+		return slices.Equal(v.ext.nodes, o.ext.nodes) && slices.Equal(v.ext.rels, o.ext.rels)
 	}
 	return false
 }
 
-// groupKey returns a comparable string encoding of the value, used for
-// DISTINCT, grouping and IN-set membership.
-func (v Val) groupKey() string {
-	var sb strings.Builder
-	v.appendKey(&sb)
-	return sb.String()
-}
+// Bytes that give a key its structure. Strings and map keys escape them
+// (keyEsc before the byte), so payload bytes are never read as structure.
+const (
+	keyEsc    = 0x1d // escapes the next byte of a string or map key
+	keyRowSep = 0x1e // ends each column of a row key
+	keySep    = 0x1f // starts each list element and map entry
+)
 
-func (v Val) appendKey(sb *strings.Builder) {
+// appendKey appends v's key to buf: the bytes DISTINCT, grouping, UNION
+// dedup and count(DISTINCT …) compare values by, and compareVals' fallback
+// order. Two values share a key only when they hold the same data (an
+// integral float shares the key of the equal int, as Equal says): every
+// list and map carries its element count, a map key ends at an unescaped
+// '=', and a string runs to the next unescaped separator. Node,
+// relationship and numeric keys, and the keys of strings without structure
+// bytes, are the encoding's original ones, so ORDER BY over existing data
+// orders as it always has.
+func (v Val) appendKey(buf []byte) []byte {
 	switch v.kind {
 	case ValScalar:
-		sb.WriteByte('S')
-		sb.WriteString(scalarKey(v.scalar))
+		return appendScalarKey(append(buf, 'S'), v.scalar)
 	case ValNode:
-		sb.WriteByte('N')
-		sb.WriteString(strconv.FormatUint(uint64(v.node), 10))
+		return strconv.AppendUint(append(buf, 'N'), v.id, 10)
 	case ValRel:
-		sb.WriteByte('R')
-		sb.WriteString(strconv.FormatUint(uint64(v.rel), 10))
+		return strconv.AppendUint(append(buf, 'R'), v.id, 10)
 	case ValList:
-		sb.WriteByte('L')
-		sb.WriteString(strconv.Itoa(len(v.list)))
-		for _, e := range v.list {
-			sb.WriteByte(0x1f)
-			e.appendKey(sb)
+		buf = strconv.AppendInt(append(buf, 'L'), int64(len(v.ext.list)), 10)
+		for _, e := range v.ext.list {
+			buf = e.appendKey(append(buf, keySep))
 		}
 	case ValMap:
-		sb.WriteByte('M')
-		keys := make([]string, 0, len(v.m))
-		for k := range v.m {
+		keys := make([]string, 0, len(v.ext.m))
+		for k := range v.ext.m {
 			keys = append(keys, k)
 		}
 		sortStrings(keys)
+		buf = strconv.AppendInt(append(buf, 'M'), int64(len(keys)), 10)
 		for _, k := range keys {
-			sb.WriteByte(0x1f)
-			sb.WriteString(k)
-			sb.WriteByte('=')
-			v.m[k].appendKey(sb)
+			buf = appendEscaped(append(buf, keySep), k, '=')
+			buf = v.ext.m[k].appendKey(append(buf, '='))
 		}
 	case ValPath:
-		sb.WriteByte('P')
-		for _, n := range v.pNodes {
-			fmt.Fprintf(sb, "n%d", n)
+		buf = append(buf, 'P')
+		for _, n := range v.ext.nodes {
+			buf = strconv.AppendUint(append(buf, 'n'), uint64(n), 10)
 		}
-		for _, r := range v.pRels {
-			fmt.Fprintf(sb, "r%d", r)
+		for _, r := range v.ext.rels {
+			buf = strconv.AppendUint(append(buf, 'r'), uint64(r), 10)
 		}
 	}
+	return buf
 }
 
-func scalarKey(v graph.Value) string {
+// appendRowKey appends the key of a row of values: each value's key ended
+// by keyRowSep.
+func appendRowKey(buf []byte, vals []Val) []byte {
+	for _, v := range vals {
+		buf = append(v.appendKey(buf), keyRowSep)
+	}
+	return buf
+}
+
+func appendScalarKey(buf []byte, v graph.Value) []byte {
 	switch v.Kind() {
 	case graph.KindNull:
-		return "_"
+		return append(buf, '_')
 	case graph.KindBool:
 		b, _ := v.AsBool()
-		return "b" + strconv.FormatBool(b)
+		return strconv.AppendBool(append(buf, 'b'), b)
 	case graph.KindInt:
 		i, _ := v.AsInt()
-		return "i" + strconv.FormatInt(i, 10)
+		return strconv.AppendInt(append(buf, 'i'), i, 10)
 	case graph.KindFloat:
 		// Integral floats collide with ints, consistent with Equal.
 		f, _ := v.AsFloat()
 		if f == float64(int64(f)) {
-			return "i" + strconv.FormatInt(int64(f), 10)
+			return strconv.AppendInt(append(buf, 'i'), int64(f), 10)
 		}
-		return "f" + strconv.FormatFloat(f, 'g', -1, 64)
+		return strconv.AppendFloat(append(buf, 'f'), f, 'g', -1, 64)
 	case graph.KindString:
 		s, _ := v.AsString()
-		return "s" + s
+		return appendEscaped(append(buf, 's'), s, keyEsc)
 	case graph.KindList:
 		l, _ := v.AsList()
-		var sb strings.Builder
-		sb.WriteString("l")
+		buf = strconv.AppendInt(append(buf, 'l'), int64(len(l)), 10)
 		for _, e := range l {
-			sb.WriteByte(0x1f)
-			sb.WriteString(scalarKey(e))
+			buf = appendScalarKey(append(buf, keySep), e)
 		}
-		return sb.String()
+		return buf
 	}
-	return "?"
+	return append(buf, '?')
+}
+
+// appendEscaped appends s with keyEsc before every structure byte and
+// before stop, the byte that ends s in its key (a map key's '=').
+func appendEscaped(buf []byte, s string, stop byte) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == keyEsc || c == keyRowSep || c == keySep || c == stop {
+			buf = append(append(buf, s[start:i]...), keyEsc)
+			start = i
+		}
+	}
+	return append(buf, s[start:]...)
 }
 
 // Native converts v to plain Go data for JSON / display. Nodes and
@@ -316,39 +347,41 @@ func (v Val) Native(g *graph.Graph) any {
 	case ValScalar:
 		return v.scalar.Native()
 	case ValNode:
+		id := graph.NodeID(v.id)
 		return map[string]any{
-			"_id":        uint64(v.node),
-			"labels":     g.NodeLabels(v.node),
-			"properties": propsNative(g.NodeProps(v.node)),
+			"_id":        v.id,
+			"labels":     g.NodeLabels(id),
+			"properties": propsNative(g.NodeProps(id)),
 		}
 	case ValRel:
-		from, to := g.RelEndpoints(v.rel)
+		id := graph.RelID(v.id)
+		from, to := g.RelEndpoints(id)
 		return map[string]any{
-			"_id":        uint64(v.rel),
-			"type":       g.RelType(v.rel),
+			"_id":        v.id,
+			"type":       g.RelType(id),
 			"from":       uint64(from),
 			"to":         uint64(to),
-			"properties": propsNative(g.RelProps(v.rel)),
+			"properties": propsNative(g.RelProps(id)),
 		}
 	case ValList:
-		out := make([]any, len(v.list))
-		for i, e := range v.list {
+		out := make([]any, len(v.ext.list))
+		for i, e := range v.ext.list {
 			out[i] = e.Native(g)
 		}
 		return out
 	case ValMap:
-		out := make(map[string]any, len(v.m))
-		for k, e := range v.m {
+		out := make(map[string]any, len(v.ext.m))
+		for k, e := range v.ext.m {
 			out[k] = e.Native(g)
 		}
 		return out
 	case ValPath:
-		nodes := make([]any, len(v.pNodes))
-		for i, n := range v.pNodes {
+		nodes := make([]any, len(v.ext.nodes))
+		for i, n := range v.ext.nodes {
 			nodes[i] = NodeVal(n).Native(g)
 		}
-		rels := make([]any, len(v.pRels))
-		for i, r := range v.pRels {
+		rels := make([]any, len(v.ext.rels))
+		for i, r := range v.ext.rels {
 			rels[i] = RelVal(r).Native(g)
 		}
 		return map[string]any{"nodes": nodes, "relationships": rels}
@@ -374,28 +407,28 @@ func (v Val) String() string {
 		}
 		return v.scalar.String()
 	case ValNode:
-		return fmt.Sprintf("(#%d)", v.node)
+		return fmt.Sprintf("(#%d)", v.id)
 	case ValRel:
-		return fmt.Sprintf("[#%d]", v.rel)
+		return fmt.Sprintf("[#%d]", v.id)
 	case ValList:
-		parts := make([]string, len(v.list))
-		for i, e := range v.list {
+		parts := make([]string, len(v.ext.list))
+		for i, e := range v.ext.list {
 			parts[i] = e.String()
 		}
 		return "[" + strings.Join(parts, ", ") + "]"
 	case ValMap:
-		keys := make([]string, 0, len(v.m))
-		for k := range v.m {
+		keys := make([]string, 0, len(v.ext.m))
+		for k := range v.ext.m {
 			keys = append(keys, k)
 		}
 		sortStrings(keys)
 		parts := make([]string, len(keys))
 		for i, k := range keys {
-			parts[i] = k + ": " + v.m[k].String()
+			parts[i] = k + ": " + v.ext.m[k].String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
 	case ValPath:
-		return fmt.Sprintf("path(%d nodes)", len(v.pNodes))
+		return fmt.Sprintf("path(%d nodes)", len(v.ext.nodes))
 	}
 	return "?"
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1209,50 +1210,39 @@ func (g *Graph) Rels(id NodeID, dir Dir, types []string, buf []RelID) []RelID {
 	if n == nil {
 		return buf
 	}
-	var want []typeID
-	if len(types) > 0 {
-		want = make([]typeID, 0, len(types))
-		for _, t := range types {
-			tid, ok := g.typeIDs[t]
-			if !ok {
-				continue // type never used: matches nothing
-			}
+	// The type filter resolves into a stack array, so a call whose buf has
+	// room allocates nothing: the matcher calls Rels per expansion step.
+	var wantArr [4]typeID
+	want := wantArr[:0]
+	for _, t := range types {
+		if tid, ok := g.typeIDs[t]; ok { // a type never used matches nothing
 			want = append(want, tid)
 		}
-		if len(want) == 0 {
-			return buf
-		}
 	}
-	match := func(r *Rel) bool {
-		if want == nil {
-			return true
-		}
-		for _, w := range want {
-			if r.typ == w {
-				return true
-			}
-		}
-		return false
+	if len(types) > 0 && len(want) == 0 {
+		return buf
 	}
 	if dir == DirOut || dir == DirBoth {
 		for _, rid := range n.out {
-			if r := g.rel(rid); r != nil && match(r) {
+			if r := g.rel(rid); r != nil && typeIn(r.typ, want) {
 				buf = append(buf, rid)
 			}
 		}
 	}
 	if dir == DirIn || dir == DirBoth {
 		for _, rid := range n.in {
-			if r := g.rel(rid); r != nil && match(r) {
-				// A self-loop already appeared in the out scan.
-				if dir == DirBoth && r.from == r.to {
-					continue
-				}
+			// A self-loop already appeared in the out scan.
+			if r := g.rel(rid); r != nil && typeIn(r.typ, want) && (dir != DirBoth || r.from != r.to) {
 				buf = append(buf, rid)
 			}
 		}
 	}
 	return buf
+}
+
+// typeIn reports whether typ is in want; an empty want admits every type.
+func typeIn(typ typeID, want []typeID) bool {
+	return len(want) == 0 || slices.Contains(want, typ)
 }
 
 // Degree returns the number of incident relationships in the given

@@ -128,6 +128,35 @@ func TestSelfLoopNotDoubleCounted(t *testing.T) {
 	}
 }
 
+// TestRelsReusesBuffer pins the matcher's contract with Rels: a typed
+// adjacency scan into a buffer with room allocates nothing.
+func TestRelsReusesBuffer(t *testing.T) {
+	g := New()
+	a := g.AddNode([]string{"N"}, nil)
+	for i := 0; i < 8; i++ {
+		b := g.AddNode([]string{"N"}, nil)
+		for _, typ := range []string{"T", "U"} {
+			if _, err := g.AddRel(typ, a, b, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := g.AddRel(typ, b, a, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	buf := make([]RelID, 0, 64)
+	var got []RelID
+	allocs := testing.AllocsPerRun(100, func() {
+		got = g.Rels(a, DirBoth, []string{"T"}, buf[:0])
+	})
+	if len(got) != 16 {
+		t.Fatalf("Rels(DirBoth, T) = %d rels, want 16", len(got))
+	}
+	if allocs != 0 {
+		t.Errorf("Rels into a buffer with room: %v allocs per call, want 0", allocs)
+	}
+}
+
 func TestDeleteRelAndNode(t *testing.T) {
 	g := New()
 	a := g.AddNode([]string{"A"}, nil)

@@ -138,6 +138,31 @@ RETURN d, COLLECT(DISTINCT pfx)`)
 	}
 }
 
+// TestListing4AllocCeiling pins the executor's allocations on Listing 4's
+// shape — a second MATCH anchored on the first one's bound variable,
+// feeding RETURN DISTINCT — over the top tenth of the ranking. The ceiling
+// is the measured count plus a quarter; a fat Val in every matched row, a
+// per-scan adjacency buffer or a string per DISTINCT key each breach it.
+func TestListing4AllocCeiling(t *testing.T) {
+	const ceiling = 4970 // 3 975 measured; a 168-byte Val with per-scan buffers and string keys took 19 054
+	db := testDB(t)
+	window := listing4TopTenth(t, db)
+	var rows int
+	allocs := testing.AllocsPerRun(5, func() {
+		res, err := db.Query(context.Background(), listing4Query, window)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = res.Len()
+	})
+	if rows == 0 {
+		t.Fatal("listing 4: no (prefix, tag) rows in the top tenth")
+	}
+	if allocs > ceiling {
+		t.Errorf("listing 4 allocates %.0f objects per query, ceiling %d", allocs, ceiling)
+	}
+}
+
 func TestFigure4Neighborhood(t *testing.T) {
 	// The sneak-peek walk of Figure 4: the top domain's 2-hop
 	// neighbourhood must fuse several independent datasets.
