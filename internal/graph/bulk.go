@@ -36,9 +36,6 @@ type BulkReader struct {
 	g *Graph
 }
 
-// Version is the store's mutation counter at lock time.
-func (br *BulkReader) Version() uint64 { return br.g.version }
-
 // MaxNodeID is the highest node ID ever allocated (dead IDs included);
 // live IDs are in [1, MaxNodeID].
 func (br *BulkReader) MaxNodeID() NodeID { return NodeID(len(br.g.nodes)) }
@@ -48,9 +45,6 @@ func (br *BulkReader) NumNodes() int { return br.g.nodeCount }
 
 // NumRels is the live relationship count.
 func (br *BulkReader) NumRels() int { return br.g.relCount }
-
-// NodeAlive reports whether id refers to a live node.
-func (br *BulkReader) NodeAlive(id NodeID) bool { return br.g.node(id) != nil }
 
 // Interner exposes the graph's dictionary, letting callers (the temporal
 // diff kernel) detect that two readers share payload ids.
@@ -86,7 +80,7 @@ func (br *BulkReader) NodeProp(id NodeID, key string) Value {
 	if n == nil {
 		return Null()
 	}
-	keyID, ok := br.g.dict.lookupStr(key)
+	keyID, ok := br.g.dict.Lookup(key)
 	if !ok {
 		return Null()
 	}
@@ -98,16 +92,13 @@ func (br *BulkReader) NodeProp(id NodeID, key string) Value {
 
 // NodePropRef returns the raw columnar payload of a node property: its
 // kind and the fixed-size num field (string/list payloads appear as
-// Interner ids, bools as 0/1). For two readers sharing an Interner, equal
-// (kind, num) pairs mean equal values without materializing either — the
-// temporal diff identity fast path. ok is false when the property is
-// absent.
+// Interner ids, bools as 0/1). ok is false when the property is absent.
 func (br *BulkReader) NodePropRef(id NodeID, key string) (Kind, uint64, bool) {
 	n := br.g.node(id)
 	if n == nil {
 		return KindNull, 0, false
 	}
-	keyID, ok := br.g.dict.lookupStr(key)
+	keyID, ok := br.g.dict.Lookup(key)
 	if !ok {
 		return KindNull, 0, false
 	}
@@ -115,12 +106,62 @@ func (br *BulkReader) NodePropRef(id NodeID, key string) (Kind, uint64, bool) {
 	if !had {
 		return KindNull, 0, false
 	}
-	e := n.cprops[i]
-	if e.kind == KindBool {
-		return KindBool, uint64(e.flag), true
-	}
-	return e.kind, e.num, true
+	return n.cprops[i].kind, n.cprops[i].ref(), true
 }
+
+// PropCell is one property in its raw columnar form: the key's dictionary
+// id, the value kind and the fixed-size payload (ints, float bits,
+// dictionary ids for strings and lists, 0/1 for bools).
+type PropCell struct {
+	Key  uint32
+	Kind Kind
+	Ref  uint64
+}
+
+// NodeCells appends the node's properties to buf as raw cells, in key-id
+// order (nothing for a dead id).
+func (br *BulkReader) NodeCells(buf []PropCell, id NodeID) []PropCell {
+	if n := br.g.node(id); n != nil {
+		return appendCells(buf, n.cprops)
+	}
+	return buf
+}
+
+// RelCells is NodeCells for relationship properties.
+func (br *BulkReader) RelCells(buf []PropCell, id RelID) []PropCell {
+	if r := br.g.rel(id); r != nil {
+		return appendCells(buf, r.cprops)
+	}
+	return buf
+}
+
+func appendCells(buf []PropCell, cp []centry) []PropCell {
+	for _, e := range cp {
+		buf = append(buf, PropCell{Key: e.key, Kind: e.kind, Ref: e.ref()})
+	}
+	return buf
+}
+
+// Value materializes a cell read from this reader.
+func (br *BulkReader) Value(c PropCell) Value {
+	return br.g.decEntry(centry{kind: c.Kind, flag: uint8(c.Ref), num: c.Ref})
+}
+
+// NodeLabelSet returns the node's label-set id (0 for a dead id): nodes
+// with equal ids carry the same labels, so per-set work can be cached.
+func (br *BulkReader) NodeLabelSet(id NodeID) uint32 {
+	if n := br.g.node(id); n != nil {
+		return uint32(n.lset)
+	}
+	return 0
+}
+
+// LabelNames is the label dictionary: entry i names label id i. The slice
+// is shared; callers must treat it as read-only.
+func (br *BulkReader) LabelNames() []string { return br.g.labelNames }
+
+// TypeNames is LabelNames for relationship types.
+func (br *BulkReader) TypeNames() []string { return br.g.typeNames }
 
 // NodeLabels returns the node's label names, sorted (nil for a dead id).
 func (br *BulkReader) NodeLabels(id NodeID) []string {
@@ -145,23 +186,6 @@ func (br *BulkReader) EachNodeProp(id NodeID, fn func(key string, v Value)) {
 	}
 	for _, e := range n.cprops {
 		fn(br.g.dict.str(e.key), br.g.decEntry(e))
-	}
-}
-
-// EachNodePropRef is EachNodeProp plus each value's raw columnar payload:
-// ref carries string and list payloads as Interner ids and bools as 0/1.
-// Two readers sharing an Interner can compare string values by ref alone.
-func (br *BulkReader) EachNodePropRef(id NodeID, fn func(key string, kind Kind, ref uint64, v Value)) {
-	n := br.g.node(id)
-	if n == nil {
-		return
-	}
-	for _, e := range n.cprops {
-		ref := e.num
-		if e.kind == KindBool {
-			ref = uint64(e.flag)
-		}
-		fn(br.g.dict.str(e.key), e.kind, ref, br.g.decEntry(e))
 	}
 }
 
@@ -198,9 +222,6 @@ func (br *BulkReader) EachRel(fn func(id RelID, typ uint16, from, to NodeID) boo
 	}
 }
 
-// TypeName resolves a relationship type id to its name.
-func (br *BulkReader) TypeName(t uint16) string { return br.g.typeNames[typeID(t)] }
-
 // EachRelProp calls fn for every property of the relationship, in key-id
 // order.
 func (br *BulkReader) EachRelProp(id RelID, fn func(key string, v Value)) {
@@ -213,28 +234,13 @@ func (br *BulkReader) EachRelProp(id RelID, fn func(key string, v Value)) {
 	}
 }
 
-// EachRelPropRef is EachNodePropRef for relationship properties.
-func (br *BulkReader) EachRelPropRef(id RelID, fn func(key string, kind Kind, ref uint64, v Value)) {
-	r := br.g.rel(id)
-	if r == nil {
-		return
-	}
-	for _, e := range r.cprops {
-		ref := e.num
-		if e.kind == KindBool {
-			ref = uint64(e.flag)
-		}
-		fn(br.g.dict.str(e.key), e.kind, ref, br.g.decEntry(e))
-	}
-}
-
 // RelProp returns a relationship property (Null when absent).
 func (br *BulkReader) RelProp(id RelID, key string) Value {
 	r := br.g.rel(id)
 	if r == nil {
 		return Null()
 	}
-	keyID, ok := br.g.dict.lookupStr(key)
+	keyID, ok := br.g.dict.Lookup(key)
 	if !ok {
 		return Null()
 	}
@@ -242,27 +248,6 @@ func (br *BulkReader) RelProp(id RelID, key string) Value {
 		return br.g.decEntry(r.cprops[i])
 	}
 	return Null()
-}
-
-// RelPropRef is NodePropRef for relationship properties.
-func (br *BulkReader) RelPropRef(id RelID, key string) (Kind, uint64, bool) {
-	r := br.g.rel(id)
-	if r == nil {
-		return KindNull, 0, false
-	}
-	keyID, ok := br.g.dict.lookupStr(key)
-	if !ok {
-		return KindNull, 0, false
-	}
-	i, had := findEntry(r.cprops, keyID)
-	if !had {
-		return KindNull, 0, false
-	}
-	e := r.cprops[i]
-	if e.kind == KindBool {
-		return KindBool, uint64(e.flag), true
-	}
-	return e.kind, e.num, true
 }
 
 // EachRelOf calls fn for each relationship incident to id in the given

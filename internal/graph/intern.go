@@ -52,17 +52,61 @@ func NewInterner() *Interner {
 // Len reports how many distinct strings the table holds.
 func (in *Interner) Len() int { return int(in.strCount.Load()) }
 
-// ListLen reports how many distinct list payloads the table holds.
-func (in *Interner) ListLen() int { return int(in.listCount.Load()) }
-
-// lookupStr probes for s without interning it. ok is false when s has never
+// Lookup probes for s without interning it. ok is false when s has never
 // been interned — for a read path that means no stored value can equal it.
-func (in *Interner) lookupStr(s string) (uint32, bool) {
+// It is lock-free.
+func (in *Interner) Lookup(s string) (uint32, bool) {
 	v, ok := in.strLookup.Load(s)
 	if !ok {
 		return 0, false
 	}
 	return v.(uint32), true
+}
+
+// Translator maps the string ids of one Interner (from) into another's
+// (to), so graphs with separate dictionaries compare strings as integers;
+// it is the identity when both share one. Lookups are lazy, cached in a
+// dense slice indexed by from's ids. A string to lacks maps to its from id
+// with Missing set, never equal to an id of to even if to grows meanwhile.
+// A Translator is not safe for concurrent use.
+type Translator struct {
+	from, to *Interner
+	ids      []uint32 // from id → to id + 1; 0 = not looked up yet
+}
+
+// Missing marks a translated id whose string the target dictionary lacks.
+const Missing = 1 << 31
+
+// NewTranslator returns a translator from one dictionary's ids into another's.
+func NewTranslator(from, to *Interner) *Translator {
+	return &Translator{from: from, to: to}
+}
+
+// ID translates one of from's string ids.
+func (t *Translator) ID(id uint32) uint32 {
+	if t.from == t.to {
+		return id
+	}
+	if int(id) >= len(t.ids) {
+		t.ids = append(t.ids, make([]uint32, max(t.from.Len(), int(id)+1)-len(t.ids))...)
+	}
+	if v := t.ids[id]; v != 0 {
+		return v - 1
+	}
+	v, ok := t.to.Lookup(t.from.str(id))
+	if !ok {
+		v = id | Missing
+	}
+	t.ids[id] = v + 1
+	return v
+}
+
+// Str resolves a translated id back to its string.
+func (t *Translator) Str(id uint32) string {
+	if id&Missing != 0 {
+		return t.from.str(id &^ Missing)
+	}
+	return t.to.str(id)
 }
 
 // intern returns the id for s, appending it on first sight.

@@ -167,18 +167,26 @@ func (st *MVStore) Acquire() (*Graph, uint64, func()) {
 	for {
 		e := st.head.Load()
 		e.pins.Add(1)
+		if testAcquireHook != nil {
+			testAcquireHook()
+		}
 		// A writer may have published a new head (and retired e) between
 		// the load and the pin. Re-check: if e is still head, or not yet
 		// retired, the pin is effective — a retired generation is only
 		// reclaimed once its pin count drains, and our pin is already
 		// counted. Only when e was retired before we pinned do we retry,
-		// because its reclamation may already be in flight.
+		// because its reclamation may already be in flight. The writer's
+		// reclaim pass may have skipped e for this very pin: unpin drains.
 		if st.head.Load() == e || !e.retired.Load() {
 			return e.g, e.gen, st.releaseFunc(e)
 		}
-		e.pins.Add(-1)
+		st.unpin(e)
 	}
 }
+
+// testAcquireHook, when non-nil, runs in Acquire between the pin and the
+// re-check, so a test can publish there; production code never sets it.
+var testAcquireHook func()
 
 // AcquireGen pins a specific generation (the AS-OF read path). Recent
 // generations are served from the in-memory retain window; older ones fall
@@ -205,16 +213,17 @@ func (st *MVStore) AcquireGen(gen uint64) (*Graph, func(), error) {
 	return nil, nil, fmt.Errorf("graph: generation %d is not available (reclaimed or never published; current is %d)", gen, st.CurrentGen())
 }
 
-// releaseFunc returns an idempotent unpin for e that triggers reclamation
-// when the last pin on a retired generation drains.
+// releaseFunc returns an idempotent unpin for e.
 func (st *MVStore) releaseFunc(e *mvGen) func() {
 	var once sync.Once
-	return func() {
-		once.Do(func() {
-			if e.pins.Add(-1) == 0 && e.retired.Load() {
-				st.tryReclaim()
-			}
-		})
+	return func() { once.Do(func() { st.unpin(e) }) }
+}
+
+// unpin drops one pin on e and triggers reclamation when the last pin on
+// a retired generation drains.
+func (st *MVStore) unpin(e *mvGen) {
+	if e.pins.Add(-1) == 0 && e.retired.Load() {
+		st.tryReclaim()
 	}
 }
 

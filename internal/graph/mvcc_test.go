@@ -411,23 +411,52 @@ func TestMVStorePinDrainUnderGenerationChurn(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	// Reclamation must catch up on its own: the final releases and swaps
-	// already triggered it, so no nudge is allowed here. swaps generations
-	// were retired (the seed plus all but the last marker); with retain 0
-	// only the head may survive.
-	for tries := 0; ; tries++ {
-		if st.Live() == 1 && st.Reclaimed() == uint64(swaps) {
-			break
-		}
-		if tries > 1000 {
-			t.Fatalf("reclamation never caught up: live=%d reclaimed=%d (want 1, %d)",
-				st.Live(), st.Reclaimed(), swaps)
-		}
+	// Reclamation is synchronous: the final releases and swaps already ran
+	// it, so no nudge is allowed here. swaps generations were retired (the
+	// seed plus all but the last marker); with retain 0 only the head may
+	// survive.
+	if st.Live() != 1 || st.Reclaimed() != uint64(swaps) {
+		t.Fatalf("reclamation did not keep up: live=%d reclaimed=%d (want 1, %d)",
+			st.Live(), st.Reclaimed(), swaps)
 	}
 	for _, gi := range st.Generations() {
 		if gi.Pins != 0 {
 			t.Errorf("generation %d leaked %d pins", gi.Gen, gi.Pins)
 		}
+	}
+}
+
+// TestAcquireRetryReclaimsRetiredGeneration drives Acquire's retry branch
+// deterministically: a publish lands between the reader's pin and its
+// re-check, so the writer's reclaim pass skips the old head because of the
+// reader's transient pin. Undoing that pin must finish the reclamation —
+// with retain 0 the old head leaves at once and its OnRetire hook runs.
+func TestAcquireRetryReclaimsRetiredGeneration(t *testing.T) {
+	seed := seedGraph(t)
+	st := NewMVStore(seed)
+	st.SetRetain(0)
+	var retired []*Graph
+	st.OnRetire(func(g *Graph) { retired = append(retired, g) })
+
+	next := New()
+	next.AddNode([]string{"Marker"}, nil)
+	testAcquireHook = func() {
+		testAcquireHook = nil // publish once; the retry pins the new head
+		st.Swap(next)
+	}
+	defer func() { testAcquireHook = nil }()
+
+	g, gen, release := st.Acquire()
+	defer release()
+	if g != next || gen != 2 {
+		t.Fatalf("Acquire returned generation %d, want the new head 2", gen)
+	}
+	if st.Live() != 1 || st.Reclaimed() != 1 {
+		t.Fatalf("retired head not reclaimed after the retry: live=%d reclaimed=%d (want 1, 1)",
+			st.Live(), st.Reclaimed())
+	}
+	if len(retired) != 1 || retired[0] != seed {
+		t.Fatalf("OnRetire ran for %d generations, want the seed once", len(retired))
 	}
 }
 

@@ -78,7 +78,7 @@ func (g *Graph) PropCardinality(label, key string) PropStats {
 	if !ok {
 		return PropStats{}
 	}
-	keyID, ok := g.dict.lookupStr(key)
+	keyID, ok := g.dict.Lookup(key)
 	if !ok {
 		return PropStats{}
 	}

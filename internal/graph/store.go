@@ -47,6 +47,14 @@ type centry struct {
 	num  uint64 // int bits / float bits / string id / list id
 }
 
+// ref is the entry's payload as one number: num, or the flag for bools.
+func (e centry) ref() uint64 {
+	if e.kind == KindBool {
+		return uint64(e.flag)
+	}
+	return e.num
+}
+
 // Node is a labeled property vertex. Fields are unexported; all access goes
 // through methods so the store can synchronize and maintain indexes.
 type Node struct {
@@ -79,14 +87,6 @@ func (r *Rel) From() NodeID { return r.from }
 
 // To returns the destination node ID.
 func (r *Rel) To() NodeID { return r.to }
-
-// Other returns the endpoint of r that is not n.
-func (r *Rel) Other(n NodeID) NodeID {
-	if r.from == n {
-		return r.to
-	}
-	return r.from
-}
 
 // clone returns a deep-enough copy of n owned by the given generation:
 // the property column and adjacency slices are copied; interned payloads
@@ -365,8 +365,8 @@ func NewWithInterner(dict *Interner) *Graph {
 }
 
 // Interner returns the graph's dictionary. Callers use it to seed another
-// load (replica delta reloads) or to detect that two graphs share payload
-// ids (temporal diff's interned fast path).
+// load (replica delta reloads) or to translate payload ids between graphs
+// (the temporal diff's Translator).
 func (g *Graph) Interner() *Interner { return g.dict }
 
 // --- freezing & copy-on-write cloning (the MVCC substrate) ---
@@ -704,13 +704,13 @@ func (g *Graph) internKey(v Value) ckey {
 func (g *Graph) probeKey(v Value) (ckey, bool) {
 	switch v.kind {
 	case KindString:
-		id, ok := g.dict.lookupStr(v.s)
+		id, ok := g.dict.Lookup(v.s)
 		if !ok {
 			return ckey{}, false
 		}
 		return ckey{kind: KindString, num: uint64(id)}, true
 	case KindList:
-		id, ok := g.dict.lookupStr(v.key().s)
+		id, ok := g.dict.Lookup(v.key().s)
 		if !ok {
 			return ckey{}, false
 		}
@@ -985,7 +985,7 @@ func (g *Graph) NodeProp(id NodeID, key string) Value {
 	if n == nil {
 		return Null()
 	}
-	keyID, ok := g.dict.lookupStr(key)
+	keyID, ok := g.dict.Lookup(key)
 	if !ok {
 		return Null()
 	}
@@ -1164,7 +1164,7 @@ func (g *Graph) RelProp(id RelID, key string) Value {
 	if r == nil {
 		return Null()
 	}
-	keyID, ok := g.dict.lookupStr(key)
+	keyID, ok := g.dict.Lookup(key)
 	if !ok {
 		return Null()
 	}
@@ -1353,7 +1353,7 @@ func (g *Graph) HasIndex(label, key string) bool {
 	if !ok {
 		return false
 	}
-	keyID, ok := g.dict.lookupStr(key)
+	keyID, ok := g.dict.Lookup(key)
 	if !ok {
 		return false
 	}
@@ -1372,7 +1372,7 @@ func (g *Graph) NodesByProp(label, key string, v Value) []NodeID {
 		g.runlock()
 		return nil
 	}
-	keyID, keyKnown := g.dict.lookupStr(key)
+	keyID, keyKnown := g.dict.Lookup(key)
 	if !keyKnown {
 		g.runlock()
 		return nil

@@ -131,9 +131,9 @@ type Follower struct {
 
 	// mu guards the mutable follow state below.
 	mu          sync.Mutex
-	lastGoodSeq uint64    // builder seq of the generation now serving
-	lastGoodAt  time.Time // when it was swapped live
-	loaded      bool      // at least one generation ever served
+	lastGoodSeq uint64         // builder seq of the generation now serving
+	lastGoodAt  time.Time      // when it was swapped live
+	loaded      bool           // at least one generation ever served
 	attempts    map[uint64]int // verify/load failures per candidate seq
 
 	// dict is the serving generation's string dictionary, fed to the next
@@ -147,9 +147,9 @@ type Follower struct {
 	dictStrings atomic.Uint64
 	dictReused  atomic.Uint64
 
-	wake     chan struct{}
-	done     chan struct{}
-	wg       sync.WaitGroup
+	wake    chan struct{}
+	done    chan struct{}
+	wg      sync.WaitGroup
 	started atomic.Bool
 }
 

@@ -1,14 +1,16 @@
 package temporal
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"hash/fnv"
+	"maps"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"iyp/internal/graph"
 	"iyp/internal/ontology"
@@ -31,16 +33,18 @@ import (
 //     how ingestion dedups: the same fact re-crawled from the same
 //     dataset is the same relationship.
 //
-// An entity present in both generations whose property fingerprint
-// differs counts as changed; present only in `to` as added; only in
-// `from` as removed. Duplicate identities (parallel relationships from
-// one dataset) are matched as multisets: equal fingerprints pair off
-// first, leftovers pair as changed, the excess counts as added/removed.
+// An entity present in both generations whose labels or properties differ
+// counts as changed; present only in `to` as added; only in `from` as
+// removed. Values are equal when their Value.String() renderings are, so
+// Int(2) equals Float(2.0) but Float(1e6), rendered 1e+06, differs from
+// Int(1000000). Duplicate identities (parallel relationships from one
+// dataset) are matched as multisets: equal fingerprints pair off first,
+// leftovers pair as changed, the excess counts as added/removed.
 //
-// The kernel is deterministic at any worker count: entities are
-// partitioned by identity-hash into a fixed number of shards, each shard
-// is diffed independently, and the per-shard counters merge by
-// commutative addition before a final sort by group name.
+// The kernel works in integer space for every pair of generations: `to`'s
+// string ids are translated into `from`'s dictionary, each side's entities
+// are sorted by integer identity and the two lists are merged. Only groups
+// with more than one member on a side render text fingerprints.
 func Diff(ctx context.Context, from, to *graph.Graph, opts DiffOptions) (*DiffResult, error) {
 	var res *DiffResult
 	var err error
@@ -54,9 +58,10 @@ func Diff(ctx context.Context, from, to *graph.Graph, opts DiffOptions) (*DiffRe
 
 // DiffOptions tunes Diff.
 type DiffOptions struct {
-	// Workers bounds the parallel scan/diff workers, clamped to
-	// [1, GOMAXPROCS] (0 = GOMAXPROCS). The result is byte-identical at
-	// every setting.
+	// Workers bounds the parallelism, clamped to [1, GOMAXPROCS] (0 =
+	// GOMAXPROCS): at 2 or more the two generations are scanned and
+	// sorted concurrently, at 1 one after the other. The result is
+	// byte-identical at every setting.
 	Workers int
 }
 
@@ -65,6 +70,12 @@ type Totals struct {
 	Added   int `json:"added"`
 	Removed int `json:"removed"`
 	Changed int `json:"changed"`
+}
+
+func (t *Totals) plus(d Totals) {
+	t.Added += d.Added
+	t.Removed += d.Removed
+	t.Changed += d.Changed
 }
 
 // GroupDelta is one named group's delta (a node label, a relationship
@@ -125,511 +136,462 @@ func (r *DiffResult) String() string {
 	return sb.String()
 }
 
-// diffShards is the fixed shard count. Independent of the worker count so
-// the partitioning — and therefore the result — never varies with it.
-const diffShards = 64
+// noID is a dictionary id no string has (dictionaries hold < 2^31). As a
+// dataset it means "no reference_name", listed as "(none)".
+const noID = math.MaxUint32
 
-// nodeEntry is one node's identity and content fingerprint.
+// textKeyed labels the node entries keyed by literal text.
+const textKeyed = math.MaxInt32
+
+// kernel is one Diff call's state. Side a is `from`, whose dictionary ids
+// are the common string space; side b is `to`.
+type kernel struct {
+	a, b   *side
+	shared bool     // one dictionary on both sides: list ids compare too
+	types  []string // shared type index → name
+	next   uint32   // last node identity number handed out
+
+	res                   DiffResult
+	byLabel, byType, byDS map[string]Totals
+}
+
+// side is one generation's half: its reader, the translation of its ids
+// into the shared spaces, and its sorted entries.
+type side struct {
+	br     *graph.BulkReader
+	tr     *graph.Translator // string ids → a's (the identity on side a)
+	labels map[string]int32  // label name → shared index, read-only
+	types  []uint32          // type id → shared type index
+	refKey uint32            // dictionary id of reference_name, or noID
+	empty  uint32            // dictionary id of "", or noID
+	lsets  []*lsetInfo       // by label-set id, filled on first sight
+
+	nodes []nodeEntry // sorted by identity
+	num   []uint32    // NodeID → identity number, set by the node merge
+	rels  []relEntry  // sorted by key
+	buf   []graph.PropCell
+}
+
+// nodeEntry is one live node keyed by its identity: the shared label
+// index plus the identity value's kind and payload (strings as a's
+// dictionary ids, ints by bits, bools by flag) — or, for float and list
+// identities and for nodes without one, the literal key text.
 type nodeEntry struct {
-	key    string
-	fp     string
-	labels []string
+	label int32 // textKeyed for text-keyed entries
+	kind  graph.Kind
+	num   uint64
+	text  string
+	id    graph.NodeID
 }
 
-// relEntry is one relationship's identity and content fingerprint.
+func cmpNode(x, y nodeEntry) int {
+	return cmp.Or(cmp.Compare(x.label, y.label), cmp.Compare(x.kind, y.kind),
+		cmp.Compare(x.num, y.num), strings.Compare(x.text, y.text))
+}
+
+// relEntry is one live relationship keyed by its endpoints' identity
+// numbers (hi) and its shared type index and dataset id (lo).
 type relEntry struct {
-	key string
-	fp  string
-	typ string
-	ds  string
+	hi, lo uint64
+	id     graph.RelID
 }
 
-// tokener renders property values inside identity keys and fingerprints.
-// Keys and fingerprints are compared, never displayed, so their value
-// encoding only has to preserve equality. When both generations share one
-// Interner — a delta build against its parent, a replica following a store
-// that seeds reloads — a string value's dictionary id IS its content
-// address, and the token is a few base-36 digits instead of a re-quoted,
-// re-escaped copy of the payload (provenance URLs, organisation names).
-// Distinct lineages fall back to the literal rendering.
-type tokener struct {
-	shared bool
+func cmpRel(x, y relEntry) int {
+	return cmp.Or(cmp.Compare(x.hi, y.hi), cmp.Compare(x.lo, y.lo))
 }
 
-func newTokener(a, b *graph.BulkReader) tokener {
-	return tokener{shared: a.Interner() != nil && a.Interner() == b.Interner()}
+// lsetInfo is what a label set implies, worked out once per set.
+type lsetInfo struct {
+	names  []string    // sorted label names
+	idents []identProp // the ontology-identified ones, same order
 }
 
-// render encodes one value. Only strings use the id fast path: their "s"
-// prefix cannot collide with any literal rendering (null, true/false,
-// digits, quotes, brackets), and id equality is exactly string equality
-// under a shared Interner. Other kinds keep the literal form — numeric
-// cross-kind folding (Int(2) vs Float(2.0)) must match the slow path.
-func (tk tokener) render(kind graph.Kind, ref uint64, v graph.Value) string {
-	if tk.shared && kind == graph.KindString {
-		return "s" + strconv.FormatUint(ref, 36)
-	}
-	return v.String()
-}
-
-// identity renders the identity-property value for nodeKey, which reads
-// single properties rather than iterating columns.
-func (tk tokener) identity(br *graph.BulkReader, id graph.NodeID, key string, v graph.Value) string {
-	if tk.shared && v.Kind() == graph.KindString {
-		if kind, ref, ok := br.NodePropRef(id, key); ok && kind == graph.KindString {
-			return "s" + strconv.FormatUint(ref, 36)
-		}
-	}
-	return v.String()
+// identProp is one ontology-identified label of a set and its identity
+// property.
+type identProp struct {
+	label      int32  // shared label index
+	key        uint32 // the property's dictionary id, or noID
+	name, prop string
 }
 
 func diff(ctx context.Context, a, b *graph.BulkReader, opts DiffOptions) (*DiffResult, error) {
-	// More workers than CPUs only shrinks the chunks, down to one goroutine
-	// and one shard set per entity.
 	workers := runtime.GOMAXPROCS(0)
 	if opts.Workers > 0 {
 		workers = min(opts.Workers, workers)
 	}
-	tok := newTokener(a, b)
-
-	// Phase 1: node identity keys, dense by NodeID, per graph.
-	keysA, err := nodeKeys(ctx, a, workers, tok)
-	if err != nil {
-		return nil, err
-	}
-	keysB, err := nodeKeys(ctx, b, workers, tok)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: shard node and relationship entries by identity hash.
-	nodesA, err := shardNodes(ctx, a, keysA, workers, tok)
-	if err != nil {
-		return nil, err
-	}
-	nodesB, err := shardNodes(ctx, b, keysB, workers, tok)
-	if err != nil {
-		return nil, err
-	}
-	relsA, err := shardRels(ctx, a, keysA, workers, tok)
-	if err != nil {
-		return nil, err
-	}
-	relsB, err := shardRels(ctx, b, keysB, workers, tok)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 3: diff each shard independently, then merge commutatively.
-	res := &DiffResult{}
-	byLabel := map[string]*GroupDelta{}
-	byType := map[string]*GroupDelta{}
-	byDS := map[string]*GroupDelta{}
-
-	type shardOut struct {
-		nodes, rels          Totals
-		label, rtype, dsname map[string]Totals
-		err                  error
-	}
-	outs := make([]shardOut, diffShards)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for s := 0; s < diffShards; s++ {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(s int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := ctx.Err(); err != nil {
-				outs[s].err = err
-				return
-			}
-			o := &outs[s]
-			o.label, o.rtype, o.dsname = map[string]Totals{}, map[string]Totals{}, map[string]Totals{}
-			o.nodes = diffNodeShard(nodesA[s], nodesB[s], o.label)
-			o.rels = diffRelShard(relsA[s], relsB[s], o.rtype, o.dsname)
-		}(s)
-	}
-	wg.Wait()
-	for s := range outs {
-		o := &outs[s]
-		if o.err != nil {
-			return nil, o.err
+	k := newKernel(a, b)
+	for _, step := range []func(){
+		func() { k.both(workers, (*side).scanNodes) },
+		func() { mergeSorted(k.a.nodes, k.b.nodes, cmpNode, k.nodeGroup) },
+		func() { k.both(workers, (*side).scanRels) },
+		func() { mergeSorted(k.a.rels, k.b.rels, cmpRel, k.relGroup) },
+	} {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		addTotals(&res.Nodes, o.nodes)
-		addTotals(&res.Rels, o.rels)
-		mergeGroups(byLabel, o.label)
-		mergeGroups(byType, o.rtype)
-		mergeGroups(byDS, o.dsname)
+		step()
 	}
-	res.ByLabel = sortGroups(byLabel)
-	res.ByRelType = sortGroups(byType)
-	res.ByDataset = sortGroups(byDS)
-	return res, nil
+	return k.result(), nil
 }
 
-func addTotals(dst *Totals, t Totals) {
-	dst.Added += t.Added
-	dst.Removed += t.Removed
-	dst.Changed += t.Changed
+func newKernel(a, b *graph.BulkReader) *kernel {
+	_, labelIdx := sharedIndex(a.LabelNames(), b.LabelNames())
+	types, typeIdx := sharedIndex(a.TypeNames(), b.TypeNames())
+	k := &kernel{
+		shared:  a.Interner() == b.Interner(),
+		types:   types,
+		byLabel: map[string]Totals{},
+		byType:  map[string]Totals{},
+		byDS:    map[string]Totals{},
+	}
+	k.a = newSide(a, a.Interner(), labelIdx, typeIdx)
+	k.b = newSide(b, a.Interner(), labelIdx, typeIdx)
+	return k
 }
 
-func mergeGroups(dst map[string]*GroupDelta, src map[string]Totals) {
-	for name, t := range src {
-		g := dst[name]
-		if g == nil {
-			g = &GroupDelta{Name: name}
-			dst[name] = g
+func newSide(br *graph.BulkReader, common *graph.Interner, labels, types map[string]int32) *side {
+	s := &side{
+		br:     br,
+		tr:     graph.NewTranslator(br.Interner(), common),
+		labels: labels,
+		refKey: lookup(br.Interner(), ontology.PropReferenceName),
+		empty:  lookup(br.Interner(), ""),
+	}
+	for _, t := range br.TypeNames() {
+		s.types = append(s.types, uint32(types[t]))
+	}
+	return s
+}
+
+func lookup(in *graph.Interner, s string) uint32 {
+	if id, ok := in.Lookup(s); ok {
+		return id
+	}
+	return noID
+}
+
+// sharedIndex merges two name dictionaries into one sorted list and its
+// name → index map.
+func sharedIndex(x, y []string) ([]string, map[string]int32) {
+	names := slices.Compact(slices.Sorted(slices.Values(slices.Concat(x, y))))
+	idx := make(map[string]int32, len(names))
+	for i, n := range names {
+		idx[n] = int32(i)
+	}
+	return names, idx
+}
+
+// both runs a per-side pass on each generation: concurrently when the
+// worker budget allows two, one after the other at 1.
+func (k *kernel) both(workers int, pass func(*side)) {
+	done := make(chan struct{})
+	go func() { pass(k.b); close(done) }()
+	if workers < 2 {
+		<-done
+	}
+	pass(k.a)
+	<-done
+}
+
+// mergeSorted walks two sorted lists in step and calls group once per
+// distinct key, with that key's run on each side (either may be empty).
+func mergeSorted[E any](a, b []E, order func(E, E) int, group func(ga, gb []E)) {
+	run := func(s []E) int {
+		n := 1
+		for n < len(s) && order(s[0], s[n]) == 0 {
+			n++
 		}
-		g.Added += t.Added
-		g.Removed += t.Removed
-		g.Changed += t.Changed
+		return n
+	}
+	for len(a) > 0 || len(b) > 0 {
+		c := -1
+		if len(a) == 0 {
+			c = 1
+		} else if len(b) > 0 {
+			c = order(a[0], b[0])
+		}
+		na, nb := 0, 0
+		if c <= 0 {
+			na = run(a)
+		}
+		if c >= 0 {
+			nb = run(b)
+		}
+		group(a[:na], b[:nb])
+		a, b = a[na:], b[nb:]
 	}
 }
 
-func sortGroups(m map[string]*GroupDelta) []GroupDelta {
-	out := make([]GroupDelta, 0, len(m))
-	for _, g := range m {
-		if g.Added == 0 && g.Removed == 0 && g.Changed == 0 {
+func (s *side) scanNodes() {
+	s.nodes = make([]nodeEntry, 0, s.br.NumNodes())
+	s.br.EachNode(func(id graph.NodeID) bool {
+		s.nodes = append(s.nodes, s.identity(id))
+		return true
+	})
+	slices.SortFunc(s.nodes, cmpNode)
+	s.num = make([]uint32, s.br.MaxNodeID()+1)
+}
+
+// identity keys a node by its first ontology label whose identity property
+// is present.
+func (s *side) identity(id graph.NodeID) nodeEntry {
+	ls := s.lset(id)
+	s.buf = s.br.NodeCells(s.buf[:0], id)
+	for _, ip := range ls.idents {
+		c, ok := cellOf(s.buf, ip.key)
+		if !ok || c.Kind == graph.KindNull {
 			continue
 		}
-		out = append(out, *g)
+		switch c.Kind {
+		case graph.KindString:
+			return nodeEntry{label: ip.label, kind: c.Kind, num: uint64(s.tr.ID(uint32(c.Ref))), id: id}
+		case graph.KindInt, graph.KindBool:
+			return nodeEntry{label: ip.label, kind: c.Kind, num: c.Ref, id: id}
+		}
+		// A float that renders as an int does is that int's identity.
+		r := s.br.Value(c).String()
+		if n, err := strconv.ParseInt(r, 10, 64); err == nil && strconv.FormatInt(n, 10) == r {
+			return nodeEntry{label: ip.label, kind: graph.KindInt, num: uint64(n), id: id}
+		}
+		return nodeEntry{label: textKeyed, text: "N\x1f" + ip.name + "\x1f" + ip.prop + "\x1f" + r, id: id}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	e := nodeEntry{label: textKeyed, id: id}
+	e.text = "N\x1f" + strings.Join(ls.names, ",") + "\x1f\x1f" + s.nodeFP(e)
+	return e
+}
+
+func (s *side) lset(id graph.NodeID) *lsetInfo {
+	ls := int(s.br.NodeLabelSet(id))
+	if ls >= len(s.lsets) {
+		s.lsets = append(s.lsets, make([]*lsetInfo, ls+1-len(s.lsets))...)
+	}
+	if info := s.lsets[ls]; info != nil {
+		return info
+	}
+	info := &lsetInfo{names: s.br.NodeLabels(id)}
+	for _, l := range info.names {
+		if ik := ontology.IdentityKey(l); ik != "" {
+			info.idents = append(info.idents, identProp{label: s.labels[l], key: lookup(s.br.Interner(), ik), name: l, prop: ik})
+		}
+	}
+	s.lsets[ls] = info
+	return info
+}
+
+func cellOf(cells []graph.PropCell, key uint32) (graph.PropCell, bool) {
+	for _, c := range cells {
+		if c.Key == key {
+			return c, true
+		}
+	}
+	return graph.PropCell{}, false
+}
+
+func (s *side) scanRels() {
+	s.rels = make([]relEntry, 0, s.br.NumRels())
+	s.br.EachRel(func(id graph.RelID, typ uint16, from, to graph.NodeID) bool {
+		ds := uint32(noID)
+		s.buf = s.br.RelCells(s.buf[:0], id)
+		if c, ok := cellOf(s.buf, s.refKey); ok && c.Kind == graph.KindString && uint32(c.Ref) != s.empty {
+			ds = s.tr.ID(uint32(c.Ref))
+		}
+		hi, lo := uint64(s.num[from])<<32|uint64(s.num[to]), uint64(s.types[typ])<<32|uint64(ds)
+		s.rels = append(s.rels, relEntry{hi, lo, id})
+		return true
+	})
+	slices.SortFunc(s.rels, cmpRel)
+}
+
+// nodeGroup numbers one node identity on both sides and diffs its members.
+func (k *kernel) nodeGroup(ga, gb []nodeEntry) {
+	k.next++
+	for _, e := range ga {
+		k.a.num[e.id] = k.next
+	}
+	for _, e := range gb {
+		k.b.num[e.id] = k.next
+	}
+	restA, restB := pairOff(ga, gb, k.sameNode, k.a.nodeFP, k.b.nodeFP)
+	m := min(len(restA), len(restB))
+	for _, e := range restB[:m] {
+		k.countNode(k.b, e.id, Totals{Changed: 1})
+	}
+	for _, e := range restA[m:] {
+		k.countNode(k.a, e.id, Totals{Removed: 1})
+	}
+	for _, e := range restB[m:] {
+		k.countNode(k.b, e.id, Totals{Added: 1})
+	}
+}
+
+func (k *kernel) countNode(s *side, id graph.NodeID, d Totals) {
+	k.res.Nodes.plus(d)
+	for _, l := range s.lset(id).names {
+		bump(k.byLabel, l, d)
+	}
+}
+
+// relGroup diffs the members of one relationship key.
+func (k *kernel) relGroup(ga, gb []relEntry) {
+	restA, restB := pairOff(ga, gb, k.sameRel, k.a.relFP, k.b.relFP)
+	m := min(len(restA), len(restB))
+	d := Totals{Added: len(restB) - m, Removed: len(restA) - m, Changed: m}
+	if d == (Totals{}) {
+		return
+	}
+	g := ga // every member shares the key (type, dataset)
+	if len(g) == 0 {
+		g = gb
+	}
+	dataset := "(none)"
+	if ds := uint32(g[0].lo); ds != noID {
+		dataset = k.b.tr.Str(ds)
+	}
+	k.res.Rels.plus(d)
+	bump(k.byType, k.types[g[0].lo>>32], d)
+	bump(k.byDS, dataset, d)
+}
+
+func bump(m map[string]Totals, name string, d Totals) {
+	t := m[name]
+	t.plus(d)
+	m[name] = t
+}
+
+// pairOff returns one group's unmatched members on each side: the first
+// min(len(restA), len(restB)) pair up as changed, the excess counts as
+// removed (restA) or added (restB). A 1-to-1 group compares with same;
+// only a larger one renders literal fingerprints and matches them as
+// multisets, equal fingerprints pairing off first and leftovers pairing
+// in fingerprint order.
+func pairOff[E any](ga, gb []E, same func(x, y E) bool, fpA, fpB func(E) string) (restA, restB []E) {
+	if len(ga) == 0 || len(gb) == 0 || len(ga) == 1 && len(gb) == 1 {
+		if len(ga) == 1 && len(gb) == 1 && same(ga[0], gb[0]) {
+			return nil, nil
+		}
+		return ga, gb
+	}
+	a, b := fingerprinted(ga, fpA), fingerprinted(gb, fpB)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := strings.Compare(a[i].fp, b[j].fp); {
+		case c == 0:
+			i++
+			j++
+		case c < 0:
+			restA = append(restA, a[i].e)
+			i++
+		default:
+			restB = append(restB, b[j].e)
+			j++
+		}
+	}
+	for _, m := range a[i:] {
+		restA = append(restA, m.e)
+	}
+	for _, m := range b[j:] {
+		restB = append(restB, m.e)
+	}
+	return restA, restB
+}
+
+// member is one entry of a multi-member group with its literal fingerprint.
+type member[E any] struct {
+	fp string
+	e  E
+}
+
+func fingerprinted[E any](g []E, fp func(E) string) []member[E] {
+	out := make([]member[E], len(g))
+	for i, e := range g {
+		out[i] = member[E]{fp(e), e}
+	}
+	slices.SortFunc(out, func(x, y member[E]) int { return strings.Compare(x.fp, y.fp) })
 	return out
 }
 
-// nodeKeys computes every live node's identity key in parallel ID-range
-// chunks; the result is a dense slice indexed by NodeID.
-func nodeKeys(ctx context.Context, br *graph.BulkReader, workers int, tok tokener) ([]string, error) {
-	max := int(br.MaxNodeID())
-	keys := make([]string, max+1)
-	chunk := (max + workers) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	var wg sync.WaitGroup
-	for lo := 1; lo <= max; lo += chunk {
-		hi := lo + chunk - 1
-		if hi > max {
-			hi = max
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for id := lo; id <= hi; id++ {
-				nid := graph.NodeID(id)
-				if !br.NodeAlive(nid) {
-					continue
-				}
-				keys[id] = nodeKey(br, nid, tok)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return keys, ctx.Err()
+func (k *kernel) sameNode(x, y nodeEntry) bool {
+	k.a.buf = k.a.br.NodeCells(k.a.buf[:0], x.id)
+	k.b.buf = k.b.br.NodeCells(k.b.buf[:0], y.id)
+	return slices.Equal(k.a.lset(x.id).names, k.b.lset(y.id).names) && k.sameCells()
 }
 
-// nodeKey derives a node's cross-generation identity: the first ontology
-// label (sorted order) whose identity property is present, plus its value.
-func nodeKey(br *graph.BulkReader, id graph.NodeID, tok tokener) string {
-	labels := br.NodeLabels(id)
-	for _, l := range labels {
-		ik := ontology.IdentityKey(l)
-		if ik == "" {
-			continue
-		}
-		v := br.NodeProp(id, ik)
-		if !v.IsNull() {
-			return "N\x1f" + l + "\x1f" + ik + "\x1f" + tok.identity(br, id, ik, v)
-		}
-	}
-	// No ontology identity: the node is its label set plus content.
-	return "N\x1f" + strings.Join(labels, ",") + "\x1f\x1f" + nodeFingerprint(br, id, labels, tok)
+func (k *kernel) sameRel(x, y relEntry) bool {
+	k.a.buf = k.a.br.RelCells(k.a.buf[:0], x.id)
+	k.b.buf = k.b.br.RelCells(k.b.buf[:0], y.id)
+	return k.sameCells()
 }
 
-// nodeFingerprint encodes the node's labels and full property map
-// canonically (sorted keys, equality-preserving value tokens).
-func nodeFingerprint(br *graph.BulkReader, id graph.NodeID, labels []string, tok tokener) string {
+// sameCells compares the property columns buffered on both sides entry by
+// entry, once b's keys are translated into a's dictionary and re-sorted.
+func (k *kernel) sameCells() bool {
+	ca, cb := k.a.buf, k.b.buf
+	if len(ca) != len(cb) {
+		return false
+	}
+	if !k.shared {
+		for i := range cb {
+			cb[i].Key = k.b.tr.ID(cb[i].Key)
+		}
+		slices.SortFunc(cb, func(x, y graph.PropCell) int { return cmp.Compare(x.Key, y.Key) })
+	}
+	for i := range ca {
+		if ca[i].Key != cb[i].Key || !k.sameValue(ca[i], cb[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameValue reports whether a's cell x and b's cell y render alike.
+// Raw-equal payloads do; two strings compare by translated id; any other
+// pair compares its Value.String() renderings.
+func (k *kernel) sameValue(x, y graph.PropCell) bool {
+	if x.Kind == y.Kind {
+		switch x.Kind {
+		case graph.KindString:
+			return x.Ref == uint64(k.b.tr.ID(uint32(y.Ref)))
+		case graph.KindNull, graph.KindBool, graph.KindInt:
+			return x.Ref == y.Ref
+		}
+		// Floats by bits; list ids only mean the same list in one dictionary.
+		if x.Ref == y.Ref && (x.Kind == graph.KindFloat || k.shared) {
+			return true
+		}
+	} else if x.Kind == graph.KindString || y.Kind == graph.KindString {
+		return false // a quoted rendering never equals an unquoted one
+	}
+	return k.a.br.Value(x).String() == k.b.br.Value(y).String()
+}
+
+// nodeFP is a node's literal fingerprint: its labels and properties.
+func (s *side) nodeFP(e nodeEntry) string {
+	return strings.Join(s.lset(e.id).names, ",") + "\x1e" + literal(s.br.EachNodeProp, e.id)
+}
+
+func (s *side) relFP(e relEntry) string { return literal(s.br.EachRelProp, e.id) }
+
+// literal renders a property map as its sorted key=value pairs, each value
+// by Value.String().
+func literal[ID any](each func(ID, func(string, graph.Value)), id ID) string {
 	var kv []string
-	br.EachNodePropRef(id, func(k string, kind graph.Kind, ref uint64, v graph.Value) {
-		kv = append(kv, k+"="+tok.render(kind, ref, v))
-	})
-	sort.Strings(kv)
-	return strings.Join(labels, ",") + "\x1e" + strings.Join(kv, "\x1e")
-}
-
-// relFingerprint encodes the relationship's full property map canonically.
-func relFingerprint(br *graph.BulkReader, id graph.RelID, tok tokener) string {
-	var kv []string
-	br.EachRelPropRef(id, func(k string, kind graph.Kind, ref uint64, v graph.Value) {
-		kv = append(kv, k+"="+tok.render(kind, ref, v))
-	})
+	each(id, func(k string, v graph.Value) { kv = append(kv, k+"="+v.String()) })
 	sort.Strings(kv)
 	return strings.Join(kv, "\x1e")
 }
 
-func shardOf(key string) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % diffShards)
+func (k *kernel) result() *DiffResult {
+	res := k.res
+	res.ByLabel, res.ByRelType, res.ByDataset = groups(k.byLabel), groups(k.byType), groups(k.byDS)
+	return &res
 }
 
-// shardNodes buckets every live node's entry by identity hash. Workers
-// scan disjoint ID ranges into private buckets; buckets concatenate in
-// worker order, which is ID order — deterministic at any worker count up
-// to within-shard ordering, which diffNodeShard re-sorts anyway.
-func shardNodes(ctx context.Context, br *graph.BulkReader, keys []string, workers int, tok tokener) ([][]nodeEntry, error) {
-	max := len(keys) - 1
-	chunk := (max + workers) / workers
-	if chunk < 1 {
-		chunk = 1
+// groups lists the named totals sorted by name.
+func groups(m map[string]Totals) []GroupDelta {
+	out := []GroupDelta{}
+	for _, name := range slices.Sorted(maps.Keys(m)) {
+		t := m[name]
+		out = append(out, GroupDelta{Name: name, Added: t.Added, Removed: t.Removed, Changed: t.Changed})
 	}
-	type part struct {
-		lo      int
-		buckets [][]nodeEntry
-	}
-	var parts []*part
-	var wg sync.WaitGroup
-	for lo := 1; lo <= max; lo += chunk {
-		hi := lo + chunk - 1
-		if hi > max {
-			hi = max
-		}
-		p := &part{lo: lo, buckets: make([][]nodeEntry, diffShards)}
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(lo, hi int, p *part) {
-			defer wg.Done()
-			for id := lo; id <= hi; id++ {
-				key := keys[id]
-				if key == "" {
-					continue
-				}
-				nid := graph.NodeID(id)
-				labels := br.NodeLabels(nid)
-				e := nodeEntry{key: key, fp: nodeFingerprint(br, nid, labels, tok), labels: labels}
-				s := shardOf(key)
-				p.buckets[s] = append(p.buckets[s], e)
-			}
-		}(lo, hi, p)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	shards := make([][]nodeEntry, diffShards)
-	for _, p := range parts {
-		for s := range p.buckets {
-			shards[s] = append(shards[s], p.buckets[s]...)
-		}
-	}
-	return shards, nil
-}
-
-// shardRels buckets every live relationship's entry by identity hash.
-func shardRels(ctx context.Context, br *graph.BulkReader, keys []string, workers int, tok tokener) ([][]relEntry, error) {
-	// Collect IDs first so ranges can be split evenly.
-	var ids []graph.RelID
-	var typs []uint16
-	var froms, tos []graph.NodeID
-	br.EachRel(func(id graph.RelID, typ uint16, from, to graph.NodeID) bool {
-		ids = append(ids, id)
-		typs = append(typs, typ)
-		froms = append(froms, from)
-		tos = append(tos, to)
-		return true
-	})
-	n := len(ids)
-	chunk := (n + workers) / workers
-	if chunk < 1 {
-		chunk = 1
-	}
-	type part struct {
-		buckets [][]relEntry
-	}
-	var parts []*part
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		p := &part{buckets: make([][]relEntry, diffShards)}
-		parts = append(parts, p)
-		wg.Add(1)
-		go func(lo, hi int, p *part) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				id := ids[i]
-				typ := br.TypeName(typs[i])
-				ds := ""
-				if v, ok := br.RelProp(id, ontology.PropReferenceName).AsString(); ok {
-					ds = v
-				}
-				key := "R\x1f" + typ + "\x1f" + keys[froms[i]] + "\x1f" + keys[tos[i]] + "\x1f" + ds
-				if ds == "" {
-					ds = "(none)"
-				}
-				e := relEntry{key: key, fp: relFingerprint(br, id, tok), typ: typ, ds: ds}
-				s := shardOf(key)
-				p.buckets[s] = append(p.buckets[s], e)
-			}
-		}(lo, hi, p)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	shards := make([][]relEntry, diffShards)
-	for _, p := range parts {
-		for s := range p.buckets {
-			shards[s] = append(shards[s], p.buckets[s]...)
-		}
-	}
-	return shards, nil
-}
-
-// diffNodeShard diffs one shard's node multisets, accumulating per-label
-// counters into byLabel and returning the shard's entity totals.
-func diffNodeShard(a, b []nodeEntry, byLabel map[string]Totals) Totals {
-	var tot Totals
-	groupA := map[string][]nodeEntry{}
-	for _, e := range a {
-		groupA[e.key] = append(groupA[e.key], e)
-	}
-	groupB := map[string][]nodeEntry{}
-	for _, e := range b {
-		groupB[e.key] = append(groupB[e.key], e)
-	}
-	count := func(labels []string, bump func(*Totals)) {
-		for _, l := range labels {
-			t := byLabel[l]
-			bump(&t)
-			byLabel[l] = t
-		}
-	}
-	for key, ea := range groupA {
-		eb := groupB[key]
-		restA, restB := unmatchedNodes(ea, eb)
-		// Paired leftovers changed; the excess was removed/added.
-		m := min(len(restA), len(restB))
-		tot.Changed += m
-		for i := 0; i < m; i++ {
-			count(restB[i].labels, func(t *Totals) { t.Changed++ })
-		}
-		tot.Removed += len(restA) - m
-		for _, e := range restA[m:] {
-			count(e.labels, func(t *Totals) { t.Removed++ })
-		}
-		tot.Added += len(restB) - m
-		for _, e := range restB[m:] {
-			count(e.labels, func(t *Totals) { t.Added++ })
-		}
-	}
-	for key, eb := range groupB {
-		if _, ok := groupA[key]; ok {
-			continue
-		}
-		tot.Added += len(eb)
-		for _, e := range eb {
-			count(e.labels, func(t *Totals) { t.Added++ })
-		}
-	}
-	return tot
-}
-
-// unmatchedNodes removes exact fingerprint matches (as multisets) and
-// returns both leftovers sorted by fingerprint.
-func unmatchedNodes(a, b []nodeEntry) (restA, restB []nodeEntry) {
-	sort.Slice(a, func(i, j int) bool { return a[i].fp < a[j].fp })
-	sort.Slice(b, func(i, j int) bool { return b[i].fp < b[j].fp })
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].fp == b[j].fp:
-			i++
-			j++
-		case a[i].fp < b[j].fp:
-			restA = append(restA, a[i])
-			i++
-		default:
-			restB = append(restB, b[j])
-			j++
-		}
-	}
-	restA = append(restA, a[i:]...)
-	restB = append(restB, b[j:]...)
-	return restA, restB
-}
-
-// diffRelShard is diffNodeShard for relationships, grouping by type and
-// provenance dataset.
-func diffRelShard(a, b []relEntry, byType, byDS map[string]Totals) Totals {
-	var tot Totals
-	groupA := map[string][]relEntry{}
-	for _, e := range a {
-		groupA[e.key] = append(groupA[e.key], e)
-	}
-	groupB := map[string][]relEntry{}
-	for _, e := range b {
-		groupB[e.key] = append(groupB[e.key], e)
-	}
-	count := func(e relEntry, bump func(*Totals)) {
-		t := byType[e.typ]
-		bump(&t)
-		byType[e.typ] = t
-		d := byDS[e.ds]
-		bump(&d)
-		byDS[e.ds] = d
-	}
-	for key, ea := range groupA {
-		eb := groupB[key]
-		restA, restB := unmatchedRels(ea, eb)
-		m := min(len(restA), len(restB))
-		tot.Changed += m
-		for i := 0; i < m; i++ {
-			count(restB[i], func(t *Totals) { t.Changed++ })
-		}
-		tot.Removed += len(restA) - m
-		for _, e := range restA[m:] {
-			count(e, func(t *Totals) { t.Removed++ })
-		}
-		tot.Added += len(restB) - m
-		for _, e := range restB[m:] {
-			count(e, func(t *Totals) { t.Added++ })
-		}
-	}
-	for key, eb := range groupB {
-		if _, ok := groupA[key]; ok {
-			continue
-		}
-		tot.Added += len(eb)
-		for _, e := range eb {
-			count(e, func(t *Totals) { t.Added++ })
-		}
-	}
-	return tot
-}
-
-func unmatchedRels(a, b []relEntry) (restA, restB []relEntry) {
-	sort.Slice(a, func(i, j int) bool { return a[i].fp < a[j].fp })
-	sort.Slice(b, func(i, j int) bool { return b[i].fp < b[j].fp })
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].fp == b[j].fp:
-			i++
-			j++
-		case a[i].fp < b[j].fp:
-			restA = append(restA, a[i])
-			i++
-		default:
-			restB = append(restB, b[j])
-			j++
-		}
-	}
-	restA = append(restA, a[i:]...)
-	restB = append(restB, b[j:]...)
-	return restA, restB
+	return out
 }

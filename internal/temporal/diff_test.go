@@ -336,3 +336,34 @@ func TestDiffSharedDictionaryMatchesDistinct(t *testing.T) {
 		t.Fatalf("fast-path diff of identical graphs not empty:\n%s", res)
 	}
 }
+
+// TestDiffAllocCeiling pins the kernel's allocations on the
+// full-vs-forced-delta pair at the root tests' scale, across two
+// dictionaries as the benchmark diffs it.
+func TestDiffAllocCeiling(t *testing.T) {
+	const ceiling = 4645 // 3 716 measured; the string-keyed kernel took 3 784 260
+	p, _ := simnetDeltaPairs(t)
+	allocs := testing.AllocsPerRun(3, func() { mustDiff(t, p.from, p.to, 0) })
+	if allocs > ceiling {
+		t.Errorf("Diff allocates %.0f objects per call, ceiling %d", allocs, ceiling)
+	}
+}
+
+// BenchmarkDiffDeltaPair times Diff on the full-vs-forced-delta pair, over
+// two dictionaries and over one; run with -benchmem.
+func BenchmarkDiffDeltaPair(b *testing.B) {
+	distinct, shared := simnetDeltaPairs(b)
+	for _, c := range []struct {
+		name string
+		p    graphPair
+	}{{"two-dicts", distinct}, {"shared-dict", shared}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Diff(context.Background(), c.p.from, c.p.to, DiffOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
