@@ -210,6 +210,7 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]
 
 	rows := []row{{}}
 	var err error
+	var atEmit *ReturnClause // the final RETURN, once a MATCH has evaluated it at emit
 	for i, cl := range q.Clauses {
 		last := i == len(q.Clauses)-1
 		if err := ctxErr(ctx); err != nil {
@@ -227,7 +228,8 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]
 					cap = ex.returnRowCap(ret)
 				}
 			}
-			rows, err = ex.applyMatch(c, rows, cap)
+			atEmit = returnAtEmit(ex.ec, q, i)
+			rows, err = ex.applyMatch(c, rows, cap, atEmit)
 		case *WithClause:
 			rows, err = ex.applyWith(c, rows)
 		case *UnwindClause:
@@ -267,7 +269,7 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]
 			if !last {
 				return nil, &Error{Msg: "RETURN must be the final clause"}
 			}
-			if err := ex.applyReturn(c, rows); err != nil {
+			if err := ex.applyReturn(c, rows, atEmit != nil); err != nil {
 				return nil, err
 			}
 			return ex.res, nil
@@ -285,8 +287,9 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]
 
 // applyMatch runs one MATCH / OPTIONAL MATCH clause over its input rows
 // through the driver (parallel.go), with the query's worker budget.
-func (ex *executor) applyMatch(c *MatchClause, in []row, cap int) ([]row, error) {
+func (ex *executor) applyMatch(c *MatchClause, in []row, cap int, ret *ReturnClause) ([]row, error) {
 	spec := newMatchSpec(ex.q, c.Patterns, c.Where, c.Optional)
+	spec.ret = ret
 	if spec.reason == "" && ex.par < 2 {
 		countSerialStatic(reasonDisabled)
 	} else {
@@ -355,6 +358,58 @@ func (ex *executor) returnRowCap(c *ReturnClause) int {
 	return skip + need
 }
 
+// returnAtEmit returns the final RETURN that clause i of q, a MATCH, runs
+// at emit, or nil. Its items must not fail on a match, so the first error
+// in match order stays the unfused one. Executor and EXPLAIN both ask.
+func returnAtEmit(ec *evalCtx, q *Query, i int) *ReturnClause {
+	mc, ok := q.Clauses[i].(*MatchClause)
+	if !ok || mc.Optional || i != len(q.Clauses)-2 {
+		return nil
+	}
+	ret, ok := q.Clauses[i+1].(*ReturnClause)
+	if !ok || ret.Star || len(ret.Items) == 0 {
+		return nil
+	}
+	for j, it := range ret.Items {
+		safe := false
+		switch x := it.Expr.(type) {
+		case *Literal:
+			safe = true
+		case *Param:
+			_, safe = ec.params[x.Name]
+			safe = safe || ec.unknownParams
+		case *Variable:
+			safe, _ = patternVarKind(mc.Patterns, x.Name)
+		case *PropAccess:
+			if v, ok := x.Target.(*Variable); ok {
+				_, safe = patternVarKind(mc.Patterns, v.Name)
+			}
+		}
+		if !safe || slices.ContainsFunc(ret.Items[:j], func(p ReturnItem) bool { return colName(p) == colName(it) }) {
+			return nil
+		}
+	}
+	for _, si := range ret.OrderBy { // ORDER BY keys must be output columns
+		if v, ok := si.Expr.(*Variable); !ok || !slices.ContainsFunc(ret.Items, func(it ReturnItem) bool { return colName(it) == v.Name }) {
+			return nil
+		}
+	}
+	return ret
+}
+
+// patternVarKind reports whether patterns bind name, and whether only to
+// nodes and single relationships, not a path or a variable-length list.
+func patternVarKind(patterns []PatternPath, name string) (bound, entity bool) {
+	entity = true
+	for _, p := range patterns {
+		list := p.Var == name || slices.ContainsFunc(p.Rels, func(r RelPattern) bool { return r.Var == name && r.VarLen })
+		bound = bound || list || slices.ContainsFunc(p.Nodes, func(n NodePattern) bool { return n.Var == name }) ||
+			slices.ContainsFunc(p.Rels, func(r RelPattern) bool { return r.Var == name })
+		entity = entity && !list
+	}
+	return bound, bound && entity
+}
+
 func patternVars(patterns []PatternPath) []string {
 	var names []string
 	seen := map[string]bool{}
@@ -415,7 +470,7 @@ func (ex *executor) applyWith(c *WithClause, in []row) ([]row, error) {
 	if c.Star {
 		items = append(starItems(in), items...)
 	}
-	projected, origs, _, err := ex.project(items, c.Distinct, in)
+	projected, origs, _, err := ex.project(items, c.Distinct, in, false)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +496,7 @@ func (ex *executor) applyWith(c *WithClause, in []row) ([]row, error) {
 	return projected, nil
 }
 
-func (ex *executor) applyReturn(c *ReturnClause, in []row) error {
+func (ex *executor) applyReturn(c *ReturnClause, in []row, atEmit bool) error {
 	items := c.Items
 	if c.Star {
 		items = append(starItems(in), items...)
@@ -449,7 +504,7 @@ func (ex *executor) applyReturn(c *ReturnClause, in []row) error {
 	if len(items) == 0 {
 		return &Error{Msg: "RETURN requires at least one item"}
 	}
-	projected, origs, cols, err := ex.project(items, c.Distinct, in)
+	projected, origs, cols, err := ex.project(items, c.Distinct, in, atEmit)
 	if err != nil {
 		return err
 	}
@@ -466,15 +521,10 @@ func (ex *executor) applyReturn(c *ReturnClause, in []row) error {
 	ex.res.Columns = cols
 	ex.res.Rows = make([][]Val, len(projected))
 	for i, r := range projected {
-		vals := make([]Val, len(cols))
-		for j, col := range cols {
-			v, ok := r.get(col)
-			if !ok {
-				v = NullVal()
-			}
-			vals[j] = v
+		ex.res.Rows[i] = make([]Val, len(r)) // a projected row holds its columns in order
+		for j := range r {
+			ex.res.Rows[i][j] = r[j].val
 		}
-		ex.res.Rows[i] = vals
 	}
 	return nil
 }
@@ -509,79 +559,78 @@ func colName(it ReturnItem) string {
 // aggregate function. It returns projected rows keyed by column name plus,
 // for non-aggregating projections, the original input row of each
 // projected row (for ORDER BY expressions referencing unprojected
-// variables).
-func (ex *executor) project(items []ReturnItem, distinct bool, in []row) ([]row, []row, []string, error) {
+// variables). With atEmit a MATCH has projected in already (returnAtEmit).
+func (ex *executor) project(items []ReturnItem, distinct bool, in []row, atEmit bool) ([]row, []row, []string, error) {
 	cols := make([]string, len(items))
-	nameSeen := map[string]bool{}
 	for i, it := range items {
-		c := colName(it)
-		if nameSeen[c] {
-			return nil, nil, nil, &Error{Msg: "duplicate column name `" + c + "` (use AS to disambiguate)"}
-		}
-		nameSeen[c] = true
-		cols[i] = c
-	}
-
-	hasAgg := false
-	for _, it := range items {
-		if containsAggregate(it.Expr) {
-			hasAgg = true
-			break
+		if cols[i] = colName(it); slices.Contains(cols[:i], cols[i]) {
+			return nil, nil, nil, &Error{Msg: "duplicate column name `" + cols[i] + "` (use AS to disambiguate)"}
 		}
 	}
-
-	var projected, origs []row
-	if !hasAgg {
-		projected = make([]row, 0, len(in))
-		origs = make([]row, 0, len(in))
-		for _, r := range in {
-			if err := ex.tick(); err != nil {
-				return nil, nil, nil, err
-			}
-			nr := make(row, 0, len(items))
-			for i, it := range items {
-				v, err := ex.ec.eval(it.Expr, r)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				nr = append(nr, binding{cols[i], v})
-			}
-			if err := ex.chargeRow(nr); err != nil {
-				return nil, nil, nil, err
-			}
-			projected = append(projected, nr)
-			origs = append(origs, r)
-		}
-	} else {
-		var err error
-		projected, err = ex.aggregate(items, cols, in)
-		if err != nil {
+	if atEmit {
+		return in, nil, cols, nil
+	}
+	if slices.ContainsFunc(items, func(it ReturnItem) bool { return containsAggregate(it.Expr) }) {
+		projected, err := ex.aggregate(items, cols, in) // DISTINCT is moot: groups differ in their grouping columns
+		return projected, nil, cols, err
+	}
+	projected, origs := make([]row, 0, len(in)), make([]row, 0, len(in))
+	p := &projector{items: items, distinct: distinct}
+	for _, r := range in {
+		if err := ex.tick(); err != nil {
 			return nil, nil, nil, err
 		}
-	}
-
-	if distinct {
-		seen := map[string]bool{}
-		out := projected[:0]
-		var outOrigs []row
-		var key []byte
-		for i, r := range projected {
-			key = key[:0]
-			for _, b := range r {
-				key = append(b.val.appendKey(key), keyRowSep)
-			}
-			if !seen[string(key)] {
-				seen[string(key)] = true
-				out = append(out, r)
-				if origs != nil {
-					outOrigs = append(outOrigs, origs[i])
-				}
-			}
+		if keep, err := ex.projectNext(p, r); err != nil {
+			return nil, nil, nil, err
+		} else if keep {
+			projected, origs = append(projected, slices.Clone(p.row)), append(origs, r)
 		}
-		projected = out
-		origs = outOrigs
 	}
 	return projected, origs, cols, nil
+}
+
+// projector projects rows one at a time into reused scratch, for project
+// and for the MATCH driver's emit (returnAtEmit).
+type projector struct {
+	items    []ReturnItem
+	distinct bool
+	seen     map[string]struct{} // keys of the rows kept under DISTINCT
+	row      row                 // the row last projected
+	key      []byte              // its DISTINCT key
+}
+
+// projectNext projects r into p.row, valid until the next call, and charges
+// it; under DISTINCT it reports false for a row whose key p has seen.
+func (ex *executor) projectNext(p *projector, r row) (bool, error) {
+	p.row = p.row[:0]
+	for _, it := range p.items {
+		v, err := ex.ec.eval(it.Expr, r)
+		if err != nil {
+			return false, err
+		}
+		p.row = append(p.row, binding{colName(it), v})
+	}
+	if err := ex.chargeRow(p.row); err != nil {
+		return false, err
+	}
+	return !p.distinct || p.fresh(p.row), nil
+}
+
+// fresh records the DISTINCT key of the projected row r in p.seen and
+// reports whether it was new.
+func (p *projector) fresh(r row) bool {
+	p.key = p.key[:0]
+	for i := range r {
+		p.key = append(r[i].val.appendKey(p.key), keyRowSep)
+	}
+	if _, dup := p.seen[string(p.key)]; dup {
+		return false
+	}
+	if p.seen == nil {
+		p.seen = map[string]struct{}{}
+	}
+	p.seen[string(p.key)] = struct{}{}
+	return true
 }
 
 // aggregate groups rows by the non-aggregate items and folds aggregate
@@ -800,10 +849,7 @@ func (ex *executor) orderRows(rows []row, origs []row, sortItems []SortItem) err
 	if len(sortItems) == 0 {
 		return nil
 	}
-	type sortKey struct {
-		vals []Val
-	}
-	keys := make([]sortKey, len(rows))
+	keys := make([][]Val, len(rows))
 	for i, r := range rows {
 		if err := ex.tick(); err != nil {
 			return err
@@ -828,16 +874,15 @@ func (ex *executor) orderRows(rows []row, origs []row, sortItems []SortItem) err
 			}
 			ks[j] = v
 		}
-		keys[i].vals = ks
+		keys[i] = ks
 	}
 	idx := make([]int, len(rows))
 	for i := range idx {
 		idx[i] = i
 	}
-	var sortErr error
 	sort.SliceStable(idx, func(a, b int) bool {
 		for j, si := range sortItems {
-			c := compareVals(keys[idx[a]].vals[j], keys[idx[b]].vals[j])
+			c := compareVals(keys[idx[a]][j], keys[idx[b]][j])
 			if c == 0 {
 				continue
 			}
@@ -848,9 +893,6 @@ func (ex *executor) orderRows(rows []row, origs []row, sortItems []SortItem) err
 		}
 		return false
 	})
-	if sortErr != nil {
-		return sortErr
-	}
 	sorted := make([]row, len(rows))
 	for i, j := range idx {
 		sorted[i] = rows[j]

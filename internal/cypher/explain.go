@@ -32,13 +32,14 @@ func planCtx(g *graph.Graph, params map[string]Val) *evalCtx {
 func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) {
 	m := &matcher{ec: ec, g: ec.g, binding: row{}}
 	cp := &clausePlan{}
-	for _, cl := range q.Clauses {
+	for i, cl := range q.Clauses {
 		mc, ok := cl.(*MatchClause)
 		if !ok {
 			visit(cl, nil)
 			continue
 		}
 		cp.matchSpec, cp.paths = newMatchSpec(q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
+		cp.ret = returnAtEmit(ec, q, i)
 		m.push = cp.push
 		for _, path := range mc.Patterns {
 			cp.paths = append(cp.paths, m.planPath(path))
@@ -56,8 +57,9 @@ func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) 
 // MATCH pattern of a query against g: which node position anchors the
 // search, how its candidates are produced (bound variable, index lookup,
 // label scan, full scan) with the statistics-estimated cardinality, which
-// WHERE predicates are pushed into index lookups, and whether the clause
-// is eligible for morsel-parallel execution. The plan printed here comes
+// WHERE predicates are pushed into index lookups, whether the clause is
+// eligible for morsel-parallel execution, and whether it evaluates the
+// final RETURN at emit (returnAtEmit). The plan printed here comes
 // from the clause walk the cost estimator uses and the planner the driver
 // calls (walkBranch, planPath), so what EXPLAIN says is what runs. It is
 // the reproduction's counterpart of Cypher's EXPLAIN, useful when a query
@@ -134,5 +136,10 @@ func explainMatch(sb *strings.Builder, plan *clausePlan) {
 	} else {
 		fmt.Fprintf(sb, "  execution: morsel-parallel eligible (morsels of %d; serial below %d anchor candidates)\n",
 			morselSize, minParallelCandidates)
+	}
+	if plan.ret != nil && plan.ret.Distinct {
+		sb.WriteString("  RETURN evaluated at match emit (DISTINCT per work item)\n")
+	} else if plan.ret != nil {
+		sb.WriteString("  RETURN evaluated at match emit\n")
 	}
 }

@@ -64,14 +64,6 @@ func (t *memTracker) charge(n int64) error {
 	return nil
 }
 
-// used reports the bytes charged so far (0 for a nil tracker).
-func (t *memTracker) usedBytes() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.used.Load()
-}
-
 // chargeRow accounts one materialized row (binding slice clone).
 func (ex *executor) chargeRow(r row) error {
 	if ex.mem == nil {

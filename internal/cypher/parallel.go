@@ -1,6 +1,7 @@
 package cypher
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,6 +37,8 @@ import (
 //     node-ID order, so concatenating per-item rows in list order is the
 //     order a single sequential enumeration produces. An OPTIONAL MATCH row
 //     whose items produced nothing gets its null row at that position.
+//     Under a RETURN DISTINCT at emit a worker drops rows one of its earlier
+//     items kept, and the merge rows another worker's earlier item kept.
 //   - A row limit (LIMIT / MaxRows pushdown) caps each item locally at
 //     what the window still needs — after the in-order merge trims at the
 //     limit, no item can contribute more rows than that — and a completion
@@ -86,8 +89,9 @@ type matchSpec struct {
 	patterns []PatternPath
 	where    Expr
 	optional bool
-	push     []pushdown // WHERE conjuncts usable for anchor index lookups
-	reason   string     // serialReason: "" = the anchor's candidates are split into morsels
+	push     []pushdown    // WHERE conjuncts usable for anchor index lookups
+	reason   string        // serialReason: "" = the anchor's candidates are split into morsels
+	ret      *ReturnClause // the final RETURN evaluated at emit; nil keeps whole bindings
 }
 
 func newMatchSpec(q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
@@ -126,6 +130,7 @@ type matchRun struct {
 	limit int
 	next  atomic.Int64
 	front *frontier
+	dedup projector // the rows merged so far, under a RETURN DISTINCT at emit
 }
 
 // runMatch extends every row of in by the matches of spec, in input order.
@@ -139,6 +144,11 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 		nullVars = patternVars(spec.patterns)
 	}
 	var out []row
+	// Under a RETURN DISTINCT at emit a lone worker dedups against run.dedup.
+	distinct := spec.ret != nil && spec.ret.Distinct
+	if distinct {
+		run.dedup.seen = map[string]struct{}{}
+	}
 	pooled := false
 	for next := 0; next < len(in) && (cap < 0 || len(out) < cap); {
 		if err := ctxErr(ex.ctx); err != nil {
@@ -190,7 +200,12 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 		for r := first; r < next; r++ {
 			before := len(out)
 			for ; it < len(items) && items[it].row == r; it++ {
-				out = append(out, items[it].rows...)
+				out = slices.Grow(out, len(items[it].rows))
+				for _, nr := range items[it].rows {
+					if !distinct || pool < 2 || run.dedup.fresh(nr) {
+						out = append(out, nr)
+					}
+				}
 				if cap >= 0 && len(out) >= cap {
 					return out[:cap], nil
 				}
@@ -226,7 +241,7 @@ func (r *matchRun) execute(workers int) {
 	r.next.Store(0)
 	r.front = newFrontier(len(r.items), r.limit)
 	if workers < 2 {
-		r.work()
+		r.work(r.dedup.seen)
 		return
 	}
 	metricMatchParallel.Add(1)
@@ -237,7 +252,7 @@ func (r *matchRun) execute(workers int) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			r.work()
+			r.work(nil)
 		}()
 	}
 	wg.Wait()
@@ -247,7 +262,7 @@ func (r *matchRun) execute(workers int) {
 // the pool: it claims items in list order and fills in their rows and err
 // until the list or the frontier's cutoff is reached. Items past the
 // cutoff are left untouched: the in-order merge never reaches them.
-func (r *matchRun) work() {
+func (r *matchRun) work(seen map[string]struct{}) {
 	// A panic escaping a pool goroutine would kill the process; recover per
 	// worker and let the in-order merge surface it as this item's error
 	// (claimed is the item being run when the panic fired).
@@ -259,6 +274,10 @@ func (r *matchRun) work() {
 		}
 	}()
 	m := r.ex.newMatcher(r.spec.push)
+	var p *projector
+	if ret := r.spec.ret; ret != nil {
+		p = &projector{items: ret.Items, distinct: ret.Distinct, seen: seen}
+	}
 	for {
 		i := int(r.next.Add(1) - 1)
 		// Items are claimed in ascending order and the cutoff only ever
@@ -271,7 +290,7 @@ func (r *matchRun) work() {
 			testMorselHook(i)
 		}
 		it := &r.items[i]
-		it.rows, it.err = r.runMorsel(m, it)
+		it.rows, it.err = r.runMorsel(m, p, it)
 		if it.err != nil {
 			r.front.errorAt(i)
 			continue
@@ -285,11 +304,11 @@ func (r *matchRun) work() {
 // per-worker recovery path; production code never sets it.
 var testMorselHook func(itemIndex int)
 
-// runMorsel executes one work item on the worker's private matcher,
-// starting from the item's input row. The binding and used stacks are
-// push/pop balanced, so the same matcher is reused for the worker's next
-// item without reallocation.
-func (r *matchRun) runMorsel(m *matcher, it *workItem) ([]row, error) {
+// runMorsel executes one work item on the worker's private matcher and
+// projector (nil: keep bindings), starting from the item's input row. The
+// binding and used stacks are push/pop balanced, so the same matcher is
+// reused for the worker's next item without reallocation.
+func (r *matchRun) runMorsel(m *matcher, p *projector, it *workItem) ([]row, error) {
 	ex, where, limit := r.ex, r.spec.where, r.limit
 	m.binding = append(m.binding[:0], r.in[it.row]...)
 	var out []row
@@ -308,7 +327,13 @@ func (r *matchRun) runMorsel(m *matcher, it *workItem) ([]row, error) {
 		if err := ex.chargeRow(m.binding); err != nil {
 			return err
 		}
-		out = append(out, m.binding.clone())
+		if p == nil {
+			out = append(out, m.binding.clone())
+		} else if keep, err := ex.projectNext(p, m.binding); err != nil || !keep {
+			return err
+		} else {
+			out = append(out, slices.Clone(p.row))
+		}
 		if limit >= 0 && len(out) >= limit {
 			return errStop
 		}

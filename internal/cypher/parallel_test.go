@@ -140,6 +140,77 @@ var identityQueries = []struct {
 		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, b.asn`, wantErr: true},
 	{name: "late_row_error_behind_limit", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS)
 		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, b.asn LIMIT 400`},
+
+	// The final RETURN evaluated at emit (returnAtEmit): every b.asn
+	// recurs in many morsels, so DISTINCT drops duplicates both inside a
+	// work item and across items in the merge.
+	{name: "emit_distinct_across_morsels", q: `MATCH (a:AS)-[:PEERS_WITH]-(b:AS)
+		RETURN DISTINCT b.asn AS asn, $tag AS tag, 1 AS one`,
+		opts: ExecOptions{ParamVals: map[string]Val{"tag": ScalarVal(graph.String("t"))}}},
+	{name: "emit_distinct_order_skip_limit", q: `MATCH (a:AS)-[:PEERS_WITH]->(b:AS)
+		RETURN DISTINCT b.asn AS asn ORDER BY asn DESC SKIP 5 LIMIT 40`},
+	{name: "emit_distinct_max_rows", q: `MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT b.asn AS asn`,
+		opts: ExecOptions{MaxRows: 17}},
+	{name: "emit_node_and_path_items", q: `MATCH p = (a:AS)-[r:ORIGINATE]->(x:Prefix)
+		RETURN DISTINCT a, r, p, x.prefix AS prefix ORDER BY prefix DESC LIMIT 50`},
+	{name: "emit_over_earlier_with", q: `MATCH (a:AS) WITH a WHERE a.asn % 3 = 0
+		MATCH (a)-[:PEERS_WITH]-(b:AS)-[:COUNTRY]->(c:Country) RETURN DISTINCT a.asn AS asn, c.country_code AS cc`},
+	// Shapes that keep the unfused path, with their outcome unchanged.
+	{name: "emit_fallback_optional", q: `MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name)
+		RETURN DISTINCT n.name AS name`},
+	{name: "emit_fallback_aggregate", q: `MATCH (a:AS)-[:PEERS_WITH]->(b:AS)
+		RETURN DISTINCT b.asn % 10 AS d, count(*) AS n ORDER BY d`},
+	{name: "emit_fallback_order_by_unreturned", q: `MATCH (a:AS)-[:COUNTRY]->(c:Country)
+		RETURN c.country_code AS cc ORDER BY a.asn DESC LIMIT 30`},
+	{name: "emit_fallback_failing_item", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS)
+		WHERE 10 / (a.asn - 64350) < 100 RETURN DISTINCT a.asn.x`, wantErr: true},
+}
+
+// TestReturnAtEmitDecision pins which RETURN shapes run at emit, read off
+// EXPLAIN, which asks the predicate the executor asks. A fallback keeps the
+// unfused error: the WHERE's division by zero at a late row, not the
+// failing item's error at the first.
+func TestReturnAtEmitDecision(t *testing.T) {
+	g := buildWideIYP(t, 400)
+	const fused = "RETURN evaluated at match emit"
+	for _, tc := range []struct{ q, want string }{
+		{`MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT b.asn AS asn ORDER BY asn DESC`, fused + " (DISTINCT per work item)\n"},
+		{`MATCH p = (a:AS)-[r:ORIGINATE]->(x:Prefix) RETURN a, r, p, x.prefix, $k AS k, 'lit' AS s`, fused + "\n"},
+		{`MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name) RETURN DISTINCT n.name`, ""},
+		{`MATCH (a:AS) RETURN count(a)`, ""},
+		{`MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.asn`, ""},
+		{`MATCH p = (a:AS)-[:PEERS_WITH]->(b:AS) RETURN p.x`, ""},
+		{`MATCH (a:AS)-[r:PEERS_WITH*1..2]->(b:AS) RETURN r.x`, ""},
+		{`MATCH (a:AS) RETURN a.asn + 1`, ""},
+		{`MATCH (a:AS) RETURN a.asn AS x, a.asn AS x`, ""},
+		{`MATCH (a:AS) WITH a, 1 AS x MATCH (a)-[:COUNTRY]->(c) RETURN x`, ""},
+		{`MATCH (a:AS) RETURN *`, ""},
+		{`MATCH (a:AS) WITH a RETURN a`, ""},
+	} {
+		out, err := Explain(g, tc.q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.q, err)
+		}
+		if got := strings.Contains(out, fused); got != (tc.want != "") || !strings.Contains(out, tc.want) {
+			t.Errorf("%s: EXPLAIN says\n%swant the line %q", tc.q, out, tc.want)
+		}
+	}
+
+	q, err := Parse(`MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS) WHERE 10 / (a.asn - 64350) < 100 RETURN DISTINCT a.asn.x`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Exec(context.Background(), g, q, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "division by zero") {
+		t.Fatalf("err = %v, want the WHERE's division by zero", err)
+	}
+	// An unsupplied parameter fails at execution, so it is not fused there.
+	q, err = Parse(`MATCH (a:AS) RETURN $missing AS m`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if returnAtEmit(&evalCtx{g: g}, q, 0) != nil {
+		t.Error("a RETURN of an unsupplied parameter runs at emit")
+	}
 }
 
 // outcomeKey is resultKey for a successful execution and the error text for

@@ -352,22 +352,33 @@ func (q *quarantine) size() int {
 
 // --- recent-latency ring ---
 
-// latencyRing keeps the most recent executed-query latencies for the load
-// index's p99 term. Sized so the quantile is cheap to compute on demand.
+// latencyRing keeps the most recent executed-query latencies, and for the
+// load index, which reads it on every request, whether their p99 is slow.
 type latencyRing struct {
-	mu  sync.Mutex
-	buf [128]time.Duration
-	n   int // filled entries
-	i   int // next write position
+	mu    sync.Mutex
+	buf   [128]time.Duration
+	n     int           // filled entries
+	i     int           // next write position
+	limit time.Duration // 2×SlowQuery
+	over  int           // retained entries above limit
+	slow  atomic.Bool   // p99() > limit
 }
 
 func (r *latencyRing) observe(d time.Duration) {
 	r.mu.Lock()
+	if r.n == len(r.buf) && r.buf[r.i] > r.limit {
+		r.over-- // evicted
+	}
+	if d > r.limit {
+		r.over++
+	}
 	r.buf[r.i] = d
 	r.i = (r.i + 1) % len(r.buf)
 	if r.n < len(r.buf) {
 		r.n++
 	}
+	// p99's entry, (99n−1)/100 in the sorted window, is above limit iff:
+	r.slow.Store(r.n >= 8 && r.over >= r.n-(99*r.n-1)/100)
 	r.mu.Unlock()
 }
 
@@ -383,11 +394,7 @@ func (r *latencyRing) p99() time.Duration {
 		return 0
 	}
 	sort.Slice(tmp, func(a, b int) bool { return tmp[a] < tmp[b] })
-	idx := (99*n - 1) / 100
-	if idx >= n {
-		idx = n - 1
-	}
-	return tmp[idx]
+	return tmp[(99*n-1)/100]
 }
 
 // --- degrade ladder ---
@@ -413,7 +420,7 @@ func (s *Server) degradeLevel() int {
 	// A saturated latency tail bumps the ladder one rung even when slots
 	// look free: long-running queries occupy few slots but ruin everyone's
 	// p99.
-	if level < 3 && s.adm.lat.p99() > 2*s.cfg.SlowQuery {
+	if level < 3 && s.adm.lat.slow.Load() {
 		level++
 	}
 	s.adm.level.Store(int64(level))

@@ -245,6 +245,29 @@ func TestLatencyRingP99(t *testing.T) {
 	}
 }
 
+// TestLatencyTailSignalMatchesSortedP99: the O(1) counter the degrade
+// ladder reads agrees with the sorted percentile after every observation
+// of a seeded sequence that fills and wraps the ring several times, with
+// runs of slow and fast queries moving the tail across the limit.
+func TestLatencyTailSignalMatchesSortedP99(t *testing.T) {
+	r := latencyRing{limit: 20 * time.Millisecond}
+	rng := uint64(7)
+	for i := 0; i < 5*len(r.buf); i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		d := time.Duration(rng>>40%15) * time.Millisecond
+		if phase := i / 90 % 3; phase == 1 && rng>>20%3 == 0 || phase == 2 && rng>>20%40 == 0 {
+			d += time.Duration(rng>>30%30) * time.Millisecond // slow queries, often past the limit
+		}
+		if i%97 == 0 {
+			d = r.limit // exactly at the limit is not above it
+		}
+		r.observe(d)
+		if got, want := r.slow.Load(), r.p99() > r.limit; got != want {
+			t.Fatalf("after %d observations: slow = %v, p99() = %v against limit %v", i+1, got, r.p99(), r.limit)
+		}
+	}
+}
+
 func TestDegradeLevelLadder(t *testing.T) {
 	srv := newTestServer(testGraph(), Config{MaxConcurrent: 4, QueueDepth: 4})
 	if lvl := srv.degradeLevel(); lvl != 0 {

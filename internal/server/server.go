@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"iyp/internal/cypher"
@@ -171,6 +172,7 @@ func New(st *graph.MVStore, cfgs ...Config) *Server {
 		adm: newAdmission(cfg.MaxConcurrent, cfg.QueueDepth, cfg.MaxQueueWait,
 			cfg.ClientQPS, cfg.ClientBurst, quarantineFor, watchdogGrace),
 	}
+	s.adm.lat.limit = 2 * cfg.SlowQuery // a tail past it bumps the degrade ladder
 	endpoints := []struct {
 		pattern string // method + path, relative to the prefix
 		h       http.HandlerFunc
@@ -238,20 +240,6 @@ type queryRequest struct {
 	// reclaimed generation fail with code "generation_gone". The in-query
 	// `AS OF <gen>` suffix is equivalent (and must agree when both are
 	// given).
-	Generation uint64 `json:"generation"`
-}
-
-type queryResponse struct {
-	Columns []string         `json:"columns"`
-	Rows    []map[string]any `json:"rows"`
-	// Count is the number of rows in this response. When Truncated is
-	// true, more rows matched than the row budget allowed.
-	Count     int   `json:"count"`
-	Truncated bool  `json:"truncated"`
-	TookMS    int64 `json:"took_ms"`
-	// Generation is the generation the query actually read — echo it back
-	// in the next request's "generation" field to keep reading the same
-	// immutable view across requests.
 	Generation uint64 `json:"generation"`
 }
 
@@ -487,8 +475,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rows := res.Native()
-	s.met.rows.Add(uint64(len(rows)))
+	// Built before the status is written, so a NaN can still get a 400.
+	bp := bodyBufs.Get().(*[]byte)
+	body, err := res.AppendJSON((*bp)[:0], took.Milliseconds(), gen)
+	if cap(body) <= 1<<20 { // so one huge answer does not stay resident
+		defer func() { *bp = body; bodyBufs.Put(bp) }()
+	}
+	if err != nil {
+		s.met.errors.Add(1)
+		writeError(w, http.StatusBadRequest, "query_error", err.Error())
+		return
+	}
+	s.met.rows.Add(uint64(res.Len()))
 	if res.Truncated {
 		s.met.truncated.Add(1)
 	}
@@ -498,21 +496,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// pattern-derived), as are truncated results (the true count is unknown)
 	// and zero estimates (the ratio is undefined).
 	if est := estimate(); !est.Analytics && !res.Truncated && est.Rows > 0 {
-		s.met.observeRatio(float64(len(rows)) / est.Rows)
+		s.met.observeRatio(float64(res.Len()) / est.Rows)
 	}
 	if took >= s.cfg.SlowQuery {
 		s.logf("slow query: took_ms=%d rows=%d truncated=%v query=%q",
-			took.Milliseconds(), len(rows), res.Truncated, req.Query)
+			took.Milliseconds(), res.Len(), res.Truncated, req.Query)
 	}
-	writeJSON(w, http.StatusOK, queryResponse{
-		Columns:    res.Columns,
-		Rows:       rows,
-		Count:      len(rows),
-		Truncated:  res.Truncated,
-		TookMS:     took.Milliseconds(),
-		Generation: gen,
-	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
+
+// bodyBufs recycles /v1/query response buffers.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // shedRetryAfter suggests when a shed client should retry: the recent p99
 // approximates how long the backlog takes to drain, floored at one second.

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -16,6 +17,7 @@ import (
 	"time"
 
 	"iyp"
+	"iyp/internal/server"
 )
 
 var (
@@ -140,15 +142,19 @@ RETURN d, COLLECT(DISTINCT pfx)`)
 
 // TestListing4AllocCeiling pins the executor's allocations on Listing 4's
 // shape — a second MATCH anchored on the first one's bound variable,
-// feeding RETURN DISTINCT — over the top tenth of the ranking. The ceiling
-// is the measured count plus a quarter; a fat Val in every matched row, a
-// per-scan adjacency buffer or a string per DISTINCT key each breach it.
+// feeding RETURN DISTINCT — over the top tenth of the ranking. The
+// ceilings are the measured values plus a quarter; a fat Val in every
+// matched row, a per-scan adjacency buffer, a string per DISTINCT key or a
+// copied binding per match each breach them.
 func TestListing4AllocCeiling(t *testing.T) {
-	const ceiling = 4970 // 3 975 measured; a 168-byte Val with per-scan buffers and string keys took 19 054
+	// 2 048 objects and 537 930 bytes measured. Copying every matched
+	// binding for a projection after the match took 3 975 and 1 660 210; a
+	// 168-byte Val with per-scan buffers and string keys took 19 054 objects.
+	const ceiling, bytesCeiling = 2560, 672400
 	db := testDB(t)
 	window := listing4TopTenth(t, db)
 	var rows int
-	allocs := testing.AllocsPerRun(5, func() {
+	allocs, allocated := allocsPerRun(5, func() {
 		res, err := db.Query(context.Background(), listing4Query, window)
 		if err != nil {
 			t.Fatal(err)
@@ -161,6 +167,79 @@ func TestListing4AllocCeiling(t *testing.T) {
 	if allocs > ceiling {
 		t.Errorf("listing 4 allocates %.0f objects per query, ceiling %d", allocs, ceiling)
 	}
+	if allocated > bytesCeiling {
+		t.Errorf("listing 4 allocates %.0f bytes per query, ceiling %d", allocated, bytesCeiling)
+	}
+}
+
+// TestLookupAllocCeiling pins what one public-instance lookup allocates
+// end to end: the four lookup templates, keyed by values that have
+// answers, through the HTTP handler from request decoding to the encoded
+// body. The ceilings are the measured values plus a quarter; a copied
+// binding per match, a map per result row or a sorted latency window per
+// request each breach them.
+func TestLookupAllocCeiling(t *testing.T) {
+	// 152 objects and 19 302 bytes measured; with every binding copied, a
+	// map per row for reflection to encode and a sorted latency window it
+	// took 257 and 47 052.
+	const allocsCeiling, bytesCeiling = 190, 24100
+	db := testDB(t)
+	var bodies [][]byte
+	for _, tc := range []struct{ template, param, key string }{
+		{`MATCH (a:AS {asn:$asn})-[:NAME]-(n:Name) RETURN DISTINCT n.name AS name ORDER BY name`,
+			"asn", `MATCH (a:AS)-[:NAME]-(:Name) RETURN a.asn LIMIT 1`},
+		{`MATCH (a:AS {asn:$asn})-[:ORIGINATE]-(p:Prefix) RETURN DISTINCT p.prefix AS prefix ORDER BY prefix`,
+			"asn", `MATCH (a:AS)-[:ORIGINATE]-(:Prefix) RETURN a.asn LIMIT 1`},
+		{`MATCH (p:Prefix {prefix:$prefix})-[:CATEGORIZED]-(t:Tag) RETURN DISTINCT t.label AS label ORDER BY label`,
+			"prefix", `MATCH (p:Prefix)-[:CATEGORIZED]-(:Tag) RETURN p.prefix LIMIT 1`},
+		{`MATCH (h:HostName {name:$name})-[:RESOLVES_TO]-(:IP)-[:PART_OF]-(p:Prefix)-[:ORIGINATE]-(a:AS) RETURN DISTINCT a.asn AS asn ORDER BY asn`,
+			"name", `MATCH (h:HostName)-[:RESOLVES_TO]-(:IP)-[:PART_OF]-(:Prefix)-[:ORIGINATE]-(:AS) RETURN h.name LIMIT 1`},
+	} {
+		res, err := db.Query(context.Background(), tc.key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 {
+			t.Fatalf("%s: no key with an answer", tc.key)
+		}
+		body, err := json.Marshal(map[string]any{"query": tc.template, "params": map[string]any{tc.param: res.Rows[0][0].Native(nil)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	srv := server.New(db.Store())
+	allocs, allocated := allocsPerRun(50, func() {
+		for _, body := range bodies {
+			w := httptest.NewRecorder()
+			srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/query", bytes.NewReader(body)))
+			if w.Code != http.StatusOK || !bytes.Contains(w.Body.Bytes(), []byte(`"count":`)) || bytes.Contains(w.Body.Bytes(), []byte(`"count":0,`)) {
+				t.Fatalf("lookup answered %d: %s", w.Code, w.Body)
+			}
+		}
+	})
+	allocs, allocated = allocs/float64(len(bodies)), allocated/float64(len(bodies))
+	if allocs > allocsCeiling {
+		t.Errorf("a lookup allocates %.0f objects per request, ceiling %d", allocs, allocsCeiling)
+	}
+	if allocated > bytesCeiling {
+		t.Errorf("a lookup allocates %.0f bytes per request, ceiling %d", allocated, bytesCeiling)
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun reporting bytes too: the average
+// objects and bytes f allocates per call, after one warm-up call, with
+// GOMAXPROCS at 1 so no other goroutine's allocations are counted.
+func allocsPerRun(runs int, f func()) (allocs, allocated float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 func TestFigure4Neighborhood(t *testing.T) {
@@ -462,8 +541,9 @@ func TestExplainThroughFacade(t *testing.T) {
 // TestExplainParameterizedLookups pins EXPLAIN on the public instance's
 // four lookup templates (the benchmark's lookup_zipf workload): each
 // executes as an identity-index lookup, and EXPLAIN must say so whether
-// the parameter is supplied, left out, or inlined as a literal. Explain
-// used to plan with no parameters at all and report a label scan.
+// the parameter is supplied, left out, or inlined as a literal, and say
+// that the RETURN is evaluated at emit. Explain used to plan with no
+// parameters at all and report a label scan.
 func TestExplainParameterizedLookups(t *testing.T) {
 	db := testDB(t)
 	snap, release := db.Snapshot()
@@ -489,6 +569,10 @@ func TestExplainParameterizedLookups(t *testing.T) {
 		}
 		if !strings.Contains(supplied, "path 1: anchor at node 1 of") || !strings.Contains(supplied, tc.want) {
 			t.Errorf("EXPLAIN with $%s supplied does not anchor on %q:\n%s", tc.param, tc.want, supplied)
+		}
+		// Each template's RETURN DISTINCT … ORDER BY alias runs at emit.
+		if !strings.Contains(supplied, "\n  RETURN evaluated at match emit (DISTINCT per work item)\n") {
+			t.Errorf("EXPLAIN does not evaluate the RETURN at emit:\n%s", supplied)
 		}
 		if pinned, err := snap.Explain(tc.query, iyp.WithParams(map[string]iyp.Value{tc.param: tc.value})); err != nil || pinned != supplied {
 			t.Errorf("Snapshot.Explain differs from DB.Explain (err %v):\n%s", err, pinned)
