@@ -12,9 +12,10 @@ var ErrFrozen = errors.New("graph: generation is frozen (apply writes through th
 
 // Batch is a staging write-buffer for graph mutations. Writes are recorded
 // against virtual node handles and applied to a Graph in a single
-// ApplyBatch call, which takes the store lock once and costs O(staged
-// writes) — not O(graph). Until ApplyBatch runs, the graph is untouched;
-// discarding a batch (dropping the reference) discards every staged write.
+// ApplyBatch call, which takes the store lock once and, on a clone of a
+// published generation, copies only what its writes land in (see Clone).
+// Until ApplyBatch runs, the graph is untouched; discarding a batch
+// (dropping the reference) discards every staged write.
 //
 // This is the substrate of the ingestion layer's atomic crawler commits: a
 // crawler stages its whole dataset into a Batch and the pipeline applies it

@@ -38,7 +38,7 @@ type BulkReader struct {
 
 // MaxNodeID is the highest node ID ever allocated (dead IDs included);
 // live IDs are in [1, MaxNodeID].
-func (br *BulkReader) MaxNodeID() NodeID { return NodeID(len(br.g.nodes)) }
+func (br *BulkReader) MaxNodeID() NodeID { return NodeID(br.g.nodes.n) }
 
 // NumNodes is the live node count.
 func (br *BulkReader) NumNodes() int { return br.g.nodeCount }
@@ -192,7 +192,8 @@ func (br *BulkReader) EachNodeProp(id NodeID, fn func(key string, v Value)) {
 // EachNode calls fn for every live node in ascending ID order until fn
 // returns false.
 func (br *BulkReader) EachNode(fn func(NodeID) bool) {
-	for _, n := range br.g.nodes {
+	for i := range br.g.nodes.n {
+		n := br.g.nodes.at(i)
 		if n == nil {
 			continue
 		}
@@ -212,7 +213,8 @@ func (br *BulkReader) TypeID(typ string) (uint16, bool) {
 // EachRel calls fn for every live relationship in ascending ID order with
 // its type id and endpoints, until fn returns false.
 func (br *BulkReader) EachRel(fn func(id RelID, typ uint16, from, to NodeID) bool) {
-	for _, r := range br.g.rels {
+	for i := range br.g.rels.n {
+		r := br.g.rels.at(i)
 		if r == nil {
 			continue
 		}

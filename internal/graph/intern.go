@@ -10,7 +10,7 @@ import (
 // list payloads), shared structurally across every generation of a graph
 // lineage. Nodes and relationships store fixed-size ids into it instead of
 // boxed strings, so a COW clone shares all string storage with its parent
-// and Freeze/Clone stay O(changed).
+// and never copies the dictionary.
 //
 // Concurrency contract: lookups and id→payload resolution are lock-free and
 // safe from any goroutine (including readers of frozen generations);

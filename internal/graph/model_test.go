@@ -9,7 +9,11 @@ import (
 // TestStoreAgainstShadowModel drives the store with random operation
 // sequences and cross-checks every observable against a naive shadow
 // implementation: counts, label membership, property lookups, degrees,
-// and index results must always agree.
+// and index results must always agree. The last seeds start from 9 000
+// nodes with a distinct indexed value each and publish every operation as
+// a generation through an MVStore, so the copy-on-write slot pages, index
+// shards and claimed label-set tails are all crossed; the first generation
+// must stay byte-identical throughout.
 func TestStoreAgainstShadowModel(t *testing.T) {
 	type shadowNode struct {
 		labels map[string]bool
@@ -23,7 +27,7 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 	labels := []string{"A", "B", "C"}
 	types := []string{"R", "S"}
 
-	for seed := int64(0); seed < 8; seed++ {
+	for seed := int64(0); seed < 10; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		g := New()
 		g.EnsureIndex("A", "v")
@@ -32,6 +36,32 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 		rels := map[RelID]*shadowRel{}
 		var nodeIDs []NodeID
 		var relIDs []RelID
+
+		// write applies an operation to g, or publishes it as the next
+		// generation of st.
+		var st *MVStore
+		write := func(fn func(g *Graph)) {
+			if st == nil {
+				fn(g)
+				return
+			}
+			if _, err := st.Update(func(g *Graph) error { fn(g); return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var first *Graph
+		var firstBytes []byte
+		if seed >= 8 {
+			for i := 0; i < 9000; i++ {
+				l := labels[i%len(labels)]
+				v := int64(5 + i)
+				id := g.AddNode([]string{l}, Props{"v": Int(v)})
+				nodes[id] = &shadowNode{labels: map[string]bool{l: true}, props: map[string]int64{"v": v}}
+				nodeIDs = append(nodeIDs, id)
+			}
+			st = NewMVStore(g)
+			first, firstBytes = g, snapshotBytes(t, g)
+		}
 
 		liveNodes := func() []NodeID {
 			out := nodeIDs[:0:0]
@@ -48,7 +78,8 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 			case 0, 1, 2: // add node
 				l := labels[r.Intn(len(labels))]
 				v := int64(r.Intn(5))
-				id := g.AddNode([]string{l}, Props{"v": Int(v)})
+				var id NodeID
+				write(func(g *Graph) { id = g.AddNode([]string{l}, Props{"v": Int(v)}) })
 				nodes[id] = &shadowNode{
 					labels: map[string]bool{l: true},
 					props:  map[string]int64{"v": v},
@@ -62,10 +93,13 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 				from := live[r.Intn(len(live))]
 				to := live[r.Intn(len(live))]
 				ty := types[r.Intn(len(types))]
-				id, err := g.AddRel(ty, from, to, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
+				var id RelID
+				write(func(g *Graph) {
+					var err error
+					if id, err = g.AddRel(ty, from, to, nil); err != nil {
+						t.Fatal(err)
+					}
+				})
 				rels[id] = &shadowRel{ty, from, to}
 				relIDs = append(relIDs, id)
 			case 6: // set prop
@@ -75,9 +109,11 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 				}
 				id := live[r.Intn(len(live))]
 				v := int64(r.Intn(5))
-				if err := g.SetNodeProp(id, "v", Int(v)); err != nil {
-					t.Fatal(err)
-				}
+				write(func(g *Graph) {
+					if err := g.SetNodeProp(id, "v", Int(v)); err != nil {
+						t.Fatal(err)
+					}
+				})
 				nodes[id].props["v"] = v
 			case 7: // add label
 				live := liveNodes()
@@ -86,9 +122,11 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 				}
 				id := live[r.Intn(len(live))]
 				l := labels[r.Intn(len(labels))]
-				if err := g.AddLabel(id, l); err != nil {
-					t.Fatal(err)
-				}
+				write(func(g *Graph) {
+					if err := g.AddLabel(id, l); err != nil {
+						t.Fatal(err)
+					}
+				})
 				nodes[id].labels[l] = true
 			case 8: // delete node (detach)
 				live := liveNodes()
@@ -96,9 +134,11 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 					continue
 				}
 				id := live[r.Intn(len(live))]
-				if err := g.DeleteNode(id); err != nil {
-					t.Fatal(err)
-				}
+				write(func(g *Graph) {
+					if err := g.DeleteNode(id); err != nil {
+						t.Fatal(err)
+					}
+				})
 				delete(nodes, id)
 				for rid, rel := range rels {
 					if rel.from == id || rel.to == id {
@@ -116,14 +156,22 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 					continue
 				}
 				id := live[r.Intn(len(live))]
-				if err := g.DeleteRel(id); err != nil {
-					t.Fatal(err)
-				}
+				write(func(g *Graph) {
+					if err := g.DeleteRel(id); err != nil {
+						t.Fatal(err)
+					}
+				})
 				delete(rels, id)
 			}
 		}
 
 		// --- cross-check every observable ---
+		if st != nil {
+			g = st.Current()
+			if !bytes.Equal(snapshotBytes(t, first), firstBytes) {
+				t.Fatalf("seed %d: publishing later generations changed the first", seed)
+			}
+		}
 		if g.NumNodes() != len(nodes) {
 			t.Fatalf("seed %d: NumNodes = %d, shadow %d", seed, g.NumNodes(), len(nodes))
 		}
@@ -165,7 +213,7 @@ func TestStoreAgainstShadowModel(t *testing.T) {
 			}
 		}
 		// Indexed lookup agrees with a shadow scan.
-		for v := int64(0); v < 5; v++ {
+		for _, v := range []int64{0, 1, 2, 3, 4, 5 + r.Int63n(9000), 5 + r.Int63n(9000)} {
 			want := 0
 			for _, sn := range nodes {
 				if sn.labels["A"] && sn.props["v"] == v {

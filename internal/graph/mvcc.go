@@ -19,10 +19,10 @@ import (
 //     an atomic pointer. Readers pin it with Acquire and then run entirely
 //     lock-free: frozen graphs elide the store RWMutex in every accessor.
 //   - A writer (Update / ApplyBatch) takes the writer mutex, Clones the
-//     head (copy-on-write: O(slots) pointer copies, structural sharing of
-//     nodes, relationships and index buckets), mutates the private clone,
-//     freezes it, and publishes it with one atomic swap. Readers pinned to
-//     the old head are unaffected; new readers see the new head.
+//     head (copy-on-write: directories are copied, everything they point
+//     to is shared until written), mutates the private clone, freezes it,
+//     and publishes it with one atomic swap. Readers pinned to the old
+//     head are unaffected; new readers see the new head.
 //   - Superseded generations are reclaimed with a pin-count epoch scheme:
 //     each generation counts its pinned readers, and once a retired
 //     generation's count drains to zero (and it has aged out of the retain

@@ -72,48 +72,49 @@ func TestCloneRequiresFrozen(t *testing.T) {
 	New().Clone()
 }
 
+// cowOps exercises every COW path on a graph grown from seedGraph:
+// in-place merge on an indexed node, property overwrite (index
+// remove+add), new label on an existing node, rel add/delete, node delete
+// (detach), new node, index backfill, property delete.
+func cowOps(g *Graph) {
+	if _, created := g.MergeNode("AS", "asn", Int(3), []string{"RouteCollector"}, Props{"name": String("renamed")}); created {
+		panic("merge created")
+	}
+	if err := g.SetNodeProp(3, "name", String("overwritten")); err != nil {
+		panic(err)
+	}
+	if err := g.SetNodeProp(4, "country", String("JP")); err != nil {
+		panic(err)
+	}
+	if err := g.AddLabel(5, "IXP"); err != nil {
+		panic(err)
+	}
+	if _, err := g.AddRel("MEMBER_OF", 1, 5, Props{"w": Int(7)}); err != nil {
+		panic(err)
+	}
+	if err := g.DeleteRel(2); err != nil {
+		panic(err)
+	}
+	if err := g.DeleteNode(10); err != nil {
+		panic(err)
+	}
+	g.AddNode([]string{"Prefix"}, Props{"prefix": String("10.0.0.0/8")})
+	g.EnsureIndex("AS", "name")
+	if err := g.SetNodeProp(6, "name", Null()); err != nil { // prop delete
+		panic(err)
+	}
+}
+
 // TestCloneCopyOnWriteIsolation is the core MVCC correctness test: mutating
 // a clone must leave the frozen parent byte-identical, and the clone must
 // end up byte-identical to a graph that had the same ops applied directly.
 func TestCloneCopyOnWriteIsolation(t *testing.T) {
-	// ops exercises every COW path: in-place merge on an indexed node,
-	// property overwrite (index remove+add), new label on an existing node,
-	// rel add/delete, node delete (detach), new node, index backfill.
-	ops := func(g *Graph) {
-		if _, created := g.MergeNode("AS", "asn", Int(3), []string{"RouteCollector"}, Props{"name": String("renamed")}); created {
-			panic("merge created")
-		}
-		if err := g.SetNodeProp(3, "name", String("overwritten")); err != nil {
-			panic(err)
-		}
-		if err := g.SetNodeProp(4, "country", String("JP")); err != nil {
-			panic(err)
-		}
-		if err := g.AddLabel(5, "IXP"); err != nil {
-			panic(err)
-		}
-		if _, err := g.AddRel("MEMBER_OF", 1, 5, Props{"w": Int(7)}); err != nil {
-			panic(err)
-		}
-		if err := g.DeleteRel(2); err != nil {
-			panic(err)
-		}
-		if err := g.DeleteNode(10); err != nil {
-			panic(err)
-		}
-		g.AddNode([]string{"Prefix"}, Props{"prefix": String("10.0.0.0/8")})
-		g.EnsureIndex("AS", "name")
-		if err := g.SetNodeProp(6, "name", Null()); err != nil { // prop delete
-			panic(err)
-		}
-	}
-
 	parent := seedGraph(t)
 	parent.Freeze()
 	parentBefore := snapshotBytes(t, parent)
 
 	clone := parent.Clone()
-	ops(clone)
+	cowOps(clone)
 
 	if got := snapshotBytes(t, parent); !bytes.Equal(got, parentBefore) {
 		t.Fatal("mutating the clone changed the frozen parent")
@@ -122,7 +123,7 @@ func TestCloneCopyOnWriteIsolation(t *testing.T) {
 	// A fresh graph with the same history must be byte-identical to the
 	// clone (snapshots encode deterministically).
 	want := seedGraph(t)
-	ops(want)
+	cowOps(want)
 	if !bytes.Equal(snapshotBytes(t, clone), snapshotBytes(t, want)) {
 		t.Fatal("clone after ops differs from directly-built graph")
 	}

@@ -89,7 +89,7 @@ const trailerSize = 1 + 5*8 + 4 + 4
 const (
 	maxStringLen   = 1 << 28 // one interned string or blob
 	maxTableLen    = 1 << 16 // label/type tables (ids are u16)
-	initialSlotCap = 1 << 16 // node/rel slice pre-allocation cap
+	initialIDCap   = 1 << 16 // file-dictionary id table pre-allocation cap
 	initialListCap = 1 << 12 // list value pre-allocation cap
 	initialPropCap = 1 << 10 // property column pre-allocation cap
 )
@@ -252,8 +252,9 @@ func (g *Graph) Save(w io.Writer) error {
 		}
 	}
 	var nodesBody, relsBody encBuf
-	nodesBody.uvarint(uint64(len(g.nodes)))
-	for _, n := range g.nodes {
+	nodesBody.uvarint(uint64(g.nodes.n))
+	for i := range g.nodes.n {
+		n := g.nodes.at(i)
 		if n == nil {
 			nodesBody.byte(0)
 			continue
@@ -266,8 +267,9 @@ func (g *Graph) Save(w io.Writer) error {
 		}
 		emitProps(&nodesBody, n.cprops)
 	}
-	relsBody.uvarint(uint64(len(g.rels)))
-	for _, r := range g.rels {
+	relsBody.uvarint(uint64(g.rels.n))
+	for i := range g.rels.n {
+		r := g.rels.at(i)
 		if r == nil {
 			relsBody.byte(0)
 			continue
@@ -615,7 +617,7 @@ func decodeDict(g *Graph, d *sliceReader, rep *LoadReport) (*fileDict, error) {
 	if n > d.limit() {
 		return nil, corruptf("dictionary size %d exceeds input", n)
 	}
-	fd := &fileDict{ids: make([]uint32, 0, min(n, uint64(initialSlotCap)))}
+	fd := &fileDict{ids: make([]uint32, 0, min(n, uint64(initialIDCap)))}
 	for i := uint64(0); i < n; i++ {
 		s, err := readString(d)
 		if err != nil {
@@ -666,14 +668,13 @@ func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 	if nNodes > d.limit() {
 		return corruptf("node count %d exceeds input", nNodes)
 	}
-	g.nodes = make([]*Node, 0, min(nNodes, initialSlotCap))
 	for i := uint64(0); i < nNodes; i++ {
 		present, err := d.ReadByte()
 		if err != nil {
 			return err
 		}
 		if present == 0 {
-			g.nodes = append(g.nodes, nil)
+			g.nodes.push(nil, g.owner)
 			continue
 		}
 		n := &Node{id: NodeID(i + 1), owner: g.owner}
@@ -683,7 +684,7 @@ func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 		if n.cprops, err = readCProps(g, d, fd); err != nil {
 			return err
 		}
-		g.nodes = append(g.nodes, n)
+		g.nodes.push(n, g.owner)
 		g.nodeCount++
 	}
 	return nil
@@ -700,14 +701,13 @@ func decodeRelSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 	if nRels > d.limit() {
 		return corruptf("relationship count %d exceeds input", nRels)
 	}
-	g.rels = make([]*Rel, 0, min(nRels, initialSlotCap))
 	for i := uint64(0); i < nRels; i++ {
 		present, err := d.ReadByte()
 		if err != nil {
 			return err
 		}
 		if present == 0 {
-			g.rels = append(g.rels, nil)
+			g.rels.push(nil, g.owner)
 			continue
 		}
 		typ, err := readUvarint(d)
@@ -734,7 +734,7 @@ func decodeRelSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 		if fn == nil || tn == nil {
 			return corruptf("relationship %d references missing node", r.id)
 		}
-		g.rels = append(g.rels, r)
+		g.rels.push(r, g.owner)
 		g.relCount++
 		fn.out = append(fn.out, r.id)
 		tn.in = append(tn.in, r.id)
@@ -770,7 +770,8 @@ func decodeIndexes(g *Graph, d *sliceReader) error {
 // walked in ascending ID order, so every bucket fills through the idSet
 // in-order append fast path: dense sorted base slices, no delta maps.
 func rebuildLabelIndex(g *Graph) {
-	for _, n := range g.nodes {
+	for i := range g.nodes.n {
+		n := g.nodes.at(i)
 		if n == nil {
 			continue
 		}

@@ -26,8 +26,8 @@ func (g *Graph) Stats() Stats {
 		ByRelType: make(map[string]int, len(g.typeNames)),
 	}
 	for lid, set := range g.labelIdx {
-		if set != nil && set.n > 0 {
-			s.ByLabel[g.labelNames[lid]] = set.n
+		if set != nil && set.size() > 0 {
+			s.ByLabel[g.labelNames[lid]] = set.size()
 		}
 	}
 	for tid, c := range g.typeCounts {
@@ -86,7 +86,7 @@ func (g *Graph) PropCardinality(label, key string) PropStats {
 	ps := PropStats{WithKey: g.labelKeyCount[pid]}
 	if idx, ok := g.propIdx[pid]; ok {
 		ps.Indexed = true
-		ps.Distinct = len(idx.buckets)
+		ps.Distinct = idx.n
 	}
 	return ps
 }
@@ -121,13 +121,15 @@ func (g *Graph) RelTypeDegree(typ string) float64 {
 // so they call this once after decoding, mirroring rebuildLabelIndex.
 func (g *Graph) rebuildStatsLocked() {
 	g.typeCounts = make([]int, len(g.typeNames))
-	for _, r := range g.rels {
+	for i := range g.rels.n {
+		r := g.rels.at(i)
 		if r != nil {
 			g.typeCounts[r.typ]++
 		}
 	}
 	g.labelKeyCount = make(map[propIdxID]int)
-	for _, n := range g.nodes {
+	for i := range g.nodes.n {
+		n := g.nodes.at(i)
 		if n == nil {
 			continue
 		}

@@ -11,13 +11,15 @@ func bruteStats(g *Graph) (typeCounts []int, labelKey map[propIdxID]int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	typeCounts = make([]int, len(g.typeNames))
-	for _, r := range g.rels {
+	for i := range g.rels.n {
+		r := g.rels.at(i)
 		if r != nil {
 			typeCounts[r.typ]++
 		}
 	}
 	labelKey = make(map[propIdxID]int)
-	for _, n := range g.nodes {
+	for i := range g.nodes.n {
+		n := g.nodes.at(i)
 		if n == nil {
 			continue
 		}

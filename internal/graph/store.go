@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -122,38 +123,64 @@ type propIdxID struct {
 
 // idSet is a node-ID set with a COW ownership stamp — the bucket type of
 // the label index and of each property-index value bucket. It is a hybrid
-// of a sorted immutable base slice and a small delta map: bulk builds and
-// snapshot loads append monotonically increasing IDs straight onto the
-// base (dense, cache-friendly, and shared wholesale by COW clones), while
-// out-of-order additions and deletions land in the delta. A clone shares
-// the base and copies only the delta, so cloning a million-node label
-// bucket is O(delta), not O(members).
+// of a sorted base slice and a small delta: bulk builds and snapshot loads
+// append monotonically increasing IDs straight onto the base (dense,
+// cache-friendly, and shared wholesale by COW clones), while out-of-order
+// additions and deletions land in the delta, which folds back into a fresh
+// base once it outgrows an eighth of it. A clone shares the base and copies
+// only the delta, so cloning a million-node label bucket is O(delta), not
+// O(members).
+//
+// In-order appends write into a shared base in place when they can. The
+// backing array of a set of at least claimMin members carries a claim word
+// recording how far the array has been written, and a set appends at its
+// length only after moving the claim from that length to the next. That is
+// safe because a frozen parent reads only base[:its len], two sibling clones
+// can never win the same slot, and a discarded clone's claim only makes the
+// next sibling copy. Smaller sets are shared capacity-capped instead, so
+// their first append in a clone copies them.
 type idSet struct {
 	owner uint64
-	base  []NodeID        // sorted ascending
-	dirty map[NodeID]bool // overrides: true = added (not in base), false = removed from base
-	n     int             // live membership count
+	base  []NodeID      // sorted ascending
+	claim *atomic.Int64 // written length of base's backing array; nil when unclaimed
+	delta *setDelta     // nil when the base is the whole set
 }
+
+// setDelta overrides an idSet's base: true = added (not in base), false =
+// removed from base; n is the net membership change.
+type setDelta struct {
+	m map[NodeID]bool
+	n int
+}
+
+// claimMin is the member count from which a reallocated base gets a claim
+// word: below it, copying the set on its first append in a clone is cheaper
+// than the word.
+const claimMin = 64
 
 func newIDSet(owner uint64) *idSet {
 	return &idSet{owner: owner}
 }
 
 func (s *idSet) clone(owner uint64) *idSet {
-	c := &idSet{
-		owner: owner,
+	c := &idSet{owner: owner, base: s.base, claim: s.claim}
+	if s.claim == nil {
 		// Full slice expression: a sibling clone appending to the shared
-		// base array must reallocate rather than write into our view.
-		base: s.base[:len(s.base):len(s.base)],
-		n:    s.n,
+		// unclaimed array must reallocate rather than write into our view.
+		c.base = s.base[:len(s.base):len(s.base)]
 	}
-	if len(s.dirty) > 0 {
-		c.dirty = make(map[NodeID]bool, len(s.dirty))
-		for id, v := range s.dirty {
-			c.dirty[id] = v
-		}
+	if s.delta != nil {
+		c.delta = &setDelta{m: maps.Clone(s.delta.m), n: s.delta.n}
 	}
 	return c
+}
+
+// size returns the live membership count.
+func (s *idSet) size() int {
+	if s.delta == nil {
+		return len(s.base)
+	}
+	return len(s.base) + s.delta.n
 }
 
 func (s *idSet) inBase(id NodeID) bool {
@@ -161,76 +188,116 @@ func (s *idSet) inBase(id NodeID) bool {
 	return i < len(s.base) && s.base[i] == id
 }
 
+// override reports id's entry in the delta, if any.
+func (s *idSet) override(id NodeID) (in, ok bool) {
+	if s.delta == nil {
+		return false, false
+	}
+	in, ok = s.delta.m[id]
+	return in, ok
+}
+
 func (s *idSet) has(id NodeID) bool {
-	if v, ok := s.dirty[id]; ok {
-		return v
+	if in, ok := s.override(id); ok {
+		return in
 	}
 	return s.inBase(id)
 }
 
 func (s *idSet) add(id NodeID) {
-	if v, ok := s.dirty[id]; ok {
-		if v {
-			return
+	if in, ok := s.override(id); ok {
+		if !in {
+			s.unmark(id, +1) // back into the base
 		}
-		delete(s.dirty, id) // back into the base
-		s.n++
 		return
 	}
 	if s.inBase(id) {
 		return
 	}
-	s.n++
 	if len(s.base) == 0 || id > s.base[len(s.base)-1] {
-		s.base = append(s.base, id) // in-order fast path
+		s.push(id) // in-order fast path
 		return
 	}
-	if s.dirty == nil {
-		s.dirty = make(map[NodeID]bool)
-	}
-	s.dirty[id] = true
+	s.mark(id, true)
 }
 
 func (s *idSet) remove(id NodeID) {
-	if v, ok := s.dirty[id]; ok {
-		if !v {
-			return
+	if in, ok := s.override(id); ok {
+		if in {
+			s.unmark(id, -1)
 		}
-		delete(s.dirty, id)
-		s.n--
 		return
 	}
-	if !s.inBase(id) {
+	if s.inBase(id) {
+		s.mark(id, false)
+	}
+}
+
+// push appends id, larger than every member, to the base: in place when
+// the array has room and is unclaimed or this set wins the claim, by
+// reallocating otherwise.
+func (s *idSet) push(id NodeID) {
+	l := len(s.base)
+	if l < cap(s.base) && (s.claim == nil || s.claim.CompareAndSwap(int64(l), int64(l+1))) {
+		s.base = append(s.base, id)
 		return
 	}
-	if s.dirty == nil {
-		s.dirty = make(map[NodeID]bool)
+	s.base = append(s.base[:l:l], id)
+	s.claim = nil
+	if l+1 >= claimMin {
+		s.claim = new(atomic.Int64)
+		s.claim.Store(int64(l + 1))
 	}
-	s.dirty[id] = false
-	s.n--
+}
+
+// mark records id in the delta as added (in) or removed, folding the delta
+// into a fresh base once it outgrows an eighth of the base: otherwise every
+// later clone copies it and every read merges it.
+func (s *idSet) mark(id NodeID, in bool) {
+	if s.delta == nil {
+		s.delta = &setDelta{m: make(map[NodeID]bool)}
+	}
+	s.delta.m[id] = in
+	if in {
+		s.delta.n++
+	} else {
+		s.delta.n--
+	}
+	if len(s.delta.m) > len(s.base)/8+32 {
+		s.base, s.claim, s.delta = s.sorted(), nil, nil
+	}
+}
+
+// unmark drops id's delta entry; dn is the membership change that makes.
+func (s *idSet) unmark(id NodeID, dn int) {
+	delete(s.delta.m, id)
+	s.delta.n += dn
+	if len(s.delta.m) == 0 {
+		s.delta = nil
+	}
 }
 
 // sorted returns the live members ascending. When the set has no delta the
 // base is returned directly — callers must treat the result as read-only.
 func (s *idSet) sorted() []NodeID {
-	if len(s.dirty) == 0 {
+	if s.delta == nil {
 		return s.base
 	}
 	var added []NodeID
-	for id, v := range s.dirty {
-		if v {
+	for id, in := range s.delta.m {
+		if in {
 			added = append(added, id)
 		}
 	}
-	sort.Slice(added, func(i, j int) bool { return added[i] < added[j] })
-	out := make([]NodeID, 0, s.n)
+	slices.Sort(added)
+	out := make([]NodeID, 0, s.size())
 	ai := 0
 	for _, id := range s.base {
 		for ai < len(added) && added[ai] < id {
 			out = append(out, added[ai])
 			ai++
 		}
-		if v, ok := s.dirty[id]; ok && !v {
+		if in, ok := s.delta.m[id]; ok && !in {
 			continue
 		}
 		out = append(out, id)
@@ -251,7 +318,7 @@ func (s *idSet) each(fn func(NodeID) bool) {
 
 // min returns the smallest live member (0 when empty).
 func (s *idSet) min() NodeID {
-	if len(s.dirty) == 0 {
+	if s.delta == nil {
 		if len(s.base) == 0 {
 			return 0
 		}
@@ -263,13 +330,6 @@ func (s *idSet) min() NodeID {
 		return false
 	})
 	return best
-}
-
-// propIndex is one (label, key) hash index: value bucket map plus a COW
-// stamp for the bucket map itself (leaf sets carry their own stamps).
-type propIndex struct {
-	owner   uint64
-	buckets map[ckey]*idSet
 }
 
 // ckey is the columnar index-bucket key: the value kind plus a fixed-size
@@ -317,8 +377,8 @@ type Graph struct {
 	lsets   [][]labelID
 	lsetIDs map[string]lsetID
 
-	nodes []*Node // index id-1; nil = deleted
-	rels  []*Rel
+	nodes slots[Node] // slot id-1; nil = deleted
+	rels  slots[Rel]
 
 	labelIdx map[labelID]*idSet
 	propIdx  map[propIdxID]*propIndex
@@ -387,13 +447,13 @@ func (g *Graph) Freeze() *Graph {
 func (g *Graph) Frozen() bool { return g.frozen }
 
 // Clone returns a mutable copy-on-write graph derived from a frozen
-// generation: top-level tables (slot slices, interning, statistics, index
-// directories) are copied eagerly — O(nodes + rels) pointer copies — while
-// nodes, relationships, index buckets, the string dictionary and the
-// label-set table are shared with the parent and copied lazily (or, for
-// the append-only dictionaries, never). The parent stays frozen and is
-// never touched; this is how a writer builds generation N+1 while
-// generation N keeps serving lock-free readers.
+// generation. It copies the small top-level tables and the slot tables'
+// page directories (N/4096 pointers each) and shares everything else: a
+// later write copies only the page, index shard directory (N/64 pointers),
+// shard, node, relationship or bucket it lands in, and the append-only
+// dictionaries are never copied. The parent stays frozen and is never
+// touched; this is how a writer builds generation N+1 while generation N
+// keeps serving lock-free readers.
 func (g *Graph) Clone() *Graph {
 	if !g.frozen {
 		panic("graph: Clone of a live graph (Freeze it first — only immutable generations can be cloned safely)")
@@ -407,8 +467,8 @@ func (g *Graph) Clone() *Graph {
 		typeIDs:       make(map[string]typeID, len(g.typeIDs)),
 		lsets:         g.lsets[:len(g.lsets):len(g.lsets)],
 		lsetIDs:       make(map[string]lsetID, len(g.lsetIDs)),
-		nodes:         append([]*Node(nil), g.nodes...),
-		rels:          append([]*Rel(nil), g.rels...),
+		nodes:         g.nodes.clone(),
+		rels:          g.rels.clone(),
 		labelIdx:      make(map[labelID]*idSet, len(g.labelIdx)),
 		propIdx:       make(map[propIdxID]*propIndex, len(g.propIdx)),
 		nodeCount:     g.nodeCount,
@@ -471,7 +531,7 @@ func (g *Graph) mutNode(id NodeID) *Node {
 		return n
 	}
 	c := n.clone(g.owner)
-	g.nodes[id-1] = c
+	g.nodes.set(int(id-1), c, g.owner)
 	return c
 }
 
@@ -482,7 +542,7 @@ func (g *Graph) mutRel(id RelID) *Rel {
 		return r
 	}
 	c := r.clone(g.owner)
-	g.rels[id-1] = c
+	g.rels.set(int(id-1), c, g.owner)
 	return c
 }
 
@@ -502,39 +562,19 @@ func (g *Graph) mutLabelSet(lid labelID) *idSet {
 	return s
 }
 
-// mutIndex returns the property index for pid with its bucket directory
-// owned by this generation (leaf sets stay shared until mutBucket). Nil
-// when no index exists on pid.
+// mutIndex returns the property index for pid with its shard directory
+// owned by this generation (shards and leaf sets stay shared until
+// mutBucket). Nil when no index exists on pid.
 func (g *Graph) mutIndex(pid propIdxID) *propIndex {
 	idx := g.propIdx[pid]
 	if idx == nil {
 		return nil
 	}
 	if idx.owner != g.owner {
-		c := &propIndex{owner: g.owner, buckets: make(map[ckey]*idSet, len(idx.buckets))}
-		for k, v := range idx.buckets {
-			c.buckets[k] = v
-		}
-		idx = c
+		idx = &propIndex{owner: g.owner, shards: slices.Clone(idx.shards), shift: idx.shift, n: idx.n}
 		g.propIdx[pid] = idx
 	}
 	return idx
-}
-
-// mutBucket returns the (owned) leaf set for k in an owned index, creating
-// or copying as needed.
-func (idx *propIndex) mutBucket(k ckey, owner uint64) *idSet {
-	s := idx.buckets[k]
-	if s == nil {
-		s = newIDSet(owner)
-		idx.buckets[k] = s
-		return s
-	}
-	if s.owner != owner {
-		s = s.clone(owner)
-		idx.buckets[k] = s
-	}
-	return s
 }
 
 // --- interning (callers hold mu) ---
@@ -768,7 +808,7 @@ func (g *Graph) AddNode(labels []string, props Props) NodeID {
 func (g *Graph) addNodeLocked(labels []string, props Props) NodeID {
 	g.version++
 	n := &Node{
-		id:     NodeID(len(g.nodes) + 1),
+		id:     NodeID(g.nodes.n + 1),
 		owner:  g.owner,
 		cprops: g.encodeProps(props),
 	}
@@ -777,7 +817,7 @@ func (g *Graph) addNodeLocked(labels []string, props Props) NodeID {
 		ls = insertLabel(ls, g.internLabel(l))
 	}
 	n.lset = g.internLset(ls)
-	g.nodes = append(g.nodes, n)
+	g.nodes.push(n, g.owner)
 	g.nodeCount++
 	for _, lid := range ls {
 		g.indexNodeLabelLocked(n, lid)
@@ -822,15 +862,16 @@ func (g *Graph) propIndexRemoveLocked(lid labelID, e centry, id NodeID) {
 		return
 	}
 	k := g.entryKey(e)
-	s := idx.buckets[k]
+	s := idx.get(k)
 	if s == nil || !s.has(id) {
 		return
 	}
 	idx = g.mutIndex(pid)
-	if s.n == 1 {
+	if s.size() == 1 {
 		// Removing the last member: drop the bucket from the (owned)
-		// directory; the shared leaf set itself is untouched.
-		delete(idx.buckets, k)
+		// shard; the shared leaf set itself is untouched.
+		delete(idx.mutShard(k, g.owner).buckets, k)
+		idx.n--
 		return
 	}
 	idx.mutBucket(k, g.owner).remove(id)
@@ -838,17 +879,17 @@ func (g *Graph) propIndexRemoveLocked(lid labelID, e centry, id NodeID) {
 
 // node returns the live node for id (callers hold mu).
 func (g *Graph) node(id NodeID) *Node {
-	if id == 0 || int(id) > len(g.nodes) {
+	if id == 0 || int(id) > g.nodes.n {
 		return nil
 	}
-	return g.nodes[id-1]
+	return g.nodes.at(int(id - 1))
 }
 
 func (g *Graph) rel(id RelID) *Rel {
-	if id == 0 || int(id) > len(g.rels) {
+	if id == 0 || int(id) > g.rels.n {
 		return nil
 	}
-	return g.rels[id-1]
+	return g.rels.at(int(id - 1))
 }
 
 // HasNode reports whether id refers to a live node.
@@ -1031,7 +1072,7 @@ func (g *Graph) DeleteNode(id NodeID) error {
 			g.statPropRemoveLocked(lid, e.key)
 		}
 	}
-	g.nodes[id-1] = nil
+	g.nodes.set(int(id-1), nil, g.owner)
 	g.nodeCount--
 	return nil
 }
@@ -1053,14 +1094,14 @@ func (g *Graph) addRelLocked(typ string, from, to NodeID, props Props) (RelID, e
 	}
 	g.version++
 	r := &Rel{
-		id:     RelID(len(g.rels) + 1),
+		id:     RelID(g.rels.n + 1),
 		owner:  g.owner,
 		typ:    g.internType(typ),
 		from:   from,
 		to:     to,
 		cprops: g.encodeProps(props),
 	}
-	g.rels = append(g.rels, r)
+	g.rels.push(r, g.owner)
 	g.relCount++
 	g.typeCounts[r.typ]++
 	fn := g.mutNode(from)
@@ -1078,7 +1119,7 @@ func (g *Graph) deleteRelLocked(r *Rel) {
 	if tn := g.mutNode(r.to); tn != nil {
 		tn.in = removeID(tn.in, r.id)
 	}
-	g.rels[r.id-1] = nil
+	g.rels.set(int(r.id-1), nil, g.owner)
 	g.relCount--
 	g.typeCounts[r.typ]--
 }
@@ -1257,7 +1298,8 @@ func (g *Graph) Degree(id NodeID, dir Dir, types []string) int {
 func (g *Graph) EachNode(fn func(NodeID) bool) {
 	g.rlock()
 	defer g.runlock()
-	for _, n := range g.nodes {
+	for i := range g.nodes.n {
+		n := g.nodes.at(i)
 		if n == nil {
 			continue
 		}
@@ -1271,7 +1313,8 @@ func (g *Graph) EachNode(fn func(NodeID) bool) {
 func (g *Graph) EachRel(fn func(RelID) bool) {
 	g.rlock()
 	defer g.runlock()
-	for _, r := range g.rels {
+	for i := range g.rels.n {
+		r := g.rels.at(i)
 		if r == nil {
 			continue
 		}
@@ -1307,7 +1350,7 @@ func (g *Graph) CountByLabel(label string) int {
 		return 0
 	}
 	if set := g.labelIdx[lid]; set != nil {
-		return set.n
+		return set.size()
 	}
 	return 0
 }
@@ -1328,9 +1371,14 @@ func (g *Graph) ensureIndexLocked(label, key string) *propIndex {
 	if idx, ok := g.propIdx[pid]; ok {
 		return idx
 	}
-	idx := &propIndex{owner: g.owner, buckets: make(map[ckey]*idSet)}
+	idx := &propIndex{owner: g.owner, shards: []*indexShard{{owner: g.owner, buckets: map[ckey]*idSet{}}}, shift: 64}
 	g.propIdx[pid] = idx
 	if set := g.labelIdx[lid]; set != nil {
+		// Indexed keys are identities, one value per member: size the
+		// shard directory for the label now rather than doubling into it.
+		for shardBuckets*len(idx.shards) < set.size() {
+			idx.grow(g.owner)
+		}
 		set.each(func(id NodeID) bool {
 			n := g.node(id)
 			if n == nil {
@@ -1381,7 +1429,7 @@ func (g *Graph) NodesByProp(label, key string, v Value) []NodeID {
 	if idx, ok := g.propIdx[propIdxID{lid, keyID}]; ok {
 		var out []NodeID
 		if valKnown {
-			if set := idx.buckets[k]; set != nil {
+			if set := idx.get(k); set != nil {
 				out = append([]NodeID(nil), set.sorted()...)
 			}
 		}
@@ -1422,7 +1470,7 @@ func (g *Graph) MergeNode(label, key string, v Value, extraLabels []string, prop
 func (g *Graph) mergeNodeLocked(label, key string, v Value, extraLabels []string, props Props) (NodeID, bool) {
 	// Identity lookups always deserve an index.
 	idx := g.ensureIndexLocked(label, key)
-	if set := idx.buckets[g.internKey(v)]; set != nil && set.n > 0 {
+	if set := idx.get(g.internKey(v)); set != nil && set.size() > 0 {
 		g.version++ // merged labels/props below mutate the node in place
 		id := set.min()
 		n := g.mutNode(id)
