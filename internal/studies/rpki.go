@@ -26,6 +26,13 @@ func run(g *graph.Graph, study, q string, params map[string]graph.Value) (*cyphe
 	return res, nil
 }
 
+// str returns the named column of row i as a string; ok is false when the
+// value is not one.
+func str(res *cypher.Result, i int, col string) (s string, ok bool) {
+	v, _ := res.Get(i, col)
+	return v.AsString()
+}
+
 // rpkiCovered reports whether an IHR ROV tag label means "covered by a
 // ROA" (valid or invalid — everything except NotFound).
 func rpkiCovered(label string) bool {
@@ -62,76 +69,64 @@ type RPKIResult struct {
 	CDNPct float64
 }
 
-// rpkiPrefixQuery returns the distinct (prefix, RPKI tag) pairs for
-// domains in a rank window (0,0 = all). It follows the paper's Listing 4:
-// ranked domain -> hostname -> OpenINTEL resolution -> covering prefix ->
-// IHR ROV tag.
-const rpkiPrefixQuery = `
+// rpkiChainQuery is the paper's Listing 4 without its rank window: ranked
+// domain -> hostname -> OpenINTEL resolution -> covering prefix -> IHR ROV
+// tag, one row per distinct (rank, domain, prefix, tag). Table 2's windows
+// and CDN column and §5.1.2's domain counts are all folded from its rows.
+const rpkiChainQuery = `
 MATCH (:Ranking {name:'Tranco top 1M'})-[r:RANK]-(d:DomainName)
-WHERE r.rank >= $lo AND r.rank <= $hi
 MATCH (d)-[:PART_OF]-(h:HostName)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
 WHERE t.label STARTS WITH 'RPKI'
-RETURN DISTINCT pfx.prefix AS prefix, t.label AS label`
+RETURN DISTINCT r.rank AS rank, d.name AS domain, pfx.prefix AS prefix, t.label AS label`
 
-// rpkiCDNQuery restricts the prefixes to CDN-originated ones, using the
-// BGP.Tools tag as in §4.1.3.
-const rpkiCDNQuery = `
-MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)
-MATCH (d)-[:PART_OF]-(h:HostName)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
-WHERE t.label STARTS WITH 'RPKI'
-MATCH (pfx)-[:ORIGINATE]-(:AS)-[:CATEGORIZED]-(:Tag {label:'Content Delivery Network'})
-RETURN DISTINCT pfx.prefix AS prefix, t.label AS label`
+// cdnPrefixQuery returns the prefixes originated by ASes carrying the
+// BGP.Tools CDN tag, as in §4.1.3.
+const cdnPrefixQuery = `
+MATCH (pfx:Prefix)-[:ORIGINATE]-(:AS)-[:CATEGORIZED]-(:Tag {label:'Content Delivery Network'})
+RETURN DISTINCT pfx.prefix AS prefix`
 
-// prefixCoverage folds (prefix,label) rows into coverage statistics. A
+// The per-prefix RPKI states a coverage accumulates.
+const (
+	stCovered uint8 = 1 << iota
+	stInvalid
+	stInvalidMaxLen
+)
+
+// coverage folds (prefix, label) rows into per-prefix RPKI states. A
 // prefix counts as covered/invalid if any of its origins is.
-func prefixCoverage(res *cypher.Result) (total int, coveredPct, invalidPct, invalidMaxLenPct float64) {
-	type state struct{ covered, invalid, moreSpecific bool }
-	byPrefix := map[string]*state{}
-	for i := range res.Rows {
-		pv, _ := res.Get(i, "prefix")
-		lv, _ := res.Get(i, "label")
-		prefix, ok1 := pv.AsString()
-		label, ok2 := lv.AsString()
-		if !ok1 || !ok2 {
-			continue
-		}
-		st := byPrefix[prefix]
-		if st == nil {
-			st = &state{}
-			byPrefix[prefix] = st
-		}
-		if rpkiCovered(label) {
-			st.covered = true
-		}
-		if rpkiInvalid(label) {
-			st.invalid = true
-			if label == "RPKI Invalid, more specific" {
-				st.moreSpecific = true
-			}
+type coverage map[string]uint8
+
+func (c coverage) add(prefix, label string) {
+	st := c[prefix]
+	if rpkiCovered(label) {
+		st |= stCovered
+	}
+	if rpkiInvalid(label) {
+		st |= stInvalid
+		if label == "RPKI Invalid, more specific" {
+			st |= stInvalidMaxLen
 		}
 	}
-	total = len(byPrefix)
-	if total == 0 {
-		return 0, 0, 0, 0
-	}
-	var covered, invalid, moreSpecific int
-	for _, st := range byPrefix {
-		if st.covered {
+	c[prefix] = st
+}
+
+// stats returns the number of prefixes, their covered and invalid shares,
+// and the share of the invalids caused by a wrong max length.
+func (c coverage) stats() (total int, coveredPct, invalidPct, invalidMaxLenPct float64) {
+	var covered, invalid, maxLen int
+	for _, st := range c {
+		if st&stCovered != 0 {
 			covered++
 		}
-		if st.invalid {
+		if st&stInvalid != 0 {
 			invalid++
-			if st.moreSpecific {
-				moreSpecific++
-			}
+		}
+		if st&stInvalidMaxLen != 0 {
+			maxLen++
 		}
 	}
-	coveredPct = pct(covered, total)
-	invalidPct = pct(invalid, total)
-	if invalid > 0 {
-		invalidMaxLenPct = pct(moreSpecific, invalid)
-	}
-	return total, coveredPct, invalidPct, invalidMaxLenPct
+	total = len(c)
+	return total, pct(covered, total), pct(invalid, total), pct(maxLen, invalid)
 }
 
 func pct(n, total int) float64 {
@@ -139,6 +134,17 @@ func pct(n, total int) float64 {
 		return 0
 	}
 	return 100 * float64(n) / float64(total)
+}
+
+// countTrue returns how many values of m are true.
+func countTrue(m map[string]bool) int {
+	n := 0
+	for _, v := range m {
+		if v {
+			n++
+		}
+	}
+	return n
 }
 
 // trancoSize returns the number of ranked Tranco domains.
@@ -152,45 +158,80 @@ func trancoSize(g *graph.Graph) (int, error) {
 	return int(n), err
 }
 
-// RPKI reproduces the RiPKI study (Table 2's 2024 row). The "Top 100k" and
-// "Bottom 100k" windows scale to the first and last tenth of the simulated
-// list, preserving the paper's 100k-out-of-1M proportions.
-func RPKI(g *graph.Graph) (RPKIResult, error) {
+// ripki walks the RiPKI chain once and folds its rows into Table 2 and
+// §5.1.2. The "Top 100k" and "Bottom 100k" windows scale to the first and
+// last tenth of the simulated list, preserving the paper's 100k-out-of-1M
+// proportions; a row whose rank is not a number is in no window. The
+// domain-weighted figures take every row, and the CDN figures the rows on
+// CDN-originated prefixes.
+func ripki(g *graph.Graph) (RPKIResult, DomainWeightedRPKIResult, error) {
 	var out RPKIResult
+	var dw DomainWeightedRPKIResult
 	n, err := trancoSize(g)
 	if err != nil {
-		return out, err
+		return out, dw, err
 	}
-	window := func(lo, hi int) (*cypher.Result, error) {
-		return run(g, "ripki", rpkiPrefixQuery, map[string]graph.Value{
-			"lo": graph.Int(int64(lo)), "hi": graph.Int(int64(hi)),
-		})
+	cdnRes, err := run(g, "ripki-cdn", cdnPrefixQuery, nil)
+	if err != nil {
+		return out, dw, err
+	}
+	cdn := map[string]bool{}
+	for i := range cdnRes.Rows {
+		if p, ok := str(cdnRes, i, "prefix"); ok {
+			cdn[p] = true
+		}
+	}
+	res, err := run(g, "ripki", rpkiChainQuery, nil)
+	if err != nil {
+		return out, dw, err
 	}
 
-	all, err := window(1, n)
-	if err != nil {
-		return out, err
+	all, top, bottom, cdnCov := coverage{}, coverage{}, coverage{}, coverage{}
+	domains, cdnDomains := map[string]bool{}, map[string]bool{}
+	topHi, bottomLo := float64(n/10), float64(n-n/10+1)
+	for i := range res.Rows {
+		domain, _ := str(res, i, "domain")
+		prefix, okPrefix := str(res, i, "prefix")
+		label, okLabel := str(res, i, "label")
+		covered := rpkiCovered(label)
+		domains[domain] = domains[domain] || covered
+		if cdn[prefix] {
+			cdnDomains[domain] = cdnDomains[domain] || covered
+		}
+		if !okPrefix || !okLabel {
+			continue
+		}
+		if cdn[prefix] {
+			cdnCov.add(prefix, label)
+		}
+		rv, _ := res.Get(i, "rank")
+		rank, ranked := rv.AsFloat()
+		if !ranked || rank < 1 || rank > float64(n) {
+			continue
+		}
+		all.add(prefix, label)
+		if rank <= topHi {
+			top.add(prefix, label)
+		}
+		if rank >= bottomLo {
+			bottom.add(prefix, label)
+		}
 	}
-	out.TotalPrefixes, out.CoveredPct, out.InvalidPct, out.InvalidMaxLenPct = prefixCoverage(all)
 
-	top, err := window(1, n/10)
-	if err != nil {
-		return out, err
-	}
-	_, out.Top100kPct, _, _ = prefixCoverage(top)
+	out.TotalPrefixes, out.CoveredPct, out.InvalidPct, out.InvalidMaxLenPct = all.stats()
+	_, out.Top100kPct, _, _ = top.stats()
+	_, out.Bottom100kPct, _, _ = bottom.stats()
+	_, out.CDNPct, _, _ = cdnCov.stats()
+	dw.Domains, dw.CDNDomains = len(domains), len(cdnDomains)
+	dw.TrancoPct = pct(countTrue(domains), dw.Domains)
+	dw.CDNPct = pct(countTrue(cdnDomains), dw.CDNDomains)
+	return out, dw, nil
+}
 
-	bottom, err := window(n-n/10+1, n)
-	if err != nil {
-		return out, err
-	}
-	_, out.Bottom100kPct, _, _ = prefixCoverage(bottom)
-
-	cdn, err := run(g, "ripki-cdn", rpkiCDNQuery, nil)
-	if err != nil {
-		return out, err
-	}
-	_, out.CDNPct, _, _ = prefixCoverage(cdn)
-	return out, nil
+// RPKI reproduces the RiPKI study (Table 2's 2024 row).
+func RPKI(g *graph.Graph) (RPKIResult, error) {
+	r, _, err := ripki(g)
+	return r, err
 }
 
 // CategoryCoverage is one row of the §4.1.4 analysis: RPKI coverage of
@@ -215,7 +256,15 @@ RETURN DISTINCT pfx.prefix AS prefix, t.label AS label`
 		if err != nil {
 			return nil, err
 		}
-		total, covered, _, _ := prefixCoverage(res)
+		cov := coverage{}
+		for i := range res.Rows {
+			prefix, ok1 := str(res, i, "prefix")
+			label, ok2 := str(res, i, "label")
+			if ok1 && ok2 {
+				cov.add(prefix, label)
+			}
+		}
+		total, covered, _, _ := cov.stats()
 		out = append(out, CategoryCoverage{Tag: tag, Prefixes: total, CoveredPct: covered})
 	}
 	return out, nil
@@ -251,31 +300,17 @@ RETURN d.name AS domain, pfx.prefix AS prefix, t.label AS label`
 	prefixCovered := map[string]bool{}
 	domainCovered := map[string]bool{}
 	for i := range res.Rows {
-		dv, _ := res.Get(i, "domain")
-		pv, _ := res.Get(i, "prefix")
-		lv, _ := res.Get(i, "label")
-		domain, _ := dv.AsString()
-		prefix, _ := pv.AsString()
-		label, _ := lv.AsString()
+		domain, _ := str(res, i, "domain")
+		prefix, _ := str(res, i, "prefix")
+		label, _ := str(res, i, "label")
 		cov := rpkiCovered(label)
 		prefixCovered[prefix] = prefixCovered[prefix] || cov
 		domainCovered[domain] = domainCovered[domain] || cov
 	}
 	out.Prefixes = len(prefixCovered)
 	out.Domains = len(domainCovered)
-	var pc, dc int
-	for _, v := range prefixCovered {
-		if v {
-			pc++
-		}
-	}
-	for _, v := range domainCovered {
-		if v {
-			dc++
-		}
-	}
-	out.PrefixCoveredPct = pct(pc, out.Prefixes)
-	out.DomainCoveredPct = pct(dc, out.Domains)
+	out.PrefixCoveredPct = pct(countTrue(prefixCovered), out.Prefixes)
+	out.DomainCoveredPct = pct(countTrue(domainCovered), out.Domains)
 	return out, nil
 }
 
@@ -292,61 +327,9 @@ type DomainWeightedRPKIResult struct {
 	CDNDomains int
 }
 
-// DomainWeightedRPKI reproduces §5.1.2 by changing the RETURN statement of
-// the RiPKI query to count hostnames (domains) instead of prefixes.
+// DomainWeightedRPKI reproduces §5.1.2: the RiPKI chain, counting domains
+// instead of prefixes.
 func DomainWeightedRPKI(g *graph.Graph) (DomainWeightedRPKIResult, error) {
-	var out DomainWeightedRPKIResult
-	const q = `
-MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)
-MATCH (d)-[:PART_OF]-(h:HostName)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
-WHERE t.label STARTS WITH 'RPKI'
-RETURN d.name AS domain, pfx.prefix AS prefix, t.label AS label`
-	res, err := run(g, "domain-weighted-rpki", q, nil)
-	if err != nil {
-		return out, err
-	}
-	covered := map[string]bool{}
-	for i := range res.Rows {
-		dv, _ := res.Get(i, "domain")
-		lv, _ := res.Get(i, "label")
-		domain, _ := dv.AsString()
-		label, _ := lv.AsString()
-		covered[domain] = covered[domain] || rpkiCovered(label)
-	}
-	out.Domains = len(covered)
-	var c int
-	for _, v := range covered {
-		if v {
-			c++
-		}
-	}
-	out.TrancoPct = pct(c, out.Domains)
-
-	const qCDN = `
-MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)
-MATCH (d)-[:PART_OF]-(h:HostName)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
-WHERE t.label STARTS WITH 'RPKI'
-MATCH (pfx)-[:ORIGINATE]-(:AS)-[:CATEGORIZED]-(:Tag {label:'Content Delivery Network'})
-RETURN d.name AS domain, pfx.prefix AS prefix, t.label AS label`
-	resCDN, err := run(g, "domain-weighted-rpki-cdn", qCDN, nil)
-	if err != nil {
-		return out, err
-	}
-	coveredCDN := map[string]bool{}
-	for i := range resCDN.Rows {
-		dv, _ := resCDN.Get(i, "domain")
-		lv, _ := resCDN.Get(i, "label")
-		domain, _ := dv.AsString()
-		label, _ := lv.AsString()
-		coveredCDN[domain] = coveredCDN[domain] || rpkiCovered(label)
-	}
-	out.CDNDomains = len(coveredCDN)
-	c = 0
-	for _, v := range coveredCDN {
-		if v {
-			c++
-		}
-	}
-	out.CDNPct = pct(c, out.CDNDomains)
-	return out, nil
+	_, dw, err := ripki(g)
+	return dw, err
 }
