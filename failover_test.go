@@ -193,36 +193,44 @@ func TestReplicaFailoverUnderFaults(t *testing.T) {
 		t.Fatalf("post-load ready status = %d: %s", w.Code, w.Body)
 	}
 
-	clients := 4
-	attempts := 150
-
-	// Phase A — fault-free churn: publisher and readers run concurrently.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 10; i++ {
-			publishSchedule(t, fs, []string{"good"})
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	nA, dA := hammer(t, h, clients, attempts)
-	<-done
-
-	// Phase B — every fault class, interleaved with good publishes.
-	schedule := []string{
+	// Phase A is fault-free churn; phase B is every fault class,
+	// interleaved with good publishes. Publisher and readers run
+	// concurrently in both. Each phase is about a tenth of a second of
+	// queries, so the two are run in alternating rounds: a change in
+	// machine load (other test packages, the GC) during the test lands on
+	// both phases instead of deciding the ratio between them.
+	const clients, rounds, attempts = 4, 5, 30 // 150 queries per client and phase
+	faulted := []string{
 		"bitflip", "good", "lying", "truncated", "good",
 		"torn", "orphan", "bitflip", "good", "truncated",
 	}
-	done = make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, kind := range schedule {
-			publishSchedule(t, fs, []string{kind})
-			time.Sleep(5 * time.Millisecond)
+	phase := func(schedule []string) (int, time.Duration) {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, kind := range schedule {
+				publishSchedule(t, fs, []string{kind})
+				time.Sleep(5 * time.Millisecond)
+			}
+		}()
+		n, d := hammer(t, h, clients, attempts)
+		<-done
+		return n, d
+	}
+	var nA, nB int
+	var dA, dB time.Duration
+	per := len(faulted) / rounds
+	for r := range rounds {
+		runA := func() { n, d := phase([]string{"good", "good"}); nA, dA = nA+n, dA+d }
+		runB := func() { n, d := phase(faulted[r*per : (r+1)*per]); nB, dB = nB+n, dB+d }
+		if r%2 == 0 {
+			runA()
+			runB()
+		} else {
+			runB()
+			runA()
 		}
-	}()
-	nB, dB := hammer(t, h, clients, attempts)
-	<-done
+	}
 
 	// Goodput: every query in both phases returned 200 (hammer fails the
 	// test otherwise), so the ≥95% acceptance is about throughput — faults

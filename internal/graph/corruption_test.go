@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math/rand"
 	"runtime"
 	"testing"
 )
@@ -158,24 +159,27 @@ func TestLoadLyingLengthsBoundAllocation(t *testing.T) {
 	none := func(e *encBuf) { e.uvarint(0) }
 	oneLabel := func(e *encBuf) { e.uvarint(1); e.string("AS") }
 	oneKey := func(e *encBuf) { e.uvarint(1); e.string("tags") }
+	incompressible := make([]byte, 1<<20)
+	rand.New(rand.NewSource(1)).Read(incompressible)
 	cases := []struct {
 		name   string
 		bodies []func(e *encBuf)
+		patch  func([]byte) // applied through repatch, when set
 	}{
-		{"huge label table", []func(e *encBuf){func(e *encBuf) { e.uvarint(1 << 40) }}},
+		{"huge label table", []func(e *encBuf){func(e *encBuf) { e.uvarint(1 << 40) }}, nil},
 		{"huge string length", []func(e *encBuf){func(e *encBuf) {
 			e.uvarint(1)       // one label...
 			e.uvarint(1 << 62) // ...whose name claims 4 EiB
-		}}},
-		{"huge dictionary", []func(e *encBuf){none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
-		{"huge node count", []func(e *encBuf){none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
-		{"huge rel count", []func(e *encBuf){none, none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
+		}}, nil},
+		{"huge dictionary", []func(e *encBuf){none, none, func(e *encBuf) { e.uvarint(1 << 50) }}, nil},
+		{"huge node count", []func(e *encBuf){none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}, nil},
+		{"huge rel count", []func(e *encBuf){none, none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}, nil},
 		{"huge prop count", []func(e *encBuf){oneLabel, none, none, func(e *encBuf) {
 			e.uvarint(1)       // one node slot
 			e.byte(1)          // present
 			e.uvarint(0)       // no labels
 			e.uvarint(1 << 40) // absurd property count
-		}}},
+		}}, nil},
 		{"huge list length", []func(e *encBuf){none, none, oneKey, func(e *encBuf) {
 			e.uvarint(1)
 			e.byte(1)
@@ -184,8 +188,13 @@ func TestLoadLyingLengthsBoundAllocation(t *testing.T) {
 			e.uvarint(0) // key "tags"
 			e.byte(byte(KindList))
 			e.uvarint(1 << 40)
-		}}},
-		{"huge index count", []func(e *encBuf){none, none, none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}},
+		}}, nil},
+		{"huge index count", []func(e *encBuf){none, none, none, none, none, func(e *encBuf) { e.uvarint(1 << 50) }}, nil},
+		// ~1 MiB of stored deflate whose header claims 1 GiB: inside the
+		// 1032:1 plausibility bound, so only the presize cap keeps the
+		// decoder from allocating the claim before the length check.
+		{"lying uncompressed length", []func(e *encBuf){func(e *encBuf) { e.b.Write(incompressible) }},
+			func(b []byte) { binary.LittleEndian.PutUint64(b[18:], 1<<30) }},
 	}
 	if _, err := Load(bytes.NewReader(craftedSnapshot(t))); err != nil {
 		t.Fatalf("crafted empty snapshot rejected (the helper is wrong): %v", err)
@@ -194,6 +203,9 @@ func TestLoadLyingLengthsBoundAllocation(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			data := craftedSnapshot(t, tc.bodies...)
+			if tc.patch != nil {
+				data = repatch(data, tc.patch)
+			}
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			g, err := Load(bytes.NewReader(data))

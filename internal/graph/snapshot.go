@@ -3,6 +3,7 @@ package graph
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/gzip"
 	"encoding/binary"
 	"errors"
@@ -12,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -91,7 +93,7 @@ const (
 	maxTableLen    = 1 << 16 // label/type tables (ids are u16)
 	initialIDCap   = 1 << 16 // file-dictionary id table pre-allocation cap
 	initialListCap = 1 << 12 // list value pre-allocation cap
-	initialPropCap = 1 << 10 // property column pre-allocation cap
+	initialPropCap = 1 << 10 // journal property map pre-allocation cap
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -430,11 +432,15 @@ func (s *sliceReader) readFull(n uint64) ([]byte, error) {
 }
 
 func readUvarint(d *sliceReader) (uint64, error) {
-	v, err := binary.ReadUvarint(d)
-	if err != nil && !errors.Is(err, ErrCorrupt) {
-		err = corruptf("%v", err) // a varint overflowing 64 bits
+	v, n := binary.Uvarint(d.data[d.off:])
+	switch {
+	case n == 0:
+		return 0, corruptf("truncated section")
+	case n < 0:
+		return 0, corruptf("varint overflows 64 bits")
 	}
-	return v, err
+	d.off += n
+	return v, nil
 }
 
 func readString(d *sliceReader) (string, error) {
@@ -515,13 +521,21 @@ func readList(d *sliceReader) ([]Value, error) {
 	return vs, nil
 }
 
-// fileDict is the decoded dictionary section: file-local id → Interner id.
-type fileDict struct {
-	ids []uint32
+// loader is the decode state of the node and relationship sections: the
+// file dictionary, and the slabs and arenas every node, relationship and
+// property column is carved from. A load therefore allocates per page and
+// per chunk, not per entity. Every column and adjacency list it hands out
+// is capacity-limited (cap == len), so the in-place writers in store.go
+// reallocate on growth instead of writing into a neighbour's entries.
+type loader struct {
+	g       *Graph
+	ids     []uint32 // file-local dictionary id → Interner id
+	scratch []centry // the column being decoded, reused
+	props   []centry // unused tail of the current property chunk
 }
 
 // readCProps decodes a columnar prop-entry list into a sorted column.
-func readCProps(g *Graph, d *sliceReader, fd *fileDict) ([]centry, error) {
+func (l *loader) readCProps(d *sliceReader) ([]centry, error) {
 	n, err := readUvarint(d)
 	if err != nil {
 		return nil, err
@@ -530,16 +544,16 @@ func readCProps(g *Graph, d *sliceReader, fd *fileDict) ([]centry, error) {
 	if n > d.limit() {
 		return nil, corruptf("property count %d too large", n)
 	}
-	cp := make([]centry, 0, min(n, initialPropCap))
+	cp := l.scratch[:0]
 	for i := uint64(0); i < n; i++ {
 		keyRef, err := readUvarint(d)
 		if err != nil {
 			return nil, err
 		}
-		if keyRef >= uint64(len(fd.ids)) {
-			return nil, corruptf("property key id %d out of dictionary range %d", keyRef, len(fd.ids))
+		if keyRef >= uint64(len(l.ids)) {
+			return nil, corruptf("property key id %d out of dictionary range %d", keyRef, len(l.ids))
 		}
-		e := centry{key: fd.ids[keyRef]}
+		e := centry{key: l.ids[keyRef]}
 		kb, err := d.ReadByte()
 		if err != nil {
 			return nil, err
@@ -564,25 +578,48 @@ func readCProps(g *Graph, d *sliceReader, fd *fileDict) ([]centry, error) {
 			if err != nil {
 				return nil, err
 			}
-			if ref >= uint64(len(fd.ids)) {
-				return nil, corruptf("string id %d out of dictionary range %d", ref, len(fd.ids))
+			if ref >= uint64(len(l.ids)) {
+				return nil, corruptf("string id %d out of dictionary range %d", ref, len(l.ids))
 			}
-			e.num = uint64(fd.ids[ref])
+			e.num = uint64(l.ids[ref])
 		case KindList:
 			vs, err := readList(d)
 			if err != nil {
 				return nil, err
 			}
-			e.num = uint64(g.dict.internListKey(listDedupKey(vs), vs))
+			e.num = uint64(l.g.dict.internListKey(listDedupKey(vs), vs))
 		default:
 			return nil, corruptf("unknown value kind %d", kb)
 		}
 		cp = append(cp, e)
 	}
+	l.scratch = cp
 	// Entries are sorted by the graph's global key ids; with a seeded
 	// dictionary those need not follow file order.
-	sort.Slice(cp, func(i, j int) bool { return cp[i].key < cp[j].key })
-	return cp, nil
+	byKey := func(a, b centry) int { return cmp.Compare(a.key, b.key) }
+	if !slices.IsSortedFunc(cp, byKey) {
+		slices.SortFunc(cp, byKey)
+	}
+	return l.column(cp), nil
+}
+
+// column copies cp into the property arena and returns it with cap == len.
+// A column longer than a chunk gets an allocation of its own.
+func (l *loader) column(cp []centry) []centry {
+	n := len(cp)
+	if n == 0 {
+		return nil
+	}
+	if n > len(l.props) {
+		if n > slotPageSize {
+			return append(make([]centry, 0, n), cp...)
+		}
+		l.props = make([]centry, slotPageSize)
+	}
+	out := l.props[:n:n]
+	copy(out, cp)
+	l.props = l.props[n:]
+	return out
 }
 
 // decodeStringTable reads a label or type table (bounded by maxTableLen,
@@ -608,33 +645,34 @@ func decodeStringTable(d *sliceReader, what string) ([]string, error) {
 
 // decodeDict reads the dictionary section, interning every string into the
 // graph's (possibly seeded) Interner and recording reuse statistics.
-func decodeDict(g *Graph, d *sliceReader, rep *LoadReport) (*fileDict, error) {
+func (l *loader) decodeDict(d *sliceReader, rep *LoadReport) error {
 	n, err := readUvarint(d)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Each string takes at least one byte (its length prefix).
 	if n > d.limit() {
-		return nil, corruptf("dictionary size %d exceeds input", n)
+		return corruptf("dictionary size %d exceeds input", n)
 	}
-	fd := &fileDict{ids: make([]uint32, 0, min(n, uint64(initialIDCap)))}
+	l.ids = make([]uint32, 0, min(n, uint64(initialIDCap)))
 	for i := uint64(0); i < n; i++ {
 		s, err := readString(d)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		id, existed := g.dict.internHit(s)
-		fd.ids = append(fd.ids, id)
+		id, existed := l.g.dict.internHit(s)
+		l.ids = append(l.ids, id)
 		rep.DictStrings++
 		if existed {
 			rep.DictReused++
 		}
 	}
-	return fd, nil
+	return nil
 }
 
 // readNodeLabels decodes and validates one node's label-id list, returning
-// the graph's label-set id for it.
+// the graph's label-set id for it. The set is built in a stack buffer;
+// internLset copies it only the first time the combination is seen.
 func readNodeLabels(g *Graph, d *sliceReader, slot uint64) (lsetID, error) {
 	nLabels := uint64(len(g.labelNames))
 	nl, err := readUvarint(d)
@@ -644,7 +682,8 @@ func readNodeLabels(g *Graph, d *sliceReader, slot uint64) (lsetID, error) {
 	if nl > nLabels {
 		return 0, corruptf("node %d: label count %d exceeds table size %d", slot+1, nl, nLabels)
 	}
-	var ls []labelID
+	var buf [8]labelID
+	ls := buf[:0]
 	for j := uint64(0); j < nl; j++ {
 		l, err := readUvarint(d)
 		if err != nil {
@@ -658,8 +697,10 @@ func readNodeLabels(g *Graph, d *sliceReader, slot uint64) (lsetID, error) {
 	return g.internLset(ls), nil
 }
 
-// decodeNodeSlots reads the node section into g.
-func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
+// decodeNodeSlots reads the node section into g. Nodes come from slabs of
+// up to a slot page, one allocation per page.
+func (l *loader) decodeNodeSlots(d *sliceReader) error {
+	g := l.g
 	nNodes, err := readUvarint(d)
 	if err != nil {
 		return err
@@ -668,6 +709,7 @@ func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 	if nNodes > d.limit() {
 		return corruptf("node count %d exceeds input", nNodes)
 	}
+	var slab []Node
 	for i := uint64(0); i < nNodes; i++ {
 		present, err := d.ReadByte()
 		if err != nil {
@@ -677,11 +719,16 @@ func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 			g.nodes.push(nil, g.owner)
 			continue
 		}
-		n := &Node{id: NodeID(i + 1), owner: g.owner}
+		if len(slab) == 0 {
+			slab = make([]Node, min(nNodes-i, slotPageSize))
+		}
+		n := &slab[0]
+		slab = slab[1:]
+		n.id, n.owner = NodeID(i+1), g.owner
 		if n.lset, err = readNodeLabels(g, d, i); err != nil {
 			return err
 		}
-		if n.cprops, err = readCProps(g, d, fd); err != nil {
+		if n.cprops, err = l.readCProps(d); err != nil {
 			return err
 		}
 		g.nodes.push(n, g.owner)
@@ -691,8 +738,11 @@ func decodeNodeSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 }
 
 // decodeRelSlots reads the relationship section into g, validating
-// endpoints against the already-decoded nodes.
-func decodeRelSlots(g *Graph, d *sliceReader, fd *fileDict) error {
+// endpoints against the already-decoded nodes. Rels come from slabs like
+// nodes do; the adjacency lists are cut from one arena sized by the
+// degrees counted while decoding, then filled in rel-ID order.
+func (l *loader) decodeRelSlots(d *sliceReader) error {
+	g := l.g
 	nTypes := uint64(len(g.typeNames))
 	nRels, err := readUvarint(d)
 	if err != nil {
@@ -701,6 +751,8 @@ func decodeRelSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 	if nRels > d.limit() {
 		return corruptf("relationship count %d exceeds input", nRels)
 	}
+	deg := make([]uint32, 2*g.nodes.n) // out-degree of node i at 2i, in-degree at 2i+1
+	var slab []Rel
 	for i := uint64(0); i < nRels; i++ {
 		present, err := d.ReadByte()
 		if err != nil {
@@ -725,19 +777,45 @@ func decodeRelSlots(g *Graph, d *sliceReader, fd *fileDict) error {
 		if err != nil {
 			return err
 		}
-		cp, err := readCProps(g, d, fd)
+		cp, err := l.readCProps(d)
 		if err != nil {
 			return err
 		}
-		r := &Rel{id: RelID(i + 1), owner: g.owner, typ: typeID(typ), from: NodeID(from), to: NodeID(to), cprops: cp}
-		fn, tn := g.node(r.from), g.node(r.to)
-		if fn == nil || tn == nil {
-			return corruptf("relationship %d references missing node", r.id)
+		if g.node(NodeID(from)) == nil || g.node(NodeID(to)) == nil {
+			return corruptf("relationship %d references missing node", i+1)
 		}
+		if len(slab) == 0 {
+			slab = make([]Rel, min(nRels-i, slotPageSize))
+		}
+		r := &slab[0]
+		slab = slab[1:]
+		*r = Rel{id: RelID(i + 1), owner: g.owner, typ: typeID(typ), from: NodeID(from), to: NodeID(to), cprops: cp}
 		g.rels.push(r, g.owner)
 		g.relCount++
-		fn.out = append(fn.out, r.id)
-		tn.in = append(tn.in, r.id)
+		deg[2*(from-1)]++
+		deg[2*(to-1)+1]++
+	}
+
+	adj := make([]RelID, 2*g.relCount)
+	cut := func(k uint32) []RelID {
+		if k == 0 {
+			return nil
+		}
+		s := adj[:0:k]
+		adj = adj[k:]
+		return s
+	}
+	for i := range g.nodes.n {
+		if n := g.nodes.at(i); n != nil {
+			n.out, n.in = cut(deg[2*i]), cut(deg[2*i+1])
+		}
+	}
+	for i := range g.rels.n {
+		if r := g.rels.at(i); r != nil {
+			fn, tn := g.node(r.from), g.node(r.to)
+			fn.out = append(fn.out, r.id)
+			tn.in = append(tn.in, r.id)
+		}
 	}
 	return nil
 }
@@ -818,19 +896,23 @@ func Load(r io.Reader) (*Graph, error) {
 
 // LoadWith is Load with options (dictionary seeding) and a reuse report.
 func LoadWith(r io.Reader, opts LoadOptions) (*Graph, LoadReport, error) {
-	var rep LoadReport
 	br := bufio.NewReaderSize(r, 1<<16)
-	head, err := br.Peek(2)
-	if err != nil {
-		return nil, rep, corruptf("snapshot header: %v", err)
-	}
-	if head[0] == 0x1f && head[1] == 0x8b {
-		// A bare gzip stream is the first snapshot layout.
-		return nil, rep, errUnsupportedFormat
+	if _, err := br.Peek(2); err != nil {
+		return nil, LoadReport{}, corruptf("snapshot header: %v", err)
 	}
 	data, err := io.ReadAll(br)
 	if err != nil {
-		return nil, rep, fmt.Errorf("graph: snapshot read: %w", err)
+		return nil, LoadReport{}, fmt.Errorf("graph: snapshot read: %w", err)
+	}
+	return loadBytes(data, opts)
+}
+
+// loadBytes decodes a whole snapshot held in memory.
+func loadBytes(data []byte, opts LoadOptions) (*Graph, LoadReport, error) {
+	var rep LoadReport
+	if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) {
+		// A bare gzip stream is the first snapshot layout.
+		return nil, rep, errUnsupportedFormat
 	}
 	g, err := decodeSnapshot(data, opts, &rep)
 	return g, rep, err
@@ -930,22 +1012,17 @@ func decodeSnapshot(data []byte, opts LoadOptions, rep *LoadReport) (*Graph, err
 	}); err != nil {
 		return nil, err
 	}
-	var fd *fileDict
-	if err := decode(secDict, func(d *sliceReader) (err error) {
-		fd, err = decodeDict(g, d, rep)
-		return err
+	l := &loader{g: g}
+	if err := decode(secDict, func(d *sliceReader) error {
+		return l.decodeDict(d, rep)
 	}); err != nil {
 		return nil, err
 	}
-	if err := decode(secNodes, func(d *sliceReader) error {
-		return decodeNodeSlots(g, d, fd)
-	}); err != nil {
+	if err := decode(secNodes, l.decodeNodeSlots); err != nil {
 		return nil, err
 	}
 	rebuildLabelIndex(g)
-	if err := decode(secRels, func(d *sliceReader) error {
-		return decodeRelSlots(g, d, fd)
-	}); err != nil {
+	if err := decode(secRels, l.decodeRelSlots); err != nil {
 		return nil, err
 	}
 	if err := decode(secIndexes, func(d *sliceReader) error {
@@ -1001,9 +1078,14 @@ func readSection(data []byte, wantID byte) ([]byte, int, error) {
 		return nil, 0, corruptf("section %d: %v", wantID, err)
 	}
 	defer zr.Close()
-	// Grow-as-read keeps allocation bounded by the real decompressed size.
+	// The body is presized to the claimed length, capped at 16× the
+	// compressed bytes (real sections run up to ~11×), plus the slack
+	// ReadFrom wants to see EOF without regrowing. Past the cap it grows
+	// as it reads, so a lying length alone buys at most 16× the
+	// compressed bytes before the length check below rejects it.
 	var body bytes.Buffer
-	n, err := io.Copy(&body, io.LimitReader(zr, int64(ulen)+1))
+	body.Grow(int(min(ulen, 16*clen)) + bytes.MinRead)
+	n, err := body.ReadFrom(io.LimitReader(zr, int64(ulen)+1))
 	if err != nil {
 		return nil, 0, corruptf("section %d: %v", wantID, err)
 	}
@@ -1068,10 +1150,9 @@ func LoadFile(path string) (*Graph, error) {
 // LoadFileWith reads a snapshot from path with options (dictionary
 // seeding) and a reuse report.
 func LoadFileWith(path string, opts LoadOptions) (*Graph, LoadReport, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path) // one read at the file's size
 	if err != nil {
 		return nil, LoadReport{}, err
 	}
-	defer f.Close()
-	return LoadWith(f, opts)
+	return loadBytes(data, opts)
 }

@@ -27,6 +27,12 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(v2.Bytes())
 	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
+	var arena bytes.Buffer
+	if err := arenaFixture().Save(&arena); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(arena.Bytes())
+	f.Add(arena.Bytes()[:len(arena.Bytes())/2])
 	var empty bytes.Buffer
 	if err := New().Save(&empty); err != nil {
 		f.Fatal(err)

@@ -3,10 +3,12 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -240,4 +242,187 @@ func TestWriteFileAtomic(t *testing.T) {
 	if err := WriteFileAtomic(filepath.Join(dir, "missing", "f"), func(io.Writer) error { return nil }); err == nil {
 		t.Fatal("write into a missing directory succeeded")
 	}
+}
+
+// arenaFixture is a graph whose neighbouring nodes and rels share the
+// loader's property chunk and adjacency arena: 40 nodes with three
+// properties each, one ring rel and one self-loop per node. Its last node
+// carries more labels than readNodeLabels' stack buffer holds.
+func arenaFixture() *Graph {
+	const n = 40
+	g := New()
+	many := make([]string, 10)
+	for i := range many {
+		many[i] = fmt.Sprintf("L%d", i)
+	}
+	for i := range n {
+		labels := []string{"AS"}
+		if i == n-1 {
+			labels = many
+		}
+		g.AddNode(labels, Props{"asn": Int(int64(i)), "name": String(fmt.Sprintf("n%d", i)), "z": Bool(i%2 == 0)})
+	}
+	for i := 1; i <= n; i++ {
+		id := NodeID(i)
+		_, _ = g.AddRel("R", id, NodeID(i%n+1), Props{"w": Int(int64(i)), "src": String("ring")}) // rel 2i-1
+		_, _ = g.AddRel("LOOP", id, id, Props{"w": Int(int64(-i))})                               // rel 2i
+	}
+	g.EnsureIndex("AS", "asn")
+	return g
+}
+
+// sameProps fails unless got holds exactly want, looking each key up
+// through lookup so that an unsorted column fails its binary search.
+func sameProps(t *testing.T, what string, got, want Props, lookup func(string) Value) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: props %v, want %v", what, got, want)
+	}
+	for k, v := range want {
+		if !lookup(k).Equal(v) {
+			t.Fatalf("%s: prop %s = %v, want %v", what, k, lookup(k), v)
+		}
+	}
+}
+
+// sameEntities fails unless every node and rel of got outside the skip
+// sets has want's labels, properties and adjacency lists, in order.
+func sameEntities(t *testing.T, got, want *Graph, skipNodes []NodeID, skipRels []RelID) {
+	t.Helper()
+	for i := range want.nodes.n {
+		id := NodeID(i + 1)
+		if slices.Contains(skipNodes, id) {
+			continue
+		}
+		gn, wn := got.node(id), want.node(id)
+		if (gn == nil) != (wn == nil) {
+			t.Fatalf("node %d presence differs", id)
+		}
+		if wn == nil {
+			continue
+		}
+		what := fmt.Sprintf("node %d", id)
+		if !slices.Equal(got.NodeLabels(id), want.NodeLabels(id)) {
+			t.Fatalf("%s: labels %v, want %v", what, got.NodeLabels(id), want.NodeLabels(id))
+		}
+		sameProps(t, what, got.NodeProps(id), want.NodeProps(id), func(k string) Value { return got.NodeProp(id, k) })
+		if !slices.Equal(gn.out, wn.out) || !slices.Equal(gn.in, wn.in) {
+			t.Fatalf("%s: adjacency out %v in %v, want out %v in %v", what, gn.out, gn.in, wn.out, wn.in)
+		}
+	}
+	for i := range want.rels.n {
+		id := RelID(i + 1)
+		if slices.Contains(skipRels, id) {
+			continue
+		}
+		if (got.rel(id) == nil) != (want.rel(id) == nil) {
+			t.Fatalf("rel %d presence differs", id)
+		}
+		if want.rel(id) != nil {
+			sameProps(t, fmt.Sprintf("rel %d", id), got.RelProps(id), want.RelProps(id), func(k string) Value { return got.RelProp(id, k) })
+		}
+	}
+}
+
+// TestLoadedColumnsDoNotAlias guards the loader's cap == len invariant: a
+// property column or adjacency list carved from a shared arena must
+// reallocate when it grows, never write into its neighbour's entries.
+func TestLoadedColumnsDoNotAlias(t *testing.T) {
+	var buf bytes.Buffer
+	if err := arenaFixture().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	load := func(t *testing.T, opts LoadOptions) *Graph {
+		t.Helper()
+		g, _, err := LoadWith(bytes.NewReader(data), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	fresh := load(t, LoadOptions{})
+
+	const k NodeID = 20
+	ring, loop := RelID(2*k-1), RelID(2*k)
+	// Each column and list grows at full length first (the write that
+	// would land in a neighbour), then shrinks.
+	mutate := func(t *testing.T, g *Graph) RelID {
+		t.Helper()
+		must := func(err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		must(g.SetNodeProp(k, "added", Int(1)))
+		must(g.SetRelProp(ring, "added", Int(1)))
+		added, err := g.AddRel("LOOP", k, k, nil)
+		must(err)
+		must(g.SetNodeProp(k, "asn", Null()))
+		must(g.SetRelProp(ring, "src", Null()))
+		must(g.DeleteRel(loop))
+		return added
+	}
+	check := func(t *testing.T, g *Graph, added RelID) {
+		t.Helper()
+		sameEntities(t, g, fresh, []NodeID{k}, []RelID{ring, loop})
+		wantNode := fresh.NodeProps(k)
+		delete(wantNode, "asn")
+		wantNode["added"] = Int(1)
+		sameProps(t, "node k", g.NodeProps(k), wantNode, func(key string) Value { return g.NodeProp(k, key) })
+		sameProps(t, "rel k", g.RelProps(ring), Props{"w": Int(int64(k)), "added": Int(1)}, func(key string) Value { return g.RelProp(ring, key) })
+		adj := func(ids []RelID) []RelID {
+			return append(slices.DeleteFunc(slices.Clone(ids), func(id RelID) bool { return id == loop }), added)
+		}
+		n, f := g.node(k), fresh.node(k)
+		if want := adj(f.out); !slices.Equal(n.out, want) {
+			t.Fatalf("node k out %v, want %v", n.out, want)
+		}
+		if want := adj(f.in); !slices.Equal(n.in, want) {
+			t.Fatalf("node k in %v, want %v", n.in, want)
+		}
+		if g.rel(loop) != nil || g.rel(added) == nil {
+			t.Fatal("rel delete or add lost")
+		}
+	}
+
+	t.Run("in place", func(t *testing.T) {
+		g := load(t, LoadOptions{}) // owns its slabs: every write lands in place
+		check(t, g, mutate(t, g))
+	})
+	t.Run("clone", func(t *testing.T) {
+		parent := load(t, LoadOptions{})
+		st := NewMVStore(parent)
+		var added RelID
+		if _, err := st.Update(func(c *Graph) error { added = mutate(t, c); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		check(t, st.Current(), added)
+		sameEntities(t, parent, fresh, nil, nil)
+	})
+	t.Run("seeded dictionary out of file order", func(t *testing.T) {
+		// Seeding the keys in reverse name order makes every column's
+		// global key ids disagree with the file's name order, so each
+		// column takes the sort fallback.
+		dict := NewInterner()
+		for _, key := range []string{"z", "w", "src", "name", "asn"} {
+			dict.intern(key)
+		}
+		g := load(t, LoadOptions{Dict: dict})
+		if n := g.node(k); dict.str(n.cprops[0].key) != "z" {
+			t.Fatalf("seeded column not in key-id order: first key %q", dict.str(n.cprops[0].key))
+		}
+		sameEntities(t, g, fresh, nil, nil)
+		if !bytes.Equal(snapshotBytes(t, g), data) {
+			t.Fatal("seeded load re-saves to different bytes")
+		}
+	})
+	t.Run("fresh load equals the built graph", func(t *testing.T) {
+		built := arenaFixture()
+		if got := fresh.NodeLabels(40); len(got) != 10 {
+			t.Fatalf("node 40 labels %v, want 10 (more than the stack buffer)", got)
+		}
+		sameEntities(t, fresh, built, nil, nil)
+	})
 }

@@ -608,23 +608,20 @@ func (g *Graph) internLset(ls []labelID) lsetID {
 	if len(ls) == 0 {
 		return 0
 	}
-	key := lsetKey(ls)
-	if id, ok := g.lsetIDs[key]; ok {
+	// The key is built on the stack and probed without a conversion; only
+	// a new combination allocates.
+	var buf [16]byte
+	key := buf[:0]
+	for _, l := range ls {
+		key = append(key, byte(l>>8), byte(l))
+	}
+	if id, ok := g.lsetIDs[string(key)]; ok {
 		return id
 	}
 	id := lsetID(len(g.lsets))
 	g.lsets = append(g.lsets, append([]labelID(nil), ls...))
-	g.lsetIDs[key] = id
+	g.lsetIDs[string(key)] = id
 	return id
-}
-
-func lsetKey(ls []labelID) string {
-	b := make([]byte, 2*len(ls))
-	for i, l := range ls {
-		b[2*i] = byte(l >> 8)
-		b[2*i+1] = byte(l)
-	}
-	return string(b)
 }
 
 // nodeLabels resolves a node's label-set id to the (shared, do-not-mutate)

@@ -32,16 +32,6 @@ func CanonicalIP(s string) (string, error) {
 	return addr.String(), nil
 }
 
-// MustCanonicalIP is like CanonicalIP but panics on invalid input. For use
-// with trusted, programmatically generated values (e.g. tests, simnet).
-func MustCanonicalIP(s string) string {
-	c, err := CanonicalIP(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // CanonicalPrefix parses s as a CIDR prefix and returns its canonical form:
 // masked network address (host bits zeroed) in canonical IP spelling plus
 // prefix length. "2001:0DB8::1/32" canonicalizes to "2001:db8::/32".
@@ -61,15 +51,6 @@ func CanonicalPrefix(s string) (string, error) {
 		p = netip.PrefixFrom(addr.Unmap(), bits).Masked()
 	}
 	return p.String(), nil
-}
-
-// MustCanonicalPrefix is like CanonicalPrefix but panics on invalid input.
-func MustCanonicalPrefix(s string) string {
-	c, err := CanonicalPrefix(s)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 // AddressFamily returns 4 or 6 for a canonical IP or prefix string.

@@ -52,7 +52,7 @@ func RunAll(g *graph.Graph) (*Report, error) {
 		r   Report
 		err error
 	)
-	if r.RPKI, err = RPKI(g); err != nil {
+	if r.RPKI, r.DomainWeighted, err = ripki(g); err != nil {
 		return nil, err
 	}
 	tags := []string{"Academic", "Government", "DDoS Mitigation", "Content Delivery Network"}
@@ -60,9 +60,6 @@ func RunAll(g *graph.Graph) (*Report, error) {
 		return nil, err
 	}
 	if r.NameserverRPKI, err = NameserverRPKI(g); err != nil {
-		return nil, err
-	}
-	if r.DomainWeighted, err = DomainWeightedRPKI(g); err != nil {
 		return nil, err
 	}
 	if r.BestPractice, err = DNSBestPractice(g); err != nil {

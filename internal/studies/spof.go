@@ -3,6 +3,7 @@ package studies
 import (
 	"context"
 	"sort"
+	"strconv"
 
 	"iyp/internal/algo"
 	"iyp/internal/graph"
@@ -202,24 +203,9 @@ func SPoF(g *graph.Graph, list, level string, topN int) (SPoFResult, error) {
 }
 
 func asKey(asn int64, name string) string {
+	key := "AS" + strconv.FormatInt(asn, 10)
 	if name == "" {
-		return formatASN(asn)
+		return key
 	}
-	return formatASN(asn) + " " + name
-}
-
-func formatASN(asn int64) string {
-	// Tiny integer formatting without fmt in the hot path.
-	if asn == 0 {
-		return "AS0"
-	}
-	var buf [24]byte
-	i := len(buf)
-	n := asn
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return "AS" + string(buf[i:])
+	return key + " " + name
 }
