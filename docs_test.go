@@ -141,6 +141,84 @@ func TestDesignReplicaDictMetrics(t *testing.T) {
 	}
 }
 
+// TestDesignExperimentIndex pins DESIGN.md's experiment index to the
+// code: every exported name a row cites as pkg.Name must be declared in
+// internal/pkg, and every benchmark it cites must exist at the root.
+func TestDesignExperimentIndex(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, index, _ := strings.Cut(string(design), "\n## Experiment index")
+	index, _, _ = strings.Cut(index, "\n## ")
+	ref := regexp.MustCompile(`\b([a-z]+)\.([A-Z]\w*)`)
+	bench := regexp.MustCompile("`(Benchmark\\w+)`")
+	decls := make(map[string]map[string]bool) // directory → top-level names
+	declared := func(dir string, tests bool) map[string]bool {
+		if names, ok := decls[dir]; ok {
+			return names
+		}
+		names := make(map[string]bool)
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") != tests {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					if d.Recv == nil {
+						names[d.Name.Name] = true
+					}
+				case *ast.GenDecl:
+					for _, spec := range d.Specs {
+						switch spec := spec.(type) {
+						case *ast.TypeSpec:
+							names[spec.Name.Name] = true
+						case *ast.ValueSpec:
+							for _, n := range spec.Names {
+								names[n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+		decls[dir] = names
+		return names
+	}
+	rows := 0
+	for _, line := range strings.Split(index, "\n") {
+		if !strings.HasPrefix(line, "| E") {
+			continue
+		}
+		rows++
+		for _, m := range ref.FindAllStringSubmatch(line, -1) {
+			dir := filepath.Join("internal", m[1])
+			if _, err := os.Stat(dir); err != nil {
+				t.Errorf("experiment index cites %s.%s: no package %s", m[1], m[2], dir)
+			} else if !declared(dir, false)[m[2]] {
+				t.Errorf("experiment index cites %s.%s: not declared in %s", m[1], m[2], dir)
+			}
+		}
+		for _, m := range bench.FindAllStringSubmatch(line, -1) {
+			if !declared(".", true)[m[1]] {
+				t.Errorf("experiment index cites %s: no such benchmark", m[1])
+			}
+		}
+	}
+	if rows == 0 {
+		t.Fatal("DESIGN.md has no experiment index rows")
+	}
+}
+
 // TestReadmeTemporalExamples pins the temporal-subsystem docs the same
 // way: the query surfaces the README and DESIGN.md advertise must parse
 // and execute exactly as written.

@@ -5,7 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"iyp/internal/crawlers"
@@ -33,6 +33,9 @@ type DeltaOptions struct {
 	// Datasets forces these dataset names to re-crawl even when their
 	// inputs are unchanged (empty = changed datasets only).
 	Datasets []string
+	// onLoad is a test hook called as the previous generation starts
+	// loading.
+	onLoad func()
 }
 
 // DeltaResult is a completed (or skipped) incremental build.
@@ -70,14 +73,15 @@ type DeltaResult struct {
 //
 //  1. Render the current inputs and compare every dataset's payload hashes
 //     with the store's DATASETS manifest; unchanged datasets are skipped.
-//  2. Load the previous generation, delete the relationships the changed
+//     The previous generation loads concurrently.
+//  2. Delete from the previous generation the relationships the changed
 //     datasets contributed (by reference_name provenance) and all
 //     refinement relationships (they derive from dataset relationships).
 //  3. Re-crawl the changed datasets through the normal ingest pipeline —
 //     each dataset commits as one journaled batch — then re-run the
 //     refinement passes.
-//  4. Drop nodes orphaned by the deletions that nothing re-created, and
-//     publish the result as the next generation, updating DATASETS.
+//  4. Drop the deleted relationships' endpoints that nothing re-linked,
+//     and publish the result as the next generation, updating DATASETS.
 //
 // On unchanged inputs the delta build is a no-op (Unchanged=true, nothing
 // published) and the previous generation is, trivially, exactly what a full
@@ -109,6 +113,13 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 		byName[datasets[i]] = c
 	}
 	fingerprint := buildFingerprint(cfg, datasets)
+	forced := make(map[string]bool, len(opts.Datasets))
+	for _, d := range opts.Datasets {
+		if _, ok := byName[d]; !ok {
+			return nil, fmt.Errorf("core: delta: unknown dataset %q", d)
+		}
+		forced[d] = true
+	}
 
 	store, err := graph.OpenStore(opts.StoreDir, graph.StoreOptions{Keep: opts.Keep})
 	if err != nil {
@@ -123,46 +134,30 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 			opts.StoreDir, man.Fingerprint, fingerprint)
 	}
 
-	logf("delta: rendering current inputs (seed %d, %d ASes, %d domains)", cfg.Seed, cfg.NumASes, cfg.NumDomains)
-	in, err := simnet.Generate(cfg)
+	// The previous generation loads while the current inputs render: the
+	// two share nothing until the deletions below, which wait for both.
+	type loaded struct {
+		g   *graph.Graph
+		rep graph.OpenReport
+		err error
+	}
+	prevc := make(chan loaded, 1)
+	if opts.onLoad != nil {
+		opts.onLoad()
+	}
+	go func() {
+		g, rep, err := store.Open()
+		prevc <- loaded{g, rep, err}
+	}()
+	catalog, changed, err := renderChanged(ctx, cfg, datasets, forced, man, logf)
+	prev := <-prevc
 	if err != nil {
 		return nil, fmt.Errorf("core: delta: %w", err)
 	}
-	catalog := source.Render(in)
-
-	forced := make(map[string]bool, len(opts.Datasets))
-	for _, d := range opts.Datasets {
-		if _, ok := byName[d]; !ok {
-			return nil, fmt.Errorf("core: delta: unknown dataset %q", d)
-		}
-		forced[d] = true
+	if prev.err != nil {
+		return nil, fmt.Errorf("core: delta: %w", prev.err)
 	}
-
-	// Decide what to re-crawl. A dataset's fetch sequence is a function of
-	// the payloads it reads (the first path is fixed by the crawler, later
-	// ones follow from fetched content), so unchanged recorded payloads
-	// mean an identical crawl — those are skipped.
-	var changed []string
-	for _, name := range datasets {
-		entry, ok := man.Datasets[name]
-		switch {
-		case forced[name]:
-			changed = append(changed, name)
-		case !ok:
-			logf("delta: %s has no recorded inputs; re-crawling", name)
-			changed = append(changed, name)
-		case rehash(ctx, catalog, entry.Inputs) != entry.Hash:
-			logf("delta: %s inputs changed", name)
-			changed = append(changed, name)
-		}
-	}
-	sort.Strings(changed)
-
-	g, openRep, err := store.Open()
-	if err != nil {
-		return nil, fmt.Errorf("core: delta: %w", err)
-	}
-	prevSeq := openRep.Loaded.Seq
+	g, prevSeq := prev.g, prev.rep.Loaded.Seq
 	// The delta mutates the loaded graph in place, so the next generation
 	// inherits this intern table and only newly-seen strings allocate.
 	dictCarried := g.Interner().Len()
@@ -184,8 +179,6 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 	for _, p := range postproc.Passes() {
 		drop[p.Name] = true
 	}
-	wasOrphan := orphanSet(g)
-	relsDeleted := 0
 	var doomed []graph.RelID
 	g.EachRel(func(id graph.RelID) bool {
 		if name, ok := g.RelProp(id, ontology.PropReferenceName).AsString(); ok && drop[name] {
@@ -193,12 +186,19 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 		}
 		return true
 	})
+	// Only an endpoint of a deleted relationship can be stranded by the
+	// deletions; every other node keeps at least the relationships it had.
+	stranded := make([]graph.NodeID, 0, 2*len(doomed))
 	for _, id := range doomed {
+		from, to := g.RelEndpoints(id)
+		stranded = append(stranded, from, to)
 		if err := g.DeleteRel(id); err != nil {
 			return nil, fmt.Errorf("core: delta: %w", err)
 		}
-		relsDeleted++
 	}
+	relsDeleted := len(doomed)
+	slices.Sort(stranded)
+	stranded = slices.Compact(stranded)
 
 	ensureIdentityIndexes(g)
 	fetchTime := opts.Build.FetchTime
@@ -249,11 +249,13 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 	}
 
 	// Orphan GC: nodes the deletions stranded (degree > 0 before, 0 after
-	// re-crawl + refinement) no longer exist in a full rebuild either.
+	// re-crawl + refinement) no longer exist in a full rebuild either. They
+	// go in ascending id order, so two identical deltas publish the same
+	// bytes.
 	nodesDeleted := 0
-	nowOrphan := orphanSet(g)
-	for id := range nowOrphan {
-		if wasOrphan[id] {
+	var buf []graph.RelID
+	for _, id := range stranded {
+		if len(g.Rels(id, graph.DirBoth, nil, buf[:0])) > 0 {
 			continue
 		}
 		if err := g.DeleteNode(id); err != nil {
@@ -313,15 +315,33 @@ func rehash(ctx context.Context, catalog *source.Catalog, recs []ingest.FetchRec
 	return inputsHash(fresh)
 }
 
-// orphanSet returns the set of live nodes with no relationships at all.
-func orphanSet(g *graph.Graph) map[graph.NodeID]bool {
-	set := make(map[graph.NodeID]bool)
-	var buf []graph.RelID
-	g.EachNode(func(id graph.NodeID) bool {
-		if len(g.Rels(id, graph.DirBoth, nil, buf[:0])) == 0 {
-			set[id] = true
+// renderChanged renders the current inputs and decides what to re-crawl: a
+// dataset's fetch sequence is a function of the payloads it reads (the
+// first path is fixed by the crawler, later ones follow from fetched
+// content), so unchanged recorded payloads mean an identical crawl — those
+// are skipped unless forced. changed is sorted.
+func renderChanged(ctx context.Context, cfg simnet.Config, datasets []string, forced map[string]bool,
+	man *DatasetsManifest, logf func(string, ...any)) (*source.Catalog, []string, error) {
+	logf("delta: rendering current inputs (seed %d, %d ASes, %d domains)", cfg.Seed, cfg.NumASes, cfg.NumDomains)
+	in, err := simnet.Generate(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	catalog := source.Render(in)
+	var changed []string
+	for _, name := range datasets {
+		entry, ok := man.Datasets[name]
+		switch {
+		case forced[name]:
+			changed = append(changed, name)
+		case !ok:
+			logf("delta: %s has no recorded inputs; re-crawling", name)
+			changed = append(changed, name)
+		case rehash(ctx, catalog, entry.Inputs) != entry.Hash:
+			logf("delta: %s inputs changed", name)
+			changed = append(changed, name)
 		}
-		return true
-	})
-	return set
+	}
+	slices.Sort(changed)
+	return catalog, changed, nil
 }

@@ -1,11 +1,19 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"io"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"iyp/internal/crawlers"
 	"iyp/internal/graph"
+	"iyp/internal/ontology"
+	"iyp/internal/source"
 	"iyp/internal/temporal"
 )
 
@@ -157,5 +165,180 @@ func TestDeltaRejectsUnknownDatasetAndMissingManifest(t *testing.T) {
 	other.Config.Seed += 1000
 	if _, err := BuildDelta(context.Background(), DeltaOptions{Build: other, StoreDir: dir2}); err == nil {
 		t.Fatal("delta against a mismatched build fingerprint succeeded")
+	}
+}
+
+// diffEmpty fails unless got is semantically identical to want.
+func diffEmpty(t *testing.T, what string, want, got *graph.Graph) {
+	t.Helper()
+	want.Freeze()
+	got.Freeze()
+	d, err := temporal.Diff(context.Background(), want, got, temporal.DiffOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Empty() {
+		t.Fatalf("%s differs from the full build:\n%s", what, d)
+	}
+}
+
+// TestDeltaEveryDatasetEquivalentToFullBuild forces every dataset in turn
+// as a chain of deltas on one store: each generation is built from the
+// previous delta's, and each must equal the same pinned full build.
+func TestDeltaEveryDatasetEquivalentToFullBuild(t *testing.T) {
+	opts := BuildOptions{Config: smallConfig(), FetchTime: time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC)}
+	dir := t.TempDir()
+	full := fullBuildIntoStore(t, dir, opts)
+	for i, c := range crawlers.All() {
+		name := c.Reference().Name
+		res, err := BuildDelta(context.Background(), DeltaOptions{Build: opts, StoreDir: dir, Datasets: []string{name}})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := uint64(i + 2); res.Gen.Seq != want || !slices.Equal(res.Recrawled, []string{name}) {
+			t.Fatalf("%s: published generation %d re-crawling %v, want %d re-crawling only it", name, res.Gen.Seq, res.Recrawled, want)
+		}
+		diffEmpty(t, "delta forcing "+name, full.Graph, res.Graph)
+	}
+}
+
+// dropLines wraps a fetcher and removes, from the payloads at the given
+// paths, every line its predicate selects.
+type dropLines struct {
+	base source.Fetcher
+	drop map[string]func(line string) bool
+}
+
+func (f dropLines) Fetch(ctx context.Context, path string) (io.ReadCloser, error) {
+	drop, ok := f.drop[path]
+	if !ok {
+		return f.base.Fetch(ctx, path)
+	}
+	data, err := source.ReadAll(ctx, f.base, path)
+	if err != nil {
+		return nil, err
+	}
+	var kept []byte
+	for _, line := range strings.SplitAfter(string(data), "\n") {
+		if !drop(strings.TrimSuffix(line, "\n")) {
+			kept = append(kept, line...)
+		}
+	}
+	return io.NopCloser(bytes.NewReader(kept)), nil
+}
+
+// linkedOnlyBy returns, for every node whose relationships all come from
+// dataset, the string value of its property key.
+func linkedOnlyBy(g *graph.Graph, dataset, key string) map[string]bool {
+	out := make(map[string]bool)
+	var buf []graph.RelID
+	g.EachNode(func(id graph.NodeID) bool {
+		rels := g.Rels(id, graph.DirBoth, nil, buf[:0])
+		for _, r := range rels {
+			if name, _ := g.RelProp(r, ontology.PropReferenceName).AsString(); name != dataset {
+				return true
+			}
+		}
+		if v, ok := g.NodeProp(id, key).AsString(); ok && len(rels) > 0 {
+			out[v] = true
+		}
+		return true
+	})
+	return out
+}
+
+// TestDeltaOrphanGCMatchesFullBuild re-crawls two datasets whose inputs
+// lost records that only they linked: the AS names that only ripe.as_names
+// links (the Name node is the rel's target) and the countries that only
+// worldbank.country_pop links (the Country node is the rel's source). The
+// delta must delete those nodes and match a full build through the same
+// filter, and two identical deltas must publish the same bytes.
+func TestDeltaOrphanGCMatchesFullBuild(t *testing.T) {
+	opts := BuildOptions{Config: smallConfig(), FetchTime: time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC)}
+	prev, err := Build(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := linkedOnlyBy(prev.Graph, "ripe.as_names", "name")
+	countries := linkedOnlyBy(prev.Graph, "worldbank.country_pop", "alpha3")
+	if len(names) == 0 || len(countries) == 0 {
+		t.Fatalf("fixture: %d names only ripe.as_names links, %d countries only worldbank.country_pop links", len(names), len(countries))
+	}
+	filtered := opts
+	filtered.WrapFetcher = func(f source.Fetcher) source.Fetcher {
+		return dropLines{base: f, drop: map[string]func(string) bool{
+			source.PathRIPEASNames: func(line string) bool { // "<asn> <name>, <CC>"
+				_, rest, _ := strings.Cut(line, " ")
+				if i := strings.LastIndex(rest, ", "); i >= 0 {
+					rest = rest[:i]
+				}
+				return names[rest]
+			},
+			source.PathWorldBankPop: func(line string) bool { // "<alpha3>,<population>"
+				cc, _, _ := strings.Cut(line, ",")
+				return countries[cc]
+			},
+		}}
+	}
+	ref, err := Build(context.Background(), filtered)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var published [][]byte
+	for range 2 {
+		dir := t.TempDir()
+		fullBuildIntoStore(t, dir, opts)
+		res, err := BuildDelta(context.Background(), DeltaOptions{
+			Build:    filtered,
+			StoreDir: dir,
+			Datasets: []string{"ripe.as_names", "worldbank.country_pop"},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := len(names) + len(countries); res.NodesDeleted != want {
+			t.Fatalf("delta deleted %d nodes, want the %d only the filtered records linked", res.NodesDeleted, want)
+		}
+		diffEmpty(t, "delta through the filter", ref.Graph, res.Graph)
+		data, err := os.ReadFile(res.Gen.Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		published = append(published, data)
+	}
+	if !bytes.Equal(published[0], published[1]) {
+		t.Fatal("two identical delta runs published different snapshots")
+	}
+}
+
+// TestDeltaRejectsBeforeLoading: an unknown forced dataset or a store
+// built from another configuration is refused before the previous
+// generation starts loading, so no load is left running behind the error.
+func TestDeltaRejectsBeforeLoading(t *testing.T) {
+	opts := BuildOptions{Config: smallConfig()}
+	dir := t.TempDir()
+	fullBuildIntoStore(t, dir, opts)
+	other := opts
+	other.Config.Seed += 1000
+	for _, tc := range []struct {
+		name string
+		opts DeltaOptions
+	}{
+		{"unknown dataset", DeltaOptions{Build: opts, StoreDir: dir, Datasets: []string{"no.such.dataset"}}},
+		{"fingerprint mismatch", DeltaOptions{Build: other, StoreDir: dir}},
+	} {
+		loads := 0
+		tc.opts.onLoad = func() { loads++ }
+		if _, err := BuildDelta(context.Background(), tc.opts); err == nil {
+			t.Fatalf("%s: delta succeeded", tc.name)
+		}
+		if loads != 0 {
+			t.Fatalf("%s: the previous generation started loading before the delta was refused", tc.name)
+		}
+	}
+	loads := 0
+	if _, err := BuildDelta(context.Background(), DeltaOptions{Build: opts, StoreDir: dir, onLoad: func() { loads++ }}); err != nil || loads != 1 {
+		t.Fatalf("accepted delta: %d loads, %v", loads, err)
 	}
 }

@@ -137,7 +137,7 @@ func craftedSnapshot(t *testing.T, bodies ...func(e *encBuf)) []byte {
 		}
 		var comp bytes.Buffer
 		zw := gzip.NewWriter(&comp)
-		if _, err := zw.Write(enc.b.Bytes()); err != nil {
+		if _, err := zw.Write(enc.b); err != nil {
 			t.Fatal(err)
 		}
 		if err := zw.Close(); err != nil {
@@ -146,7 +146,7 @@ func craftedSnapshot(t *testing.T, bodies ...func(e *encBuf)) []byte {
 		out = append(out, id)
 		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(comp.Bytes(), castagnoli))
 		out = binary.LittleEndian.AppendUint64(out, uint64(comp.Len()))
-		out = binary.LittleEndian.AppendUint64(out, uint64(enc.b.Len()))
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(enc.b)))
 		out = append(out, comp.Bytes()...)
 	}
 	out = append(out, secTrailer)
@@ -193,7 +193,7 @@ func TestLoadLyingLengthsBoundAllocation(t *testing.T) {
 		// ~1 MiB of stored deflate whose header claims 1 GiB: inside the
 		// 1032:1 plausibility bound, so only the presize cap keeps the
 		// decoder from allocating the claim before the length check.
-		{"lying uncompressed length", []func(e *encBuf){func(e *encBuf) { e.b.Write(incompressible) }},
+		{"lying uncompressed length", []func(e *encBuf){func(e *encBuf) { e.b = append(e.b, incompressible...) }},
 			func(b []byte) { binary.LittleEndian.PutUint64(b[18:], 1<<30) }},
 	}
 	if _, err := Load(bytes.NewReader(craftedSnapshot(t))); err != nil {

@@ -41,6 +41,10 @@ type Store struct {
 	hookMu  sync.Mutex
 	onSave  []func(Generation)
 	protect []func(seq uint64) bool
+
+	// wrapFile is a test hook wrapping the writer a generation's snapshot
+	// is saved through.
+	wrapFile func(io.Writer) io.Writer
 }
 
 // StoreOptions configures OpenStore.
@@ -298,6 +302,9 @@ func (st *Store) Save(g *Graph) (Generation, error) {
 	h := crc32.New(castagnoli)
 	var size int64
 	if err := WriteFileAtomic(path, func(w io.Writer) error {
+		if st.wrapFile != nil {
+			w = st.wrapFile(w)
+		}
 		cw := &countWriter{w: io.MultiWriter(w, h)}
 		err := g.Save(cw)
 		size = cw.n

@@ -198,5 +198,5 @@ func listDedupKey(vs []Value) string {
 	for _, v := range vs {
 		e.value(v)
 	}
-	return e.b.String()
+	return string(e.b)
 }

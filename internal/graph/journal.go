@@ -98,7 +98,7 @@ func WriteBatch(w io.Writer, b *Batch) error {
 
 	var comp bytes.Buffer
 	zw := gzip.NewWriter(&comp)
-	if _, err := zw.Write(enc.b.Bytes()); err != nil {
+	if _, err := zw.Write(enc.b); err != nil {
 		return err
 	}
 	if err := zw.Close(); err != nil {
@@ -110,7 +110,7 @@ func WriteBatch(w io.Writer, b *Batch) error {
 	hdr[len(batchMagic)] = batchVersion
 	binary.LittleEndian.PutUint32(hdr[len(batchMagic)+1:], crc32.Checksum(comp.Bytes(), castagnoli))
 	binary.LittleEndian.PutUint64(hdr[len(batchMagic)+5:], uint64(comp.Len()))
-	binary.LittleEndian.PutUint64(hdr[len(batchMagic)+13:], uint64(enc.b.Len()))
+	binary.LittleEndian.PutUint64(hdr[len(batchMagic)+13:], uint64(len(enc.b)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}

@@ -8,8 +8,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 )
 
 // randomGraph builds a pseudo-random graph for round-trip testing.
@@ -425,4 +428,101 @@ func TestLoadedColumnsDoNotAlias(t *testing.T) {
 		}
 		sameEntities(t, fresh, built, nil, nil)
 	})
+}
+
+var errWriteFailed = errors.New("injected write failure")
+
+// failAfter accepts n bytes, then fails every write.
+type failAfter struct {
+	w io.Writer
+	n int
+}
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		k, _ := f.w.Write(p[:f.n])
+		f.n = 0
+		return k, errWriteFailed
+	}
+	f.n -= len(p)
+	return f.w.Write(p)
+}
+
+// settledGoroutines waits until at most want goroutines run, returning
+// the last count it saw.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	return n
+}
+
+// TestSaveWriteFailureLeavesNothingRunning fails the writer at offsets in
+// the header, inside the first section, mid-file and in the trailer: Save
+// must return that error and leave no goroutine of its own running.
+func TestSaveWriteFailureLeavesNothingRunning(t *testing.T) {
+	g := randomGraph(3, 4000, 12000)
+	size := len(snapshotBytes(t, g))
+	before := runtime.NumGoroutine()
+	for _, off := range []int{0, 3, sectionHdrSize, size / 2, size - 1} {
+		err := g.Save(&failAfter{w: io.Discard, n: off})
+		if !errors.Is(err, errWriteFailed) {
+			t.Fatalf("write failing at byte %d of %d: Save returned %v", off, size, err)
+		}
+		if n := settledGoroutines(before); n > before {
+			t.Fatalf("write failing at byte %d: %d goroutines running after Save, %d before", off, n, before)
+		}
+	}
+}
+
+// TestStoreSaveFailureKeepsPreviousGeneration fails a generation's write
+// midway: the store must report the error, leave no temp file, and still
+// hold and open the previous generation byte for byte.
+func TestStoreSaveFailureKeepsPreviousGeneration(t *testing.T) {
+	st := testStore(t, 2)
+	g1 := randomGraph(1, 200, 400)
+	gen1 := mustSaveGen(t, st, g1)
+	want, err := os.ReadFile(gen1.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := randomGraph(2, 4000, 12000)
+	size := len(snapshotBytes(t, g2))
+	for _, off := range []int{0, size / 2, size - 1} {
+		st.wrapFile = func(w io.Writer) io.Writer { return &failAfter{w: w, n: off} }
+		if _, err := st.Save(g2); !errors.Is(err, errWriteFailed) {
+			t.Fatalf("save failing at byte %d: %v", off, err)
+		}
+	}
+	gens, err := st.Generations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(gens) != 1 || gens[0].Seq != gen1.Seq {
+		t.Fatalf("generations after failed saves: %+v", gens)
+	}
+	entries, err := os.ReadDir(st.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp-") {
+			t.Fatalf("failed save left %s behind", e.Name())
+		}
+	}
+	got, err := os.ReadFile(gen1.Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("failed saves changed the previous generation's bytes")
+	}
+	g, rep, err := st.Open()
+	if err != nil || rep.Loaded.Seq != gen1.Seq {
+		t.Fatalf("open after failed saves: generation %d, %v", rep.Loaded.Seq, err)
+	}
+	if !bytes.Equal(snapshotBytes(t, g), want) {
+		t.Fatal("previous generation reloads to different bytes")
+	}
 }
