@@ -128,10 +128,11 @@ RETURN DISTINCT h.name`)
 	}
 }
 
-// listing4Query is the RiPKI study's Listing 4 text (rpkiPrefixQuery in
-// internal/studies/rpki.go): ranked domains in a rank window, through
-// their hostnames' OpenINTEL resolutions to covering prefixes and their
-// RPKI tags.
+// listing4Query is the RiPKI study's Listing 4 text (the chain
+// rpkiChainQuery in internal/studies/rpki.go walks): ranked domains in a
+// rank window, through their hostnames' OpenINTEL resolutions to covering
+// prefixes and their RPKI tags. TestPaperListingsVerbatim pins its rows
+// and their order over the top tenth.
 const listing4Query = `
 MATCH (:Ranking {name:'Tranco top 1M'})-[r:RANK]-(d:DomainName)
 WHERE r.rank >= $lo AND r.rank <= $hi

@@ -101,7 +101,7 @@ func TestCrawledGraphShape(t *testing.T) {
 	if len(ranks) != 1 {
 		t.Fatalf("Tranco ranking nodes = %d", len(ranks))
 	}
-	if deg := g.Degree(ranks[0], graph.DirBoth, []string{ontology.Rank}); deg != len(in.Domains) {
+	if deg := len(relsOf(g, ranks[0], graph.DirBoth, ontology.Rank)); deg != len(in.Domains) {
 		t.Errorf("RANK degree = %d, want %d", deg, len(in.Domains))
 	}
 
@@ -156,7 +156,7 @@ func TestOriginationsMatchModel(t *testing.T) {
 			t.Fatalf("AS%d: %d nodes", p.Origin.ASN, len(asNodes))
 		}
 		found := false
-		for _, rid := range g.Rels(pfxNodes[0], graph.DirIn, []string{ontology.Originate}, nil) {
+		for _, rid := range relsOf(g, pfxNodes[0], graph.DirIn, ontology.Originate) {
 			from, _ := g.RelEndpoints(rid)
 			if from == asNodes[0] {
 				found = true
@@ -186,7 +186,7 @@ func TestSameLinkFromMultipleDatasets(t *testing.T) {
 	}
 	pfxNode := g.NodesByProp(ontology.Prefix, "prefix", graph.String(moas.CIDR))[0]
 	sources := map[string]bool{}
-	for _, rid := range g.Rels(pfxNode, graph.DirIn, []string{ontology.Originate}, nil) {
+	for _, rid := range relsOf(g, pfxNode, graph.DirIn, ontology.Originate) {
 		ref, _ := g.RelProp(rid, ontology.PropReferenceName).AsString()
 		sources[ref] = true
 	}
@@ -221,7 +221,7 @@ func TestROVTagsPresent(t *testing.T) {
 			t.Errorf("tag %q: %d nodes", label, len(tags))
 			continue
 		}
-		if g.Degree(tags[0], graph.DirBoth, []string{ontology.Categorized}) == 0 {
+		if len(relsOf(g, tags[0], graph.DirBoth, ontology.Categorized)) == 0 {
 			t.Errorf("tag %q has no CATEGORIZED edges", label)
 		}
 	}

@@ -17,6 +17,9 @@ type Query struct {
 	// in the executor: the caller acquires the generation and executes
 	// against it.
 	AsOf Expr
+	// keys is the statement's PropAccess key table, by slot (outermost
+	// query only).
+	keys []string
 }
 
 // IsWrite reports whether the query mutates the graph (CREATE, MERGE,
@@ -260,6 +263,10 @@ type Variable struct{ Name string }
 type PropAccess struct {
 	Target Expr
 	Key    string
+	// slot numbers Key in its statement's key table (Query.keys) from 1; 0
+	// when the access was not built by the parser. Execution resolves the
+	// table once (resolveKeys) and reads by id.
+	slot int
 }
 
 // Param is $name.

@@ -11,6 +11,7 @@ import (
 type evalCtx struct {
 	g      *graph.Graph
 	params map[string]Val
+	keys   []uint32  // the statement's PropAccess keys resolved against g (resolveKeys)
 	ex     *executor // for EXISTS/COUNT subqueries; may be nil in tests
 	// unknownParams makes a $parameter that was not supplied evaluate to a
 	// placeholder scalar instead of failing: plans are made (EXPLAIN, cost
@@ -54,7 +55,7 @@ func (c *evalCtx) eval(e Expr, r row) (Val, error) {
 		if err != nil {
 			return NullVal(), err
 		}
-		return c.propOf(t, x.Key)
+		return c.propOf(t, x)
 	case *MapExpr:
 		m := make(map[string]Val, len(x.Keys))
 		for i, k := range x.Keys {
@@ -142,17 +143,27 @@ func (c *evalCtx) eval(e Expr, r row) (Val, error) {
 	return NullVal(), &Error{Msg: "unsupported expression"}
 }
 
-func (c *evalCtx) propOf(t Val, key string) (Val, error) {
+func (c *evalCtx) propOf(t Val, x *PropAccess) (Val, error) {
+	var key uint32 // the resolved key id plus one; 0 reads by name
+	if x.slot > 0 && x.slot <= len(c.keys) {
+		key = c.keys[x.slot-1]
+	}
 	switch t.Kind() {
 	case ValNode:
 		id, _ := t.AsNode()
-		return ScalarVal(c.g.NodeProp(id, key)), nil
+		if key == 0 {
+			return ScalarVal(c.g.NodeProp(id, x.Key)), nil
+		}
+		return ScalarVal(c.g.NodePropByID(id, key-1)), nil
 	case ValRel:
 		id, _ := t.AsRel()
-		return ScalarVal(c.g.RelProp(id, key)), nil
+		if key == 0 {
+			return ScalarVal(c.g.RelProp(id, x.Key)), nil
+		}
+		return ScalarVal(c.g.RelPropByID(id, key-1)), nil
 	case ValMap:
 		m, _ := t.AsMap()
-		if v, ok := m[key]; ok {
+		if v, ok := m[x.Key]; ok {
 			return v, nil
 		}
 		return NullVal(), nil

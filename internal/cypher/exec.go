@@ -158,7 +158,8 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 	}
 	// One tracker for the whole statement: UNION branches share the budget.
 	mem := newMemTracker(opts.MaxMemBytes)
-	res, err = runSingle(ctx, g, q, opts.ParamVals, branchBudget, par, mem, opts.GenResolver)
+	keys := resolveKeys(g, q)
+	res, err = runSingle(ctx, g, q, keys, opts.ParamVals, branchBudget, par, mem, opts.GenResolver)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +167,7 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		next, err := runSingle(ctx, g, cur.Next, opts.ParamVals, 0, par, mem, opts.GenResolver)
+		next, err := runSingle(ctx, g, cur.Next, keys, opts.ParamVals, 0, par, mem, opts.GenResolver)
 		if err != nil {
 			return nil, err
 		}
@@ -200,13 +201,14 @@ func Exec(ctx context.Context, g *graph.Graph, q *Query, opts ExecOptions) (res 
 	return res, nil
 }
 
-// runSingle executes one UNION branch.
-func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]Val, budget, par int, mem *memTracker, resolve GenResolver) (*Result, error) {
+// runSingle executes one UNION branch; keys is the statement's resolved
+// key table.
+func runSingle(ctx context.Context, g *graph.Graph, q *Query, keys []uint32, params map[string]Val, budget, par int, mem *memTracker, resolve GenResolver) (*Result, error) {
 	if par < 1 {
 		par = 1
 	}
 	ex := &executor{g: g, res: &Result{g: g}, ctx: ctx, q: q, budget: budget, par: par, mem: mem, resolve: resolve}
-	ex.ec = &evalCtx{g: g, params: params, ex: ex}
+	ex.ec = &evalCtx{g: g, params: params, keys: keys, ex: ex}
 
 	rows := []row{{}}
 	var err error
@@ -288,7 +290,7 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, params map[string]
 // applyMatch runs one MATCH / OPTIONAL MATCH clause over its input rows
 // through the driver (parallel.go), with the query's worker budget.
 func (ex *executor) applyMatch(c *MatchClause, in []row, cap int, ret *ReturnClause) ([]row, error) {
-	spec := newMatchSpec(ex.q, c.Patterns, c.Where, c.Optional)
+	spec := newMatchSpec(ex.g, ex.q, c.Patterns, c.Where, c.Optional)
 	spec.ret = ret
 	if spec.reason == "" && ex.par < 2 {
 		countSerialStatic(reasonDisabled)
@@ -303,7 +305,7 @@ func (ex *executor) applyMatch(c *MatchClause, in []row, cap int, ret *ReturnCla
 // into the driver. It stays on the calling goroutine — it is itself called
 // from inside work items. limit < 0 means unlimited.
 func (ex *executor) matchOnce(patterns []PatternPath, where Expr, seed row, limit int) ([]row, error) {
-	return ex.runMatch(newMatchSpec(ex.q, patterns, where, false), []row{seed}, limit, 1)
+	return ex.runMatch(newMatchSpec(ex.g, ex.q, patterns, where, false), []row{seed}, limit, 1)
 }
 
 // returnRowCap computes how many input rows the final RETURN clause can

@@ -38,7 +38,7 @@ func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) 
 			visit(cl, nil)
 			continue
 		}
-		cp.matchSpec, cp.paths = newMatchSpec(q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
+		cp.matchSpec, cp.paths = newMatchSpec(ec.g, q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
 		cp.ret = returnAtEmit(ec, q, i)
 		m.push = cp.push
 		for _, path := range mc.Patterns {
@@ -119,6 +119,9 @@ func explainMatch(sb *strings.Builder, plan *clausePlan) {
 			fmt.Fprintf(sb, "  path %d: anchor at node %d of %d — %s; expand %d hop(s)\n",
 				i+1, pp.anchor+1, len(path.Nodes), access, len(path.Rels))
 		}
+	}
+	if plan.never != "" {
+		fmt.Fprintf(sb, "  never matches: %s\n", plan.never)
 	}
 	if len(plan.push) > 0 {
 		parts := make([]string, len(plan.push))

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"context"
+	"slices"
 
 	"iyp/internal/graph"
 )
@@ -21,6 +22,7 @@ type matcher struct {
 	binding row             // mutated during search (append + truncate)
 	used    relSet          // rels used by the current pattern (stack)
 	push    []pushdown      // WHERE conjuncts usable for anchor index lookups
+	paths   []resolvedPath  // the clause's patterns, resolved against g (nil when only planning)
 	emit    func() error    // called with binding fully extended
 	ticks   int             // cooperative-cancellation tick counter
 	scratch *bfsScratch     // pooled shortestPath BFS state (lazily allocated)
@@ -32,11 +34,14 @@ type matcher struct {
 // the next scan depth and claims it until the caller's deferred release.
 // Scans nest — each relationship's continuation may scan again — so every
 // depth keeps its own buffer, which every later scan at that depth reuses.
-func (m *matcher) scanRels(id graph.NodeID, dir graph.Dir, types []string) []graph.RelID {
+func (m *matcher) scanRels(id graph.NodeID, dir graph.Dir, rp *resolvedRel) []graph.RelID {
 	if m.depth == len(m.relBufs) {
 		m.relBufs = append(m.relBufs, nil)
 	}
-	rels := m.g.Rels(id, dir, types, m.relBufs[m.depth][:0])
+	rels := m.relBufs[m.depth][:0]
+	if !rp.none {
+		rels = m.g.Rels(id, dir, rp.types, rels)
+	}
 	m.relBufs[m.depth] = rels
 	m.depth++
 	return rels
@@ -104,20 +109,20 @@ func (s *relSet) has(id graph.RelID) bool {
 
 func (m *matcher) relUsed(id graph.RelID) bool { return m.used.has(id) }
 
-// solvePaths matches paths[idx:] and invokes m.emit for every complete
+// solvePaths matches m.paths[idx:] and invokes m.emit for every complete
 // assignment.
-func (m *matcher) solvePaths(paths []PatternPath, idx int) error {
-	if idx >= len(paths) {
+func (m *matcher) solvePaths(idx int) error {
+	if idx >= len(m.paths) {
 		return m.emit()
 	}
-	return m.solvePath(paths[idx], func() error {
-		return m.solvePaths(paths, idx+1)
+	return m.solvePath(&m.paths[idx], func() error {
+		return m.solvePaths(idx + 1)
 	})
 }
 
 // solvePath enumerates assignments for a single path, calling cont for
 // each.
-func (m *matcher) solvePath(path PatternPath, cont func() error) error {
+func (m *matcher) solvePath(path *resolvedPath, cont func() error) error {
 	if path.Shortest {
 		return m.solveShortest(path, cont)
 	}
@@ -167,22 +172,23 @@ func (m *matcher) bfsScratchGive(sc *bfsScratch) { m.scratch = sc }
 // candidate start node, a breadth-first expansion discovers every
 // reachable node at its minimal depth; each node satisfying the end
 // pattern yields exactly one (shortest) path.
-func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
-	rp := path.Rels[0]
-	startNP, endNP := path.Nodes[0], path.Nodes[1]
+func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
+	rp := &path.rels[0]
+	startNP, endNP := &path.nodes[0], &path.nodes[1]
 	// Root the BFS at the cheaper end, flipping the pattern when needed.
-	plan := m.planPath(path)
+	plan := m.planPath(*path.PatternPath)
+	relDir := rp.Dir
 	if plan.anchor == 1 {
 		startNP, endNP = endNP, startNP
-		switch rp.Dir {
+		switch relDir {
 		case DirRight:
-			rp.Dir = DirLeft
+			relDir = DirLeft
 		case DirLeft:
-			rp.Dir = DirRight
+			relDir = DirRight
 		}
 	}
 	var dir graph.Dir
-	switch rp.Dir {
+	switch relDir {
 	case DirAny:
 		dir = graph.DirBoth
 	case DirRight:
@@ -263,10 +269,10 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 			}
 		}
 		expand := func(cur bfsNode) error {
-			rels := m.scanRels(cur.id, dir, rp.Types)
+			rels := m.scanRels(cur.id, dir, rp)
 			defer m.release()
 			for _, rid := range rels {
-				ok, err := m.relPropsMatch(rp, rid)
+				ok, err := m.propsMatch(rp.props, 0, rid)
 				if err != nil {
 					return err
 				}
@@ -306,7 +312,7 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 		}
 		return nil
 	}
-	for _, start := range m.candidates(startNP, plan.acc) {
+	for _, start := range m.candidates(*startNP.NodePattern, plan.acc) {
 		if err := fromStart(start); err != nil {
 			return err
 		}
@@ -316,18 +322,18 @@ func (m *matcher) solveShortest(path PatternPath, cont func() error) error {
 
 // solvePathAll is the general backtracking matcher: plan the path against
 // the current binding, then expand from every candidate of its anchor.
-func (m *matcher) solvePathAll(path PatternPath, cont func() error) error {
-	plan := m.planPath(path)
+func (m *matcher) solvePathAll(path *resolvedPath, cont func() error) error {
+	plan := m.planPath(*path.PatternPath)
 	return m.solvePathPlanned(path, plan, m.candidates(path.Nodes[plan.anchor], plan.acc), cont)
 }
 
 // solvePathPlanned expands path from the planned anchor over exactly the
 // candidate IDs in cands — all of the plan's access, or the morsel of it
 // the MATCH driver handed this matcher.
-func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, cands []graph.NodeID, cont func() error) error {
+func (m *matcher) solvePathPlanned(path *resolvedPath, plan pathPlan, cands []graph.NodeID, cont func() error) error {
 	// Per-position state for path-variable construction.
-	nodeIDs := make([]graph.NodeID, len(path.Nodes))
-	relVals := make([]Val, len(path.Rels))
+	nodeIDs := make([]graph.NodeID, len(path.nodes))
+	relVals := make([]Val, len(path.rels))
 
 	anchor := plan.anchor
 
@@ -335,7 +341,7 @@ func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, cands []grap
 		mark := len(m.binding)
 		if path.Var != "" {
 			if _, exists := m.binding.get(path.Var); !exists {
-				m.binding = append(m.binding, binding{path.Var, m.buildPath(path, nodeIDs, relVals)})
+				m.binding = append(m.binding, binding{path.Var, m.buildPath(nodeIDs, relVals)})
 			}
 		}
 		err := cont()
@@ -348,7 +354,7 @@ func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, cands []grap
 	var left func(i int) error
 
 	right = func(i int) error {
-		if i >= len(path.Rels) {
+		if i >= len(path.rels) {
 			return left(anchor)
 		}
 		return m.expandStep(path, i, i+1, nodeIDs, relVals, func() error {
@@ -365,8 +371,7 @@ func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, cands []grap
 	}
 
 	tryAnchor := func(id graph.NodeID) error {
-		np := path.Nodes[anchor]
-		mark, ok, err := m.bindNode(np, id)
+		mark, ok, err := m.bindNode(&path.nodes[anchor], id)
 		if err != nil {
 			return err
 		}
@@ -390,7 +395,7 @@ func (m *matcher) solvePathPlanned(path PatternPath, plan pathPlan, cands []grap
 // position fromIdx and the node at the other end (toIdx = fromIdx±1...).
 // fromIdx is the bound side: when toIdx == relIdx+1 we move rightward; when
 // toIdx == relIdx we move leftward (and fromIdx is relIdx+1).
-func (m *matcher) expandStep(path PatternPath, relIdx, toIdx int, nodeIDs []graph.NodeID, relVals []Val, cont func() error) error {
+func (m *matcher) expandStep(path *resolvedPath, relIdx, toIdx int, nodeIDs []graph.NodeID, relVals []Val, cont func() error) error {
 	rightward := toIdx == relIdx+1
 	var fromIdx int
 	if rightward {
@@ -399,8 +404,8 @@ func (m *matcher) expandStep(path PatternPath, relIdx, toIdx int, nodeIDs []grap
 		fromIdx = relIdx + 1
 	}
 	cur := nodeIDs[fromIdx]
-	rp := path.Rels[relIdx]
-	np := path.Nodes[toIdx]
+	rp := &path.rels[relIdx]
+	np := &path.nodes[toIdx]
 
 	// Direction relative to the bound node.
 	var dir graph.Dir
@@ -436,7 +441,7 @@ func (m *matcher) expandStep(path PatternPath, relIdx, toIdx int, nodeIDs []grap
 		}
 	}
 
-	rels := m.scanRels(cur, dir, rp.Types)
+	rels := m.scanRels(cur, dir, rp)
 	defer m.release()
 	for _, rid := range rels {
 		if err := m.tryRel(rp, np, cur, dir, rid, toIdx, nodeIDs, relVals, relIdx, false, cont); err != nil {
@@ -447,7 +452,7 @@ func (m *matcher) expandStep(path PatternPath, relIdx, toIdx int, nodeIDs []grap
 }
 
 // tryRel attempts to use relationship rid for pattern position relIdx.
-func (m *matcher) tryRel(rp RelPattern, np NodePattern, cur graph.NodeID, dir graph.Dir, rid graph.RelID, toIdx int, nodeIDs []graph.NodeID, relVals []Val, relIdx int, preBound bool, cont func() error) error {
+func (m *matcher) tryRel(rp *resolvedRel, np *resolvedNode, cur graph.NodeID, dir graph.Dir, rid graph.RelID, toIdx int, nodeIDs []graph.NodeID, relVals []Val, relIdx int, preBound bool, cont func() error) error {
 	if m.relUsed(rid) {
 		return nil
 	}
@@ -474,21 +479,11 @@ func (m *matcher) tryRel(rp RelPattern, np NodePattern, cur graph.NodeID, dir gr
 	}
 	if preBound {
 		// Type check for pre-bound rels.
-		if len(rp.Types) > 0 {
-			t := m.g.RelType(rid)
-			found := false
-			for _, want := range rp.Types {
-				if t == want {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return nil
-			}
+		if t, _ := m.g.RelTypeID(rid); rp.none || len(rp.types) > 0 && !slices.Contains(rp.types, t) {
+			return nil
 		}
 	}
-	ok, err := m.relPropsMatch(rp, rid)
+	ok, err := m.propsMatch(rp.props, 0, rid)
 	if err != nil || !ok {
 		return err
 	}
@@ -516,7 +511,7 @@ func (m *matcher) tryRel(rp RelPattern, np NodePattern, cur graph.NodeID, dir gr
 
 // expandVarLen handles -[:T*min..max]- steps. The relationship variable (if
 // any) binds to the list of traversed relationships.
-func (m *matcher) expandVarLen(rp RelPattern, np NodePattern, cur graph.NodeID, dir graph.Dir, toIdx int, nodeIDs []graph.NodeID, relVals []Val, relIdx int, cont func() error) error {
+func (m *matcher) expandVarLen(rp *resolvedRel, np *resolvedNode, cur graph.NodeID, dir graph.Dir, toIdx int, nodeIDs []graph.NodeID, relVals []Val, relIdx int, cont func() error) error {
 	maxHops := rp.MaxHops
 	if maxHops < 0 {
 		maxHops = 1 << 30 // bounded by relationship uniqueness
@@ -560,7 +555,7 @@ func (m *matcher) expandVarLen(rp RelPattern, np NodePattern, cur graph.NodeID, 
 		if depth >= maxHops {
 			return nil
 		}
-		rels := m.scanRels(at, dir, rp.Types)
+		rels := m.scanRels(at, dir, rp)
 		defer m.release()
 		for _, rid := range rels {
 			if err := m.tick(); err != nil {
@@ -569,7 +564,7 @@ func (m *matcher) expandVarLen(rp RelPattern, np NodePattern, cur graph.NodeID, 
 			if m.relUsed(rid) {
 				continue
 			}
-			ok, err := m.relPropsMatch(rp, rid)
+			ok, err := m.propsMatch(rp.props, 0, rid)
 			if err != nil {
 				return err
 			}
@@ -599,7 +594,7 @@ func (m *matcher) expandVarLen(rp RelPattern, np NodePattern, cur graph.NodeID, 
 // binding, binds np.Var if new, and returns the binding mark to truncate
 // back to on backtrack. ok is false when the node does not satisfy the
 // pattern.
-func (m *matcher) bindNode(np NodePattern, id graph.NodeID) (mark int, ok bool, err error) {
+func (m *matcher) bindNode(np *resolvedNode, id graph.NodeID) (mark int, ok bool, err error) {
 	mark = len(m.binding)
 	if err := m.tick(); err != nil {
 		return mark, false, err
@@ -610,14 +605,12 @@ func (m *matcher) bindNode(np NodePattern, id graph.NodeID) (mark int, ok bool, 
 			if !isNode || bn != id {
 				return mark, false, nil
 			}
-			if !m.nodeSatisfies(np, id) {
-				return mark, false, nil
-			}
-			return mark, true, nil
+			ok, err := m.nodeSatisfies(np, id)
+			return mark, ok, err
 		}
 	}
-	if !m.nodeSatisfies(np, id) {
-		return mark, false, nil
+	if ok, err := m.nodeSatisfies(np, id); !ok || err != nil {
+		return mark, false, err
 	}
 	if np.Var == "" {
 		return mark, true, nil
@@ -626,46 +619,52 @@ func (m *matcher) bindNode(np NodePattern, id graph.NodeID) (mark int, ok bool, 
 	return mark, true, nil
 }
 
-func (m *matcher) nodeSatisfies(np NodePattern, id graph.NodeID) bool {
-	for _, l := range np.Labels {
-		if !m.g.NodeHasLabel(id, l) {
-			return false
+// nodeSatisfies checks the node's labels and inline properties. An inline
+// value that fails to evaluate is an error, as it is for a relationship.
+func (m *matcher) nodeSatisfies(np *resolvedNode, id graph.NodeID) (bool, error) {
+	for _, l := range np.labels {
+		if !m.g.NodeHasLabelID(id, l) {
+			return false, nil
 		}
 	}
-	for key, expr := range np.Props {
-		want, err := m.ec.eval(expr, m.binding)
-		if err != nil {
-			return false
-		}
-		ws, ok := want.Scalar()
-		if !ok {
-			return false
-		}
-		if !m.g.NodeProp(id, key).Equal(ws) {
-			return false
-		}
-	}
-	return true
+	return m.propsMatch(np.props, id, 0)
 }
 
-func (m *matcher) relPropsMatch(rp RelPattern, rid graph.RelID) (bool, error) {
-	for key, expr := range rp.Props {
-		want, err := m.ec.eval(expr, m.binding)
+// propsMatch checks resolved inline properties against node id, or
+// against relationship rid when id is 0.
+func (m *matcher) propsMatch(props []resolvedProp, id graph.NodeID, rid graph.RelID) (bool, error) {
+	for i := range props {
+		p := &props[i]
+		if p.isStr {
+			if id != 0 && !m.g.NodePropIsString(id, p.key, p.str) || id == 0 && !m.g.RelPropIsString(rid, p.key, p.str) {
+				return false, nil
+			}
+			continue
+		}
+		want, err := m.ec.eval(p.val, m.binding)
 		if err != nil {
 			return false, err
 		}
+		// A null equals nothing, and a key the graph does not store holds
+		// nothing.
 		ws, ok := want.Scalar()
-		if !ok {
+		if !ok || ws.IsNull() || !p.known {
 			return false, nil
 		}
-		if !m.g.RelProp(rid, key).Equal(ws) {
+		var have graph.Value
+		if id != 0 {
+			have = m.g.NodePropByID(id, p.key)
+		} else {
+			have = m.g.RelPropByID(rid, p.key)
+		}
+		if !have.Equal(ws) {
 			return false, nil
 		}
 	}
 	return true, nil
 }
 
-func (m *matcher) buildPath(path PatternPath, nodeIDs []graph.NodeID, relVals []Val) Val {
+func (m *matcher) buildPath(nodeIDs []graph.NodeID, relVals []Val) Val {
 	var rels []graph.RelID
 	for _, rv := range relVals {
 		if rid, ok := rv.AsRel(); ok {

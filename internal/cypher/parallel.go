@@ -12,8 +12,11 @@ import (
 // OPTIONAL MATCH clause over any number of input rows, an EXISTS {} or
 // COUNT {} subquery, a MERGE probe — is one call to runMatch:
 //
-//   - What is fixed for the clause (WHERE pushdowns, the static reason it
-//     may not be split) is collected once, in newMatchSpec.
+//   - What is fixed for the clause (its pattern names resolved to the
+//     graph's ids, WHERE pushdowns, the static reason it may not be split)
+//     is collected once per clause execution, in newMatchSpec. A clause
+//     that names something the graph has never stored matches nothing and
+//     plans no work.
 //   - For each input row the planner runs once and the anchor's candidates
 //     are enumerated once, and the row contributes work items to one
 //     ordered list: its candidate list cut into morsels of morselSize (a
@@ -87,6 +90,8 @@ func serialReason(q *Query, patterns []PatternPath) string {
 // feeds it. The driver, EXPLAIN and the estimator all start from it.
 type matchSpec struct {
 	patterns []PatternPath
+	paths    []resolvedPath // patterns resolved against the executing graph
+	never    string         // non-empty: why the clause matches nothing (resolvePaths)
 	where    Expr
 	optional bool
 	push     []pushdown    // WHERE conjuncts usable for anchor index lookups
@@ -94,9 +99,15 @@ type matchSpec struct {
 	ret      *ReturnClause // the final RETURN evaluated at emit; nil keeps whole bindings
 }
 
-func newMatchSpec(q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
+// newMatchSpec builds the spec of one execution of a clause against g.
+// It runs per execution, not per parse, because the ids it resolves are
+// those of g.
+func newMatchSpec(g *graph.Graph, q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
+	paths, never := resolvePaths(g, patterns)
 	return matchSpec{
 		patterns: patterns,
+		paths:    paths,
+		never:    never,
 		where:    where,
 		optional: optional,
 		push:     collectPushdowns(where, patternVarSet(patterns)),
@@ -138,7 +149,7 @@ type matchRun struct {
 // enumeration stops as soon as they are. workers bounds the pool.
 func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row, error) {
 	run := &matchRun{ex: ex, spec: spec, in: in}
-	planner := ex.newMatcher(spec.push)
+	planner := ex.newMatcher(spec)
 	var nullVars []string
 	if spec.optional {
 		nullVars = patternVars(spec.patterns)
@@ -166,6 +177,9 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 		items := run.items[:0]
 		weight := 0
 		for ; next < len(in) && len(items) < windowItems && (run.limit < 0 || weight < run.limit); next++ {
+			if spec.never != "" {
+				continue // the row gets no items, and under OPTIONAL its null row
+			}
 			if spec.reason != "" {
 				items = append(items, workItem{row: next})
 				weight++
@@ -231,8 +245,8 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 	return out, nil
 }
 
-func (ex *executor) newMatcher(push []pushdown) *matcher {
-	return &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: push}
+func (ex *executor) newMatcher(spec matchSpec) *matcher {
+	return &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: spec.push, paths: spec.paths}
 }
 
 // execute runs the current window with `workers` workers: one runs on the
@@ -273,7 +287,7 @@ func (r *matchRun) work(seen map[string]struct{}) {
 			r.front.errorAt(claimed)
 		}
 	}()
-	m := r.ex.newMatcher(r.spec.push)
+	m := r.ex.newMatcher(r.spec)
 	var p *projector
 	if ret := r.spec.ret; ret != nil {
 		p = &projector{items: ret.Items, distinct: ret.Distinct, seen: seen}
@@ -341,9 +355,9 @@ func (r *matchRun) runMorsel(m *matcher, p *projector, it *workItem) ([]row, err
 	}
 	var err error
 	if r.spec.reason != "" {
-		err = m.solvePaths(r.spec.patterns, 0)
+		err = m.solvePaths(0)
 	} else {
-		err = m.solvePathPlanned(r.spec.patterns[0], it.plan, it.cands, m.emit)
+		err = m.solvePathPlanned(&m.paths[0], it.plan, it.cands, m.emit)
 	}
 	if err == errStop {
 		err = nil

@@ -6,9 +6,11 @@ import (
 )
 
 type parser struct {
-	toks []token
-	pos  int
-	src  string
+	toks  []token
+	pos   int
+	src   string
+	keys  []string       // PropAccess keys by slot - 1
+	slots map[string]int // key → slot
 }
 
 // Parse parses a Cypher query into its AST.
@@ -33,6 +35,7 @@ func Parse(src string) (*Query, error) {
 	if !p.at(tokEOF) {
 		return nil, errorf(p.cur(), "unexpected %q after query", p.cur().text)
 	}
+	q.keys = p.keys
 	return q, nil
 }
 
@@ -931,6 +934,20 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePostfix()
 }
 
+// keySlot returns key's slot in the statement's key table, adding it on
+// first sight.
+func (p *parser) keySlot(key string) int {
+	if slot, ok := p.slots[key]; ok {
+		return slot
+	}
+	if p.slots == nil {
+		p.slots = make(map[string]int)
+	}
+	p.keys = append(p.keys, key)
+	p.slots[key] = len(p.keys)
+	return len(p.keys)
+}
+
 func (p *parser) parsePostfix() (Expr, error) {
 	e, err := p.parseAtom()
 	if err != nil {
@@ -943,7 +960,7 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if err != nil {
 				return nil, err
 			}
-			e = &PropAccess{Target: e, Key: key}
+			e = &PropAccess{Target: e, Key: key, slot: p.keySlot(key)}
 		case p.at(tokLBracket):
 			p.pos++
 			idx := &IndexExpr{Target: e}

@@ -409,8 +409,8 @@ func (m *matcher) candidates(np NodePattern, acc anchorAccess) []graph.NodeID {
 				return m.g.NodesByProp(acc.label, acc.key, sv)
 			}
 		}
-		// Unresolvable inline value: scan the label, let nodeSatisfies
-		// decide (it re-evaluates per candidate and rejects on error).
+		// Unresolvable inline value: scan the label and let nodeSatisfies
+		// re-evaluate it per candidate, returning its error.
 		fallthrough
 	case accessLabelScan:
 		return m.g.NodesByLabel(acc.label)

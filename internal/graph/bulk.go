@@ -58,21 +58,7 @@ func (br *BulkReader) LabelID(label string) (uint16, bool) {
 }
 
 // NodeHasLabelID reports whether the node carries the (resolved) label.
-func (br *BulkReader) NodeHasLabelID(id NodeID, lid uint16) bool {
-	n := br.g.node(id)
-	if n == nil {
-		return false
-	}
-	for _, l := range br.g.lsets[n.lset] {
-		if l == labelID(lid) {
-			return true
-		}
-		if l > labelID(lid) {
-			return false
-		}
-	}
-	return false
-}
+func (br *BulkReader) NodeHasLabelID(id NodeID, lid uint16) bool { return br.g.hasLabel(id, lid) }
 
 // NodeProp returns a node property (Null when absent or node missing).
 func (br *BulkReader) NodeProp(id NodeID, key string) Value {
@@ -84,10 +70,7 @@ func (br *BulkReader) NodeProp(id NodeID, key string) Value {
 	if !ok {
 		return Null()
 	}
-	if i, had := findEntry(n.cprops, keyID); had {
-		return br.g.decEntry(n.cprops[i])
-	}
-	return Null()
+	return br.g.propIn(n.cprops, keyID)
 }
 
 // NodePropRef returns the raw columnar payload of a node property: its
@@ -246,10 +229,7 @@ func (br *BulkReader) RelProp(id RelID, key string) Value {
 	if !ok {
 		return Null()
 	}
-	if i, had := findEntry(r.cprops, keyID); had {
-		return br.g.decEntry(r.cprops[i])
-	}
-	return Null()
+	return br.g.propIn(r.cprops, keyID)
 }
 
 // EachRelOf calls fn for each relationship incident to id in the given
@@ -261,23 +241,20 @@ func (br *BulkReader) EachRelOf(id NodeID, dir Dir, fn func(rid RelID, typ uint1
 		return
 	}
 	if dir == DirOut || dir == DirBoth {
-		for _, rid := range n.out {
-			if r := br.g.rel(rid); r != nil {
-				if !fn(rid, uint16(r.typ), r.to) {
-					return
-				}
+		for _, e := range n.out {
+			if !fn(e.rel(), uint16(e.typ()), br.g.rel(e.rel()).to) {
+				return
 			}
 		}
 	}
 	if dir == DirIn || dir == DirBoth {
-		for _, rid := range n.in {
-			if r := br.g.rel(rid); r != nil {
-				if dir == DirBoth && r.from == r.to {
-					continue // already seen in the out scan
-				}
-				if !fn(rid, uint16(r.typ), r.from) {
-					return
-				}
+		for _, e := range n.in {
+			r := br.g.rel(e.rel())
+			if dir == DirBoth && r.from == r.to {
+				continue // already seen in the out scan
+			}
+			if !fn(e.rel(), uint16(e.typ()), r.from) {
+				return
 			}
 		}
 	}

@@ -823,8 +823,8 @@ func (l *loader) decodeRelSlots(d *sliceReader) error {
 		deg[2*(to-1)+1]++
 	}
 
-	adj := make([]RelID, 2*g.relCount)
-	cut := func(k uint32) []RelID {
+	adj := make([]adjEntry, 2*g.relCount)
+	cut := func(k uint32) []adjEntry {
 		if k == 0 {
 			return nil
 		}
@@ -840,8 +840,8 @@ func (l *loader) decodeRelSlots(d *sliceReader) error {
 	for i := range g.rels.n {
 		if r := g.rels.at(i); r != nil {
 			fn, tn := g.node(r.from), g.node(r.to)
-			fn.out = append(fn.out, r.id)
-			tn.in = append(tn.in, r.id)
+			fn.out = append(fn.out, mkAdj(r.typ, r.id))
+			tn.in = append(tn.in, mkAdj(r.typ, r.id))
 		}
 	}
 	return nil

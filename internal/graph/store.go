@@ -56,6 +56,18 @@ func (e centry) ref() uint64 {
 	return e.num
 }
 
+// adjEntry is one adjacency-list entry: the relationship's type id in the
+// top 16 bits and its RelID in the low 48. A typed scan filters on the
+// entry itself and reads a *Rel only for what it keeps.
+type adjEntry uint64
+
+const adjRelBits = 48
+
+func mkAdj(t typeID, id RelID) adjEntry { return adjEntry(uint64(t)<<adjRelBits | uint64(id)) }
+
+func (e adjEntry) rel() RelID  { return RelID(e & (1<<adjRelBits - 1)) }
+func (e adjEntry) typ() typeID { return typeID(e >> adjRelBits) }
+
 // Node is a labeled property vertex. Fields are unexported; all access goes
 // through methods so the store can synchronize and maintain indexes.
 type Node struct {
@@ -63,8 +75,8 @@ type Node struct {
 	owner  uint64 // COW stamp: which graph generation may mutate this struct
 	lset   lsetID // label-set id into the graph's label-set dictionary
 	cprops []centry
-	out    []RelID
-	in     []RelID
+	out    []adjEntry
+	in     []adjEntry
 }
 
 // Rel is a typed, directed edge with properties.
@@ -98,8 +110,8 @@ func (n *Node) clone(owner uint64) *Node {
 		owner:  owner,
 		lset:   n.lset,
 		cprops: append([]centry(nil), n.cprops...),
-		out:    append([]RelID(nil), n.out...),
-		in:     append([]RelID(nil), n.in...),
+		out:    append([]adjEntry(nil), n.out...),
+		in:     append([]adjEntry(nil), n.in...),
 	}
 }
 
@@ -940,20 +952,46 @@ func (g *Graph) NodeLabels(id NodeID) []string {
 
 // NodeHasLabel reports whether the node carries label.
 func (g *Graph) NodeHasLabel(id NodeID, label string) bool {
+	lid, ok := g.LabelID(label)
+	return ok && g.NodeHasLabelID(id, lid)
+}
+
+// NodeHasLabelID is NodeHasLabel for a label resolved by LabelID.
+func (g *Graph) NodeHasLabelID(id NodeID, lid uint16) bool {
 	g.rlock()
 	defer g.runlock()
+	return g.hasLabel(id, lid)
+}
+
+func (g *Graph) hasLabel(id NodeID, lid uint16) bool {
 	n := g.node(id)
 	if n == nil {
 		return false
 	}
-	lid, ok := g.labelIDs[label]
-	if !ok {
-		return false
-	}
-	ls := g.nodeLabels(n)
-	i := sort.Search(len(ls), func(i int) bool { return ls[i] >= lid })
-	return i < len(ls) && ls[i] == lid
+	_, ok := slices.BinarySearch(g.nodeLabels(n), labelID(lid))
+	return ok
 }
+
+// LabelID, TypeID and KeyID resolve a label, relationship type or property
+// key name to the id the graph stores it under. ok is false for a name the
+// graph has never stored, which therefore matches nothing. A caller that
+// resolves a pattern once reads through the ...ID accessors and Rels with
+// no name lookups.
+func (g *Graph) LabelID(name string) (uint16, bool) {
+	g.rlock()
+	defer g.runlock()
+	id, ok := g.labelIDs[name]
+	return uint16(id), ok
+}
+
+func (g *Graph) TypeID(name string) (uint16, bool) {
+	g.rlock()
+	defer g.runlock()
+	id, ok := g.typeIDs[name]
+	return uint16(id), ok
+}
+
+func (g *Graph) KeyID(name string) (uint32, bool) { return g.dict.Lookup(name) }
 
 // SetNodeProp sets (or with a Null value, clears) a node property,
 // maintaining any property indexes.
@@ -1017,20 +1055,43 @@ func (g *Graph) statPropRemoveLocked(lid labelID, keyID uint32) {
 
 // NodeProp returns a node property (Null when absent or node missing).
 func (g *Graph) NodeProp(id NodeID, key string) Value {
-	g.rlock()
-	defer g.runlock()
-	n := g.node(id)
-	if n == nil {
-		return Null()
-	}
 	keyID, ok := g.dict.Lookup(key)
 	if !ok {
 		return Null()
 	}
-	if i, had := findEntry(n.cprops, keyID); had {
-		return g.decEntry(n.cprops[i])
+	return g.NodePropByID(id, keyID)
+}
+
+// NodePropByID is NodeProp for a key resolved by KeyID.
+func (g *Graph) NodePropByID(id NodeID, key uint32) Value {
+	g.rlock()
+	defer g.runlock()
+	if n := g.node(id); n != nil {
+		return g.propIn(n.cprops, key)
 	}
 	return Null()
+}
+
+// NodePropIsString reports whether the node's property key holds the
+// string whose dictionary id is str (Interner.Lookup): a compare of the
+// stored cell that reads no string.
+func (g *Graph) NodePropIsString(id NodeID, key, str uint32) bool {
+	g.rlock()
+	defer g.runlock()
+	n := g.node(id)
+	return n != nil && cellIsString(n.cprops, key, str)
+}
+
+func (g *Graph) propIn(cp []centry, key uint32) Value {
+	if i, had := findEntry(cp, key); had {
+		return g.decEntry(cp[i])
+	}
+	return Null()
+}
+
+func cellIsString(cp []centry, key, str uint32) bool {
+	i, had := findEntry(cp, key)
+	return had && cp[i].kind == KindString && cp[i].num == uint64(str)
 }
 
 // NodeProps returns the node's properties as a boxed map (materialized
@@ -1055,8 +1116,8 @@ func (g *Graph) DeleteNode(id NodeID) error {
 		return fmt.Errorf("graph: no node %d", id)
 	}
 	g.version++
-	for _, rid := range append(append([]RelID{}, n.out...), n.in...) {
-		if r := g.rel(rid); r != nil {
+	for _, e := range append(append([]adjEntry{}, n.out...), n.in...) {
+		if r := g.rel(e.rel()); r != nil {
 			g.deleteRelLocked(r)
 		}
 	}
@@ -1102,9 +1163,9 @@ func (g *Graph) addRelLocked(typ string, from, to NodeID, props Props) (RelID, e
 	g.relCount++
 	g.typeCounts[r.typ]++
 	fn := g.mutNode(from)
-	fn.out = append(fn.out, r.id)
+	fn.out = append(fn.out, mkAdj(r.typ, r.id))
 	tn := g.mutNode(to)
-	tn.in = append(tn.in, r.id)
+	tn.in = append(tn.in, mkAdj(r.typ, r.id))
 	return r.id, nil
 }
 
@@ -1121,13 +1182,13 @@ func (g *Graph) deleteRelLocked(r *Rel) {
 	g.typeCounts[r.typ]--
 }
 
-func removeID(ids []RelID, id RelID) []RelID {
-	for i, x := range ids {
-		if x == id {
-			return append(ids[:i], ids[i+1:]...)
+func removeID(adj []adjEntry, id RelID) []adjEntry {
+	for i, e := range adj {
+		if e.rel() == id {
+			return append(adj[:i], adj[i+1:]...)
 		}
 	}
-	return ids
+	return adj
 }
 
 // DeleteRel removes a relationship.
@@ -1152,6 +1213,18 @@ func (g *Graph) RelType(id RelID) string {
 		return ""
 	}
 	return g.typeNames[r.typ]
+}
+
+// RelTypeID returns the relationship's type id (see TypeID); ok is false
+// for a dead id.
+func (g *Graph) RelTypeID(id RelID) (uint16, bool) {
+	g.rlock()
+	defer g.runlock()
+	r := g.rel(id)
+	if r == nil {
+		return 0, false
+	}
+	return uint16(r.typ), true
 }
 
 // RelEndpoints returns the from and to node IDs (0,0 when missing).
@@ -1196,20 +1269,29 @@ func (g *Graph) SetRelProp(id RelID, key string, v Value) error {
 
 // RelProp returns a relationship property (Null when absent).
 func (g *Graph) RelProp(id RelID, key string) Value {
-	g.rlock()
-	defer g.runlock()
-	r := g.rel(id)
-	if r == nil {
-		return Null()
-	}
 	keyID, ok := g.dict.Lookup(key)
 	if !ok {
 		return Null()
 	}
-	if i, had := findEntry(r.cprops, keyID); had {
-		return g.decEntry(r.cprops[i])
+	return g.RelPropByID(id, keyID)
+}
+
+// RelPropByID is RelProp for a key resolved by KeyID.
+func (g *Graph) RelPropByID(id RelID, key uint32) Value {
+	g.rlock()
+	defer g.runlock()
+	if r := g.rel(id); r != nil {
+		return g.propIn(r.cprops, key)
 	}
 	return Null()
+}
+
+// RelPropIsString is NodePropIsString for a relationship property.
+func (g *Graph) RelPropIsString(id RelID, key, str uint32) bool {
+	g.rlock()
+	defer g.runlock()
+	r := g.rel(id)
+	return r != nil && cellIsString(r.cprops, key, str)
 }
 
 // RelProps returns the relationship's properties as a boxed map.
@@ -1238,55 +1320,49 @@ const (
 )
 
 // Rels appends to buf the IDs of relationships incident to node id in the
-// given direction, optionally filtered to the named types (nil/empty =
-// all). It returns the extended buffer, enabling allocation reuse in the
-// query executor's hot path.
-func (g *Graph) Rels(id NodeID, dir Dir, types []string, buf []RelID) []RelID {
+// given direction whose type is one of types, as resolved by TypeID
+// (empty = every type). It returns the extended buffer, enabling allocation
+// reuse in the query executor's hot path: the type filter reads the
+// adjacency entries alone, so a call whose buf has room allocates nothing
+// and touches a relationship only to drop a self-loop's second sighting.
+func (g *Graph) Rels(id NodeID, dir Dir, types []uint16, buf []RelID) []RelID {
 	g.rlock()
 	defer g.runlock()
 	n := g.node(id)
 	if n == nil {
 		return buf
 	}
-	// The type filter resolves into a stack array, so a call whose buf has
-	// room allocates nothing: the matcher calls Rels per expansion step.
-	var wantArr [4]typeID
-	want := wantArr[:0]
-	for _, t := range types {
-		if tid, ok := g.typeIDs[t]; ok { // a type never used matches nothing
-			want = append(want, tid)
-		}
-	}
-	if len(types) > 0 && len(want) == 0 {
-		return buf
-	}
-	if dir == DirOut || dir == DirBoth {
-		for _, rid := range n.out {
-			if r := g.rel(rid); r != nil && typeIn(r.typ, want) {
-				buf = append(buf, rid)
+	if dir != DirIn {
+		for _, e := range n.out {
+			if ofType(e, types) {
+				buf = append(buf, e.rel())
 			}
 		}
 	}
-	if dir == DirIn || dir == DirBoth {
-		for _, rid := range n.in {
+	if dir != DirOut {
+		for _, e := range n.in {
 			// A self-loop already appeared in the out scan.
-			if r := g.rel(rid); r != nil && typeIn(r.typ, want) && (dir != DirBoth || r.from != r.to) {
-				buf = append(buf, rid)
+			if ofType(e, types) && (dir != DirBoth || !g.selfLoop(e.rel())) {
+				buf = append(buf, e.rel())
 			}
 		}
 	}
 	return buf
 }
 
-// typeIn reports whether typ is in want; an empty want admits every type.
-func typeIn(typ typeID, want []typeID) bool {
-	return len(want) == 0 || slices.Contains(want, typ)
+// Degree returns the number of incident relationships in the given
+// direction, filtered by type as Rels is.
+func (g *Graph) Degree(id NodeID, dir Dir, types []uint16) int {
+	return len(g.Rels(id, dir, types, nil))
 }
 
-// Degree returns the number of incident relationships in the given
-// direction, optionally filtered by type.
-func (g *Graph) Degree(id NodeID, dir Dir, types []string) int {
-	return len(g.Rels(id, dir, types, nil))
+func ofType(e adjEntry, types []uint16) bool {
+	return len(types) == 0 || slices.Contains(types, uint16(e.typ()))
+}
+
+func (g *Graph) selfLoop(id RelID) bool {
+	r := g.rel(id)
+	return r.from == r.to
 }
 
 // --- scans & indexes ---

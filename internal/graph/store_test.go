@@ -103,11 +103,12 @@ func TestRelationships(t *testing.T) {
 	if got := g.Rels(a, DirIn, nil, nil); len(got) != 0 {
 		t.Errorf("Rels(in) = %v", got)
 	}
-	if got := g.Rels(b, DirIn, []string{"ORIGINATE"}, nil); len(got) != 1 {
+	orig, _ := g.TypeID("ORIGINATE")
+	if got := g.Rels(b, DirIn, []uint16{orig}, nil); len(got) != 1 {
 		t.Errorf("Rels(b, in, typed) = %v", got)
 	}
-	if got := g.Rels(b, DirBoth, []string{"NOPE"}, nil); len(got) != 0 {
-		t.Errorf("Rels(wrong type) = %v", got)
+	if _, ok := g.TypeID("NOPE"); ok {
+		t.Error("TypeID resolved a type never stored")
 	}
 	if d := g.Degree(a, DirBoth, nil); d != 1 {
 		t.Errorf("Degree = %d", d)
@@ -145,9 +146,11 @@ func TestRelsReusesBuffer(t *testing.T) {
 		}
 	}
 	buf := make([]RelID, 0, 64)
+	tid, _ := g.TypeID("T")
+	types := []uint16{tid}
 	var got []RelID
 	allocs := testing.AllocsPerRun(100, func() {
-		got = g.Rels(a, DirBoth, []string{"T"}, buf[:0])
+		got = g.Rels(a, DirBoth, types, buf[:0])
 	})
 	if len(got) != 16 {
 		t.Fatalf("Rels(DirBoth, T) = %d rels, want 16", len(got))

@@ -8,6 +8,16 @@ import (
 	"iyp/internal/ontology"
 )
 
+// relsOf lists node id's relationships of one type in direction dir; none
+// when the graph has never stored the type.
+func relsOf(g *graph.Graph, id graph.NodeID, dir graph.Dir, typ string) []graph.RelID {
+	t, ok := g.TypeID(typ)
+	if !ok {
+		return nil
+	}
+	return g.Rels(id, dir, []uint16{t}, nil)
+}
+
 func runAll(t *testing.T, g *graph.Graph) {
 	t.Helper()
 	if err := Run(g, time.Date(2024, 5, 1, 0, 0, 0, 0, time.UTC), nil); err != nil {
@@ -44,7 +54,7 @@ func TestIPToPrefixLPM(t *testing.T) {
 	long := addNode(g, ontology.Prefix, "prefix", "10.1.0.0/16")
 	unrelated := addNode(g, ontology.Prefix, "prefix", "192.0.2.0/24")
 	runAll(t, g)
-	rels := g.Rels(ip, graph.DirOut, []string{ontology.PartOf}, nil)
+	rels := relsOf(g, ip, graph.DirOut, ontology.PartOf)
 	if len(rels) != 1 {
 		t.Fatalf("IP PART_OF edges = %d, want 1 (longest match only)", len(rels))
 	}
@@ -68,7 +78,7 @@ func TestCoveringPrefix(t *testing.T) {
 	runAll(t, g)
 	check := func(child, wantParent graph.NodeID) {
 		t.Helper()
-		rels := g.Rels(child, graph.DirOut, []string{ontology.PartOf}, nil)
+		rels := relsOf(g, child, graph.DirOut, ontology.PartOf)
 		if len(rels) != 1 {
 			t.Fatalf("prefix %d PART_OF edges = %d", child, len(rels))
 		}
@@ -78,7 +88,7 @@ func TestCoveringPrefix(t *testing.T) {
 	}
 	check(p24, p16)
 	check(p16, p8)
-	if got := g.Rels(p8, graph.DirOut, []string{ontology.PartOf}, nil); len(got) != 0 {
+	if got := relsOf(g, p8, graph.DirOut, ontology.PartOf); len(got) != 0 {
 		t.Error("top prefix should have no cover")
 	}
 }
@@ -87,7 +97,7 @@ func TestURLToHostname(t *testing.T) {
 	g := graph.New()
 	url := addNode(g, ontology.URL, "url", "https://www.example.com/page")
 	runAll(t, g)
-	rels := g.Rels(url, graph.DirOut, []string{ontology.PartOf}, nil)
+	rels := relsOf(g, url, graph.DirOut, ontology.PartOf)
 	if len(rels) != 1 {
 		t.Fatalf("URL PART_OF edges = %d", len(rels))
 	}
@@ -107,7 +117,7 @@ func TestDNSHierarchy(t *testing.T) {
 	runAll(t, g)
 
 	// HostName PART_OF DomainName.
-	rels := g.Rels(host, graph.DirOut, []string{ontology.PartOf}, nil)
+	rels := relsOf(g, host, graph.DirOut, ontology.PartOf)
 	if len(rels) != 1 {
 		t.Fatalf("host PART_OF edges = %d", len(rels))
 	}
@@ -115,7 +125,7 @@ func TestDNSHierarchy(t *testing.T) {
 		t.Error("hostname linked to wrong domain")
 	}
 	// DomainName PARENT tld DomainName (created on demand).
-	prels := g.Rels(dom, graph.DirOut, []string{ontology.Parent}, nil)
+	prels := relsOf(g, dom, graph.DirOut, ontology.Parent)
 	if len(prels) != 1 {
 		t.Fatalf("domain PARENT edges = %d", len(prels))
 	}
@@ -124,7 +134,7 @@ func TestDNSHierarchy(t *testing.T) {
 		t.Errorf("TLD node = %q", v)
 	}
 	// The created TLD node must not link to itself.
-	if got := g.Rels(tld, graph.DirOut, []string{ontology.Parent}, nil); len(got) != 0 {
+	if got := relsOf(g, tld, graph.DirOut, ontology.Parent); len(got) != 0 {
 		t.Error("TLD must not have a PARENT")
 	}
 }
