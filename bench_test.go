@@ -276,17 +276,17 @@ func BenchmarkTable3_DNSBestPractice(b *testing.B) {
 func BenchmarkTable4_SharedInfrastructure(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
-	var byNS, bySlash24 studies.GroupStats
+	var r studies.SharedInfraResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if byNS, bySlash24, _, err = studies.SharedInfraComNetOrg(g); err != nil {
+		if r, err = studies.SharedInfrastructure(g); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(byNS.MedianGroupSize), "ns_median")       // paper 2024 @1M: 9
-	b.ReportMetric(float64(byNS.MaxGroupSize), "ns_max")             // paper 2024 @1M: 6k
-	b.ReportMetric(float64(bySlash24.MedianGroupSize), "s24_median") // paper 2024 @1M: 3.9k
-	b.ReportMetric(float64(bySlash24.MaxGroupSize), "s24_max")       // paper 2024 @1M: 114k
+	b.ReportMetric(float64(r.ByNS.MedianGroupSize), "ns_median")       // paper 2024 @1M: 9
+	b.ReportMetric(float64(r.ByNS.MaxGroupSize), "ns_max")             // paper 2024 @1M: 6k
+	b.ReportMetric(float64(r.BySlash24.MedianGroupSize), "s24_median") // paper 2024 @1M: 3.9k
+	b.ReportMetric(float64(r.BySlash24.MaxGroupSize), "s24_max")       // paper 2024 @1M: 114k
 }
 
 // --- E5: Table 5 — shared infrastructure extensions ---
@@ -294,22 +294,17 @@ func BenchmarkTable4_SharedInfrastructure(b *testing.B) {
 func BenchmarkTable5_SharedInfraExtended(b *testing.B) {
 	g := benchGraph(b)
 	b.ResetTimer()
-	var (
-		byPrefix, allNS, allPrefix studies.GroupStats
-	)
+	var r studies.SharedInfraResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if _, _, byPrefix, err = studies.SharedInfraComNetOrg(g); err != nil {
-			b.Fatal(err)
-		}
-		if allNS, allPrefix, err = studies.SharedInfraAllTranco(g); err != nil {
+		if r, err = studies.SharedInfrastructure(g); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(byPrefix.MedianGroupSize), "bgp_median")   // paper @1M: 4.1k
-	b.ReportMetric(float64(byPrefix.MaxGroupSize), "bgp_max")         // paper @1M: 114k
-	b.ReportMetric(float64(allNS.MaxGroupSize), "all_ns_max")         // paper @1M: 25k
-	b.ReportMetric(float64(allPrefix.MaxGroupSize), "all_prefix_max") // paper @1M: 187k
+	b.ReportMetric(float64(r.ByBGPPrefix.MedianGroupSize), "bgp_median")     // paper @1M: 4.1k
+	b.ReportMetric(float64(r.ByBGPPrefix.MaxGroupSize), "bgp_max")           // paper @1M: 114k
+	b.ReportMetric(float64(r.AllByNS.MaxGroupSize), "all_ns_max")            // paper @1M: 25k
+	b.ReportMetric(float64(r.AllByBGPPrefix.MaxGroupSize), "all_prefix_max") // paper @1M: 187k
 }
 
 // --- E8/E9: Figures 5 and 6 — SPoF in the DNS chain ---

@@ -325,7 +325,7 @@ func TestKnobCensus(t *testing.T) {
 		{core.BuildOptions{}, 12},
 		{ingest.Pipeline{}, 9},
 		{iyp.Options{}, 11},
-		{replica.Config{}, 9},
+		{replica.Config{}, 8},
 		{temporal.DiffOptions{}, 1},
 	} {
 		typ := reflect.TypeOf(c.v)

@@ -26,11 +26,13 @@ import (
 //	dir/gen-000001.snapshot snapshot files
 //	dir/*.tmp-*             in-flight writes; ignored and garbage-collected
 //
-// The manifest records each generation's size and whole-file CRC32C so Open
-// can reject a damaged file before parsing it; the snapshot's internal
-// checksums are verified by Load regardless, so a stale or missing manifest
-// (e.g. a crash between the snapshot rename and the manifest rename) only
-// loses the fast pre-check, never correctness.
+// Every reader — Open, a replica follower, an AS-OF history load — goes
+// through Load, which reads a generation's file once, checks the bytes
+// against the size and whole-file CRC32C the manifest records, and decodes
+// them. The decoder verifies the snapshot's internal checksums regardless,
+// so a stale or missing manifest (e.g. a crash between the snapshot rename
+// and the manifest rename) only loses the record check and its typed
+// errors, never correctness.
 type Store struct {
 	dir  string
 	keep int
@@ -191,8 +193,8 @@ func (st *Store) writeManifest(gens []Generation) error {
 // moving directory, though, so the combined view can be transiently stale —
 // a just-published generation may appear as an orphan before its manifest
 // entry is visible, and a just-pruned file may still be listed. Callers
-// must treat every entry as a candidate to verify (VerifyGen / Open do),
-// not as a promise the file is still there.
+// must treat every entry as a candidate to verify (Load does), not as a
+// promise the file is still there.
 func (st *Store) Generations() ([]Generation, error) {
 	gens := st.readManifest()
 	seen := make(map[uint64]bool, len(gens))
@@ -394,19 +396,10 @@ func (st *Store) Open() (*Graph, OpenReport, error) {
 		}
 		allVanished := true
 		for _, gen := range gens {
-			if err := st.VerifyGen(gen); err != nil {
-				report.Skipped = append(report.Skipped, SkippedGeneration{Seq: gen.Seq, Path: gen.Path, Reason: err.Error()})
-				if !errors.Is(err, ErrGenMissing) {
-					allVanished = false
-				}
-				continue
-			}
-			g, err := LoadFile(gen.Path)
+			g, _, err := st.Load(gen, nil)
 			if err != nil {
 				report.Skipped = append(report.Skipped, SkippedGeneration{Seq: gen.Seq, Path: gen.Path, Reason: err.Error()})
-				if !errors.Is(err, os.ErrNotExist) {
-					allVanished = false
-				}
+				allVanished = allVanished && errors.Is(err, ErrGenMissing)
 				continue
 			}
 			gen.Nodes, gen.Rels = g.NumNodes(), g.NumRels()
@@ -419,47 +412,54 @@ func (st *Store) Open() (*Graph, OpenReport, error) {
 	}
 }
 
-// VerifyGen pre-checks a generation against its manifest record without
-// loading it, returning a typed error a follower can classify: ErrGenMissing
-// when the file is gone, ErrGenTruncated when it is shorter than the
-// manifest says, ErrCorrupt on a checksum mismatch (or an over-long file —
-// garbage appended past a valid snapshot is damage, not slack). A nil
-// return means "try loading it": Load still verifies the snapshot's own
-// internal checksums, so an unmanifested orphan (no recorded size/CRC)
-// passes here and is judged by the loader.
+// Load materializes one generation in a single read of its file: the bytes
+// are checked against the generation's manifest record and then decoded,
+// the decoder verifying every section's checksum and the whole-file CRC
+// before it trusts a byte. dict seeds the loaded graph's dictionary (nil
+// starts fresh). Failures are typed as for VerifyGen; a generation that
+// passes the record check but not the decoder yields the decoder's error
+// (ErrCorrupt for damage).
+func (st *Store) Load(gen Generation, dict *Interner) (*Graph, LoadReport, error) {
+	data, err := readGen(gen)
+	if err != nil {
+		return nil, LoadReport{}, err
+	}
+	return loadBytes(data, LoadOptions{Dict: dict})
+}
+
+// VerifyGen checks a generation against its manifest record without
+// decoding it, returning a typed error a follower can classify:
+// ErrGenMissing when the file is gone, ErrGenTruncated when it is shorter
+// than the manifest says, ErrCorrupt on a checksum mismatch (or an
+// over-long file — garbage appended past a valid snapshot is damage, not
+// slack). A nil return means "try loading it": the decoder still verifies
+// the snapshot's own checksums, so an unmanifested orphan (no recorded
+// size/CRC) passes here and is judged by the decoder.
 func (st *Store) VerifyGen(gen Generation) error {
-	info, err := os.Stat(gen.Path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %s", ErrGenMissing, gen.Path)
-		}
-		return err
+	_, err := readGen(gen)
+	return err
+}
+
+// readGen reads a generation's file and checks it against the manifest
+// record — the one comparison Load and VerifyGen share.
+func readGen(gen Generation) ([]byte, error) {
+	data, err := os.ReadFile(gen.Path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %s", ErrGenMissing, gen.Path)
 	}
-	if !gen.manifested {
-		return nil // no recorded size/CRC to compare against
+	if err != nil || !gen.manifested {
+		return data, err // an orphan has no recorded size/CRC to compare
 	}
-	if info.Size() < gen.Size {
-		return fmt.Errorf("%w: manifest records %d bytes, file has %d", ErrGenTruncated, gen.Size, info.Size())
+	switch size := int64(len(data)); {
+	case size < gen.Size:
+		return nil, fmt.Errorf("%w: manifest records %d bytes, file has %d", ErrGenTruncated, gen.Size, size)
+	case size > gen.Size:
+		return nil, corruptf("file is %d bytes, manifest records %d", size, gen.Size)
 	}
-	if info.Size() > gen.Size {
-		return corruptf("file is %d bytes, manifest records %d", info.Size(), gen.Size)
+	if sum := crc32.Checksum(data, castagnoli); sum != gen.CRC {
+		return nil, corruptf("checksum mismatch (manifest %08x, file %08x)", gen.CRC, sum)
 	}
-	f, err := os.Open(gen.Path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return fmt.Errorf("%w: %s", ErrGenMissing, gen.Path)
-		}
-		return err
-	}
-	defer f.Close()
-	h := crc32.New(castagnoli)
-	if _, err := io.Copy(h, f); err != nil {
-		return err
-	}
-	if h.Sum32() != gen.CRC {
-		return corruptf("checksum mismatch (manifest %08x, file %08x)", gen.CRC, h.Sum32())
-	}
-	return nil
+	return data, nil
 }
 
 // countWriter counts bytes written through it.

@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -366,4 +368,167 @@ func TestStoreMTimeMovesOnSave(t *testing.T) {
 	if mt2.Equal(mt1) {
 		t.Log("filesystem mtime granularity too coarse to distinguish saves (not a failure)")
 	}
+}
+
+// loadClass names the errors.Is class of a generation load's outcome.
+func loadClass(err error) string {
+	for _, c := range []struct {
+		name   string
+		target error
+	}{
+		{"missing", ErrGenMissing},
+		{"truncated", ErrGenTruncated},
+		{"corrupt", ErrCorrupt},
+		{"unsupported", errUnsupportedFormat},
+	} {
+		if errors.Is(err, c.target) {
+			return c.name
+		}
+	}
+	if err != nil {
+		return "other"
+	}
+	return "ok"
+}
+
+// loadMatchesReference loads gen through Store.Load and through the
+// two-read reference (VerifyGen, then LoadFileWith), each seeded with a
+// fresh dictionary from dict (which may return nil). Both must fail in the
+// same class, or both succeed with the same LoadReport and graphs that save
+// to identical bytes. It returns the shared class.
+func loadMatchesReference(t testing.TB, st *Store, gen Generation, dict func() *Interner) string {
+	t.Helper()
+	g, rep, err := st.Load(gen, dict())
+	refErr := st.VerifyGen(gen)
+	var refG *Graph
+	var refRep LoadReport
+	if refErr == nil {
+		refG, refRep, refErr = LoadFileWith(gen.Path, LoadOptions{Dict: dict()})
+	}
+	class := loadClass(err)
+	if ref := loadClass(refErr); class != ref {
+		t.Fatalf("Store.Load: %s (%v), reference: %s (%v)", class, err, ref, refErr)
+	}
+	if err != nil {
+		return class
+	}
+	if rep != refRep {
+		t.Fatalf("LoadReport %+v, reference %+v", rep, refRep)
+	}
+	var got, want bytes.Buffer
+	if err := g.Save(&got); err != nil {
+		t.Fatal(err)
+	}
+	if err := refG.Save(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("Store.Load's graph saves to %d bytes that differ from the reference's %d", got.Len(), want.Len())
+	}
+	return class
+}
+
+// storeGen writes data as generation 1 of st and returns its record:
+// manifested with the size and CRC of recorded (the bytes the builder meant
+// to publish), or an unmanifested orphan when recorded is nil.
+func storeGen(t testing.TB, st *Store, data, recorded []byte) Generation {
+	t.Helper()
+	gen := Generation{Seq: 1, Path: filepath.Join(st.Dir(), genFileName(1))}
+	if err := os.WriteFile(gen.Path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if recorded != nil {
+		gen.Size, gen.CRC, gen.manifested = int64(len(recorded)), crc32.Checksum(recorded, castagnoli), true
+	}
+	return gen
+}
+
+func TestStoreLoadMatchesVerifyThenLoad(t *testing.T) {
+	var buf bytes.Buffer
+	if err := randomGraph(1, 30, 40).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	flipped := bytes.Clone(snap)
+	flipped[len(flipped)/2] ^= 0x10
+	preColumnar, err := os.ReadFile("testdata/v2-boxed.snapshot")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		name string
+		// setup places the generation's file and returns its record.
+		setup func(t *testing.T, st *Store) Generation
+		want  string
+	}{
+		{"intact", func(t *testing.T, st *Store) Generation { return storeGen(t, st, snap, snap) }, "ok"},
+		{"missing", func(t *testing.T, st *Store) Generation {
+			gen := storeGen(t, st, snap, snap)
+			if err := os.Remove(gen.Path); err != nil {
+				t.Fatal(err)
+			}
+			return gen
+		}, "missing"},
+		{"truncated", func(t *testing.T, st *Store) Generation { return storeGen(t, st, snap[:len(snap)/3], snap) }, "truncated"},
+		{"over-long", func(t *testing.T, st *Store) Generation {
+			return storeGen(t, st, append(bytes.Clone(snap), "garbage"...), snap)
+		}, "corrupt"},
+		{"bit flip, honest manifest", func(t *testing.T, st *Store) Generation { return storeGen(t, st, flipped, snap) }, "corrupt"},
+		{"bit flip, lying manifest", func(t *testing.T, st *Store) Generation { return storeGen(t, st, flipped, flipped) }, "corrupt"},
+		{"unmanifested orphan", func(t *testing.T, st *Store) Generation { return storeGen(t, st, snap, nil) }, "ok"},
+		{"pre-columnar fixture", func(t *testing.T, st *Store) Generation {
+			return storeGen(t, st, preColumnar, preColumnar)
+		}, "unsupported"},
+		{"directory at the generation path", func(t *testing.T, st *Store) Generation {
+			gen := storeGen(t, st, snap, snap)
+			if err := os.Remove(gen.Path); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Mkdir(gen.Path, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			return gen
+		}, "other"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := testStore(t, 3)
+			gen := c.setup(t, st)
+			for _, dict := range []func() *Interner{
+				func() *Interner { return nil },
+				func() *Interner { return randomGraph(2, 30, 40).Interner() },
+			} {
+				if got := loadMatchesReference(t, st, gen, dict); got != c.want {
+					t.Fatalf("class %s, want %s", got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// FuzzStoreLoadMatchesReference extends the table test to arbitrary bytes:
+// written lands on disk, and the record is the size and CRC of intended
+// (honest), of written (lying), or absent (an orphan), chosen by manifest.
+// Seeds are FuzzLoad's corpus, intact and cut short, damaged and extended.
+func FuzzStoreLoadMatchesReference(f *testing.F) {
+	for _, data := range loadCorpus(f) {
+		long := append(bytes.Clone(data), 0)
+		flipped := bytes.Clone(data)
+		if len(flipped) > 0 {
+			flipped[len(flipped)/2] ^= 0x10
+		}
+		for manifest := range uint8(3) {
+			for _, written := range [][]byte{data, data[:len(data)/2], long, flipped} {
+				f.Add(data, written, manifest)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, intended, written []byte, manifest uint8) {
+		st := testStore(t, 3)
+		recorded := [][]byte{intended, written, nil}[manifest%3]
+		if recorded == nil && manifest%3 != 2 {
+			recorded = []byte{} // an empty record is still a record
+		}
+		loadMatchesReference(t, st, storeGen(t, st, written, recorded), func() *Interner { return nil })
+	})
 }

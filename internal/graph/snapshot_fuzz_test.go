@@ -13,35 +13,9 @@ import (
 // fixtures (which Load must reject, never mis-decode), and the journal
 // format (whose magic Load rejects).
 func FuzzLoad(f *testing.F) {
-	for _, fixture := range oldFormatFixtures {
-		data, err := os.ReadFile(fixture)
-		if err != nil {
-			f.Fatal(err)
-		}
+	for _, data := range loadCorpus(f) {
 		f.Add(data)
-		f.Add(data[:len(data)/2])
 	}
-	var v2 bytes.Buffer
-	if err := fixtureGraph().Save(&v2); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v2.Bytes())
-	f.Add(v2.Bytes()[:len(v2.Bytes())/2])
-	var arena bytes.Buffer
-	if err := arenaFixture().Save(&arena); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(arena.Bytes())
-	f.Add(arena.Bytes()[:len(arena.Bytes())/2])
-	var empty bytes.Buffer
-	if err := New().Save(&empty); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
-	f.Add([]byte(snapshotMagic))
-	f.Add([]byte{0x1f, 0x8b})
-	f.Add([]byte(batchMagic))
-
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -56,6 +30,32 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("accepted graph does not round-trip: %v", err)
 		}
 	})
+}
+
+// loadCorpus is FuzzLoad's seed corpus: the old-format fixtures, the
+// current format (small, arena-sized and empty graphs), half of each, and
+// bare magics.
+func loadCorpus(tb testing.TB) [][]byte {
+	var corpus [][]byte
+	for _, fixture := range oldFormatFixtures {
+		data, err := os.ReadFile(fixture)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		corpus = append(corpus, data, data[:len(data)/2])
+	}
+	for _, g := range []*Graph{fixtureGraph(), arenaFixture()} {
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			tb.Fatal(err)
+		}
+		corpus = append(corpus, buf.Bytes(), buf.Bytes()[:buf.Len()/2])
+	}
+	var empty bytes.Buffer
+	if err := New().Save(&empty); err != nil {
+		tb.Fatal(err)
+	}
+	return append(corpus, empty.Bytes(), []byte(snapshotMagic), []byte{0x1f, 0x8b}, []byte(batchMagic))
 }
 
 // FuzzReadBatch does the same for the checkpoint journal decoder.

@@ -13,8 +13,10 @@ package replica
 // Damage is therefore injected in an invisible staging file and published
 // with the same atomic renames the honest builder uses.
 //
-// The read-side faults live in ChaosLoader, which wraps the follower's
-// Config.Load seam with seeded slow and failing reads.
+// Only the publish side is injected: every follower read goes through
+// graph.Store.Load, and a read that fails outright (a directory where the
+// snapshot was, a permission error) is classified as an io_error by the
+// same path that classifies damage.
 
 import (
 	"fmt"
@@ -24,7 +26,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"iyp/internal/graph"
 )
@@ -285,28 +286,4 @@ func (fs *FaultStore) PublishOrphan(g *graph.Graph) (graph.Generation, error) {
 		return graph.Generation{}, err
 	}
 	return graph.Generation{Seq: seq, Path: path, Size: s.size, CRC: s.crc, Nodes: s.nodes, Rels: s.rels}, nil
-}
-
-// ChaosLoader wraps load (nil = graph.LoadFile) with seeded read faults: a
-// pFail chance of failing outright with an I/O error and a fixed delay per
-// load (slow reads — the window in which a hot-swap must not block the
-// serving path). Deterministic per seed.
-func ChaosLoader(seed int64, pFail float64, delay time.Duration, load func(string) (*graph.Graph, error)) func(string) (*graph.Graph, error) {
-	if load == nil {
-		load = graph.LoadFile
-	}
-	var mu sync.Mutex
-	rng := rand.New(rand.NewSource(seed))
-	return func(path string) (*graph.Graph, error) {
-		if delay > 0 {
-			time.Sleep(delay)
-		}
-		mu.Lock()
-		fail := rng.Float64() < pFail
-		mu.Unlock()
-		if fail {
-			return nil, fmt.Errorf("chaos loader: injected read failure for %s", path)
-		}
-		return load(path)
-	}
 }

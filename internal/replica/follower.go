@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,13 +86,6 @@ type Config struct {
 	BumpInterval time.Duration
 	// Seed fixes the backoff jitter (0 = 1); deterministic for tests.
 	Seed int64
-	// Load opens and parses a snapshot path. Nil uses the built-in loader,
-	// which seeds each load with the last-good generation's string
-	// dictionary so a reload re-allocates only the strings that actually
-	// changed between generations (counted in Status.DictStrings/
-	// DictReused). The fault harness injects slow and partial readers here;
-	// a custom Load bypasses dictionary reuse.
-	Load func(path string) (*graph.Graph, error)
 	// Logf receives reload lifecycle logs (nil = silent).
 	Logf func(format string, args ...any)
 
@@ -231,23 +223,14 @@ func (f *Follower) Poll() PollOutcome {
 	return out
 }
 
-// fetch verifies and loads one candidate generation, classifying every
-// failure into a ReloadResults class.
+// fetch loads one candidate generation, seeded with the serving
+// generation's dictionary, classifying every failure into a ReloadResults
+// class.
 func (f *Follower) fetch(gen graph.Generation) (*graph.Graph, string, error) {
-	if err := f.st.VerifyGen(gen); err != nil {
-		return nil, classify(err), err
-	}
-	if f.cfg.Load != nil {
-		g, err := f.cfg.Load(gen.Path)
-		if err != nil {
-			return nil, classify(err), err
-		}
-		return g, ReloadOK, nil
-	}
 	f.mu.Lock()
 	dict := f.dict
 	f.mu.Unlock()
-	g, rep, err := graph.LoadFileWith(gen.Path, graph.LoadOptions{Dict: dict})
+	g, rep, err := f.st.Load(gen, dict)
 	if err != nil {
 		return nil, classify(err), err
 	}
@@ -259,7 +242,7 @@ func (f *Follower) fetch(gen graph.Generation) (*graph.Graph, string, error) {
 // classify maps a verify/load failure onto its reload-result class.
 func classify(err error) string {
 	switch {
-	case errors.Is(err, graph.ErrGenMissing) || os.IsNotExist(err):
+	case errors.Is(err, graph.ErrGenMissing):
 		return ReloadMissing
 	case errors.Is(err, graph.ErrGenTruncated):
 		return ReloadTruncated

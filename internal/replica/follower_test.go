@@ -250,26 +250,42 @@ func TestFollowerListErrorClassified(t *testing.T) {
 	}
 }
 
-func TestFollowerChaosLoaderFailuresAreIOErrors(t *testing.T) {
-	fs, mv, _ := newTestFollower(t, Config{})
-	f := New(fs.Store(), mv, Config{
-		Load: ChaosLoader(7, 1.0, 0, nil), // every read fails
-	})
-	if _, err := fs.PublishGood(markerGraph(1)); err != nil {
+func TestFollowerReadFailuresAreIOErrors(t *testing.T) {
+	fs, mv, f := newTestFollower(t, Config{})
+	gen, err := fs.PublishGood(markerGraph(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A directory where the snapshot was: listing still offers the
+	// generation, but reading it fails outright.
+	saved := gen.Path + ".saved"
+	if err := os.Rename(gen.Path, saved); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(gen.Path, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	out := f.Poll()
 	if out.Loaded || !out.Faulted {
-		t.Fatalf("poll with failing loader = %+v", out)
+		t.Fatalf("poll with unreadable snapshot = %+v", out)
 	}
-	if n := f.Status().Reloads[indexOf(ReloadIOError)]; n != 1 {
-		t.Fatalf("io_error count = %d, want 1", n)
+	st := f.Status()
+	if n := st.Reloads[indexOf(ReloadIOError)]; n != 1 {
+		t.Fatalf("io_error count = %d, want 1 (reloads %v)", n, st.Reloads)
 	}
 
-	// Same store, healthy loader: the generation is fine.
-	healthy := New(fs.Store(), mv, Config{})
-	if out := healthy.Poll(); !out.Loaded || out.Seq != 1 {
-		t.Fatalf("healthy poll = %+v, want loaded 1", out)
+	// The file restored: the same generation loads.
+	if err := os.Remove(gen.Path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(saved, gen.Path); err != nil {
+		t.Fatal(err)
+	}
+	if out := f.Poll(); !out.Loaded || out.Seq != 1 {
+		t.Fatalf("poll after restore = %+v, want loaded 1", out)
+	}
+	if got := servingSeq(mv); got != 1 {
+		t.Fatalf("serving seq = %d, want 1", got)
 	}
 }
 
@@ -347,28 +363,6 @@ func TestFollowerStatusDegradedPastStaleness(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "degraded") {
 		t.Fatalf("String() = %q, want degraded", st.String())
-	}
-}
-
-func TestChaosLoaderDeterministic(t *testing.T) {
-	okLoad := func(string) (*graph.Graph, error) { return graph.New(), nil }
-	run := func(seed int64) string {
-		ld := ChaosLoader(seed, 0.5, 0, okLoad)
-		var sb strings.Builder
-		for i := 0; i < 32; i++ {
-			if _, err := ld("x"); err != nil {
-				sb.WriteByte('F')
-			} else {
-				sb.WriteByte('.')
-			}
-		}
-		return sb.String()
-	}
-	if a, b := run(11), run(11); a != b {
-		t.Fatalf("same seed diverged: %s vs %s", a, b)
-	}
-	if a, b := run(11), run(12); a == b {
-		t.Fatalf("different seeds identical (suspicious): %s", a)
 	}
 }
 

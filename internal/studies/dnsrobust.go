@@ -1,6 +1,7 @@
 package studies
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -61,7 +62,7 @@ func harvestDomainNS(g *graph.Graph) (nsNames [][]string) {
 					return true
 				}
 				n, _ := br.NodeProp(tld, "name").AsString()
-				if n == "com" || n == "net" || n == "org" {
+				if comNetOrg(n) {
 					inStudy = true
 					return false
 				}
@@ -134,8 +135,7 @@ func DNSBestPractice(g *graph.Graph) (DNSBestPracticeResult, error) {
 		}
 		kept++
 		for _, n := range names {
-			tld := netutil.TopLevelDomain(n)
-			if tld == "com" || tld == "net" || tld == "org" {
+			if comNetOrg(netutil.TopLevelDomain(n)) {
 				inZone++
 				break
 			}
@@ -150,6 +150,10 @@ func DNSBestPractice(g *graph.Graph) (DNSBestPracticeResult, error) {
 	out.InZoneGluePct = pct(inZone, kept)
 	return out, nil
 }
+
+// comNetOrg reports whether tld is one of the three TLDs the original
+// study's zone files covered.
+func comNetOrg(tld string) bool { return tld == "com" || tld == "net" || tld == "org" }
 
 // stringList extracts string elements from a (possibly nested) list Val.
 func stringList(v cypher.Val) []string {
@@ -232,79 +236,53 @@ type SharedInfraResult struct {
 	AllByBGPPrefix GroupStats
 }
 
-// nsInfraQuery returns one row per (domain, nameserver) with the
-// nameserver's IPv4 addresses and covering BGP prefixes. The com/net/org
-// variant replicates the original study's zone-file limitation.
-const nsInfraComNetOrg = `
-MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:PARENT]->(tld:DomainName)
-WHERE tld.name IN ['com', 'net', 'org']
-MATCH (d)-[:MANAGED_BY]-(ns:AuthoritativeNameServer)
-OPTIONAL MATCH (ns)-[:RESOLVES_TO]-(ip:IP {af:4})-[:PART_OF]-(pfx:Prefix)
-RETURN d.name AS domain, ns.name AS ns, collect(DISTINCT ip.ip) AS ips, collect(DISTINCT pfx.prefix) AS prefixes`
-
-// nsInfraAll is the Table 5 variant over the whole list (the paper's
-// Listing 6, without the /24 computation).
-const nsInfraAll = `
+// nsInfraQuery returns one row per (Tranco domain, nameserver) with the
+// nameserver's IPv4 addresses, their covering BGP prefixes, and the
+// domain's parent TLDs. The com/net/org rows replicate the original
+// study's zone-file limitation (Table 4, Table 5 row 1); all rows together
+// are Table 5 rows 2-3 (the paper's Listing 6, without the /24
+// computation).
+const nsInfraQuery = `
 MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:MANAGED_BY]-(ns:AuthoritativeNameServer)
 OPTIONAL MATCH (ns)-[:RESOLVES_TO]-(ip:IP {af:4})-[:PART_OF]-(pfx:Prefix)
-RETURN d.name AS domain, ns.name AS ns, collect(DISTINCT ip.ip) AS ips, collect(DISTINCT pfx.prefix) AS prefixes`
+OPTIONAL MATCH (d)-[:PARENT]->(tld:DomainName)
+RETURN d.name AS domain, ns.name AS ns, collect(DISTINCT ip.ip) AS ips, collect(DISTINCT pfx.prefix) AS prefixes, collect(DISTINCT tld.name) AS tlds`
 
-// foldInfraRows accumulates the per-(domain, nameserver) rows into the
-// three grouping key sets.
-func foldInfraRows(res *cypher.Result) (byNS, bySlash24, byPrefix map[string][]string) {
-	byNS = map[string][]string{}
-	bySlash24 = map[string][]string{}
-	byPrefix = map[string][]string{}
+// SharedInfrastructure reproduces Table 4 and Table 5 together from one
+// walk of the nameserver chain: every row feeds the all-Tranco groupings,
+// and the rows of .com/.net/.org domains also feed the restricted ones.
+func SharedInfrastructure(g *graph.Graph) (SharedInfraResult, error) {
+	res, err := run(g, "shared-infra", nsInfraQuery, nil)
+	if err != nil {
+		return SharedInfraResult{}, err
+	}
+	byNS, bySlash24, byPrefix := map[string][]string{}, map[string][]string{}, map[string][]string{}
+	allByNS, allByPrefix := map[string][]string{}, map[string][]string{}
 	for i := range res.Rows {
-		dv, _ := res.Get(i, "domain")
-		nv, _ := res.Get(i, "ns")
-		domain, _ := dv.AsString()
-		ns, _ := nv.AsString()
+		domain, _ := str(res, i, "domain")
+		ns, _ := str(res, i, "ns")
 		ipsV, _ := res.Get(i, "ips")
 		pfxV, _ := res.Get(i, "prefixes")
+		tldsV, _ := res.Get(i, "tlds")
+		prefixes := stringList(pfxV)
+		allByNS[domain] = append(allByNS[domain], ns)
+		allByPrefix[domain] = append(allByPrefix[domain], prefixes...)
+		if !slices.ContainsFunc(stringList(tldsV), comNetOrg) {
+			continue
+		}
 		byNS[domain] = append(byNS[domain], ns)
 		for _, ip := range stringList(ipsV) {
 			if s24, err := netutil.Slash24(ip); err == nil {
 				bySlash24[domain] = append(bySlash24[domain], s24)
 			}
 		}
-		byPrefix[domain] = append(byPrefix[domain], stringList(pfxV)...)
+		byPrefix[domain] = append(byPrefix[domain], prefixes...)
 	}
-	return byNS, bySlash24, byPrefix
-}
-
-// SharedInfraComNetOrg reproduces Table 4 (plus the BGP-prefix row of
-// Table 5): grouping restricted to .com/.net/.org, as the original study's
-// zone files were.
-func SharedInfraComNetOrg(g *graph.Graph) (byNS, bySlash24, byPrefix GroupStats, err error) {
-	res, err := run(g, "shared-infra", nsInfraComNetOrg, nil)
-	if err != nil {
-		return byNS, bySlash24, byPrefix, err
-	}
-	ns, s24, pfx := foldInfraRows(res)
-	return groupDomains(ns), groupDomains(s24), groupDomains(pfx), nil
-}
-
-// SharedInfraAllTranco reproduces Table 5's all-Tranco rows (the paper's
-// Listing 6 without the TLD restriction).
-func SharedInfraAllTranco(g *graph.Graph) (byNS, byPrefix GroupStats, err error) {
-	res, err := run(g, "shared-infra-all", nsInfraAll, nil)
-	if err != nil {
-		return byNS, byPrefix, err
-	}
-	ns, _, pfx := foldInfraRows(res)
-	return groupDomains(ns), groupDomains(pfx), nil
-}
-
-// SharedInfrastructure reproduces Table 4 and Table 5 together.
-func SharedInfrastructure(g *graph.Graph) (SharedInfraResult, error) {
-	var out SharedInfraResult
-	var err error
-	if out.ByNS, out.BySlash24, out.ByBGPPrefix, err = SharedInfraComNetOrg(g); err != nil {
-		return out, err
-	}
-	if out.AllByNS, out.AllByBGPPrefix, err = SharedInfraAllTranco(g); err != nil {
-		return out, err
-	}
-	return out, nil
+	return SharedInfraResult{
+		ByNS:           groupDomains(byNS),
+		BySlash24:      groupDomains(bySlash24),
+		ByBGPPrefix:    groupDomains(byPrefix),
+		AllByNS:        groupDomains(allByNS),
+		AllByBGPPrefix: groupDomains(allByPrefix),
+	}, nil
 }

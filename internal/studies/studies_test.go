@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"iyp/internal/core"
+	"iyp/internal/cypher"
 	"iyp/internal/graph"
+	"iyp/internal/netutil"
 	"iyp/internal/simnet"
 )
 
@@ -188,6 +190,147 @@ func TestSharedInfrastructureShape(t *testing.T) {
 	}
 	if r.ByNS.Groups == 0 || r.BySlash24.Groups == 0 {
 		t.Error("empty groupings")
+	}
+}
+
+// The two nameserver-infrastructure queries SharedInfrastructure ran before
+// they were folded into nsInfraQuery: Tables 4 and 5 row 1 over the
+// com/net/org domains, Table 5 rows 2-3 over the whole list.
+const (
+	refNSInfraComNetOrg = `
+MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:PARENT]->(tld:DomainName)
+WHERE tld.name IN ['com', 'net', 'org']
+MATCH (d)-[:MANAGED_BY]-(ns:AuthoritativeNameServer)
+OPTIONAL MATCH (ns)-[:RESOLVES_TO]-(ip:IP {af:4})-[:PART_OF]-(pfx:Prefix)
+RETURN d.name AS domain, ns.name AS ns, collect(DISTINCT ip.ip) AS ips, collect(DISTINCT pfx.prefix) AS prefixes`
+	refNSInfraAll = `
+MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:MANAGED_BY]-(ns:AuthoritativeNameServer)
+OPTIONAL MATCH (ns)-[:RESOLVES_TO]-(ip:IP {af:4})-[:PART_OF]-(pfx:Prefix)
+RETURN d.name AS domain, ns.name AS ns, collect(DISTINCT ip.ip) AS ips, collect(DISTINCT pfx.prefix) AS prefixes`
+)
+
+// refSharedInfra runs the two reference queries and folds each the way
+// SharedInfrastructure did before it walked the chain once.
+func refSharedInfra(t *testing.T, g *graph.Graph) SharedInfraResult {
+	t.Helper()
+	fold := func(q string) (byNS, bySlash24, byPrefix map[string][]string) {
+		res, err := cypher.Run(g, q, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byNS, bySlash24, byPrefix = map[string][]string{}, map[string][]string{}, map[string][]string{}
+		for i := range res.Rows {
+			domain, _ := str(res, i, "domain")
+			ns, _ := str(res, i, "ns")
+			ipsV, _ := res.Get(i, "ips")
+			pfxV, _ := res.Get(i, "prefixes")
+			byNS[domain] = append(byNS[domain], ns)
+			for _, ip := range stringList(ipsV) {
+				if s24, err := netutil.Slash24(ip); err == nil {
+					bySlash24[domain] = append(bySlash24[domain], s24)
+				}
+			}
+			byPrefix[domain] = append(byPrefix[domain], stringList(pfxV)...)
+		}
+		return byNS, bySlash24, byPrefix
+	}
+	ns, s24, pfx := fold(refNSInfraComNetOrg)
+	allNS, _, allPfx := fold(refNSInfraAll)
+	return SharedInfraResult{
+		ByNS:           groupDomains(ns),
+		BySlash24:      groupDomains(s24),
+		ByBGPPrefix:    groupDomains(pfx),
+		AllByNS:        groupDomains(allNS),
+		AllByBGPPrefix: groupDomains(allPfx),
+	}
+}
+
+// nsInfraEdgeGraph is a small Tranco list whose domains sit under com, net
+// and org, under a TLD the original study did not cover (io), and under no
+// parent at all; they share nameservers, /24s and BGP prefixes so every
+// grouping has more than one group and a group larger than one.
+func nsInfraEdgeGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New()
+	node := func(label string, props graph.Props) graph.NodeID { return g.AddNode([]string{label}, props) }
+	rel := func(typ string, from, to graph.NodeID) {
+		if _, err := g.AddRel(typ, from, to, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranking := node("Ranking", graph.Props{"name": graph.String(TrancoRankingName)})
+	tlds := map[string]graph.NodeID{}
+	for _, name := range []string{"com", "net", "org", "io"} {
+		tlds[name] = node("DomainName", graph.Props{"name": graph.String(name)})
+	}
+	prefixes := map[string]graph.NodeID{}
+	for _, p := range []string{"192.0.2.0/23", "198.51.100.0/24"} {
+		prefixes[p] = node("Prefix", graph.Props{"prefix": graph.String(p)})
+	}
+	ips := map[string]graph.NodeID{}
+	for ip, p := range map[string]string{"192.0.2.1": "192.0.2.0/23", "192.0.3.1": "192.0.2.0/23", "198.51.100.7": "198.51.100.0/24"} {
+		ips[ip] = node("IP", graph.Props{"ip": graph.String(ip), "af": graph.Int(4)})
+		rel("PART_OF", ips[ip], prefixes[p])
+	}
+	nss := map[string]graph.NodeID{}
+	for ns, ip := range map[string]string{"ns1.host.net": "192.0.2.1", "ns2.host.net": "192.0.3.1", "ns3.other.org": "198.51.100.7", "ns4.bare.com": ""} {
+		nss[ns] = node("AuthoritativeNameServer", graph.Props{"name": graph.String(ns)})
+		if ip != "" {
+			rel("RESOLVES_TO", nss[ns], ips[ip])
+		}
+	}
+	for rank, d := range []struct {
+		name, tld string
+		ns        []string
+	}{
+		{"a.com", "com", []string{"ns1.host.net"}},
+		{"b.com", "com", []string{"ns1.host.net"}},
+		{"c.net", "net", []string{"ns2.host.net"}},
+		{"d.org", "org", []string{"ns1.host.net", "ns3.other.org"}},
+		{"e.org", "org", []string{"ns4.bare.com"}},
+		{"f.io", "io", []string{"ns1.host.net"}},
+		{"g.io", "io", []string{"ns2.host.net", "ns3.other.org"}},
+		{"h", "", []string{"ns1.host.net"}}, // no PARENT
+	} {
+		dn := node("DomainName", graph.Props{"name": graph.String(d.name)})
+		if _, err := g.AddRel("RANK", dn, ranking, graph.Props{"rank": graph.Int(int64(rank + 1))}); err != nil {
+			t.Fatal(err)
+		}
+		if d.tld != "" {
+			rel("PARENT", dn, tlds[d.tld])
+		}
+		for _, ns := range d.ns {
+			rel("MANAGED_BY", dn, nss[ns])
+		}
+	}
+	return g
+}
+
+// TestChainFoldsMatchPerQueryReference pins the nameserver fold: one walk of
+// the chain, split by TLD afterwards, must give exactly the groupings the
+// two per-table queries gave.
+func TestChainFoldsMatchPerQueryReference(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    func(*testing.T) *graph.Graph
+	}{
+		{"study", studyGraph},
+		{"edges", nsInfraEdgeGraph},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g(t)
+			got, err := SharedInfrastructure(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := refSharedInfra(t, g)
+			if got != want {
+				t.Fatalf("folded  %+v\nper-query %+v", got, want)
+			}
+			if want.ByNS == want.AllByNS || want.ByNS.Groups == 0 {
+				t.Fatalf("graph does not separate the com/net/org rows from the rest: %+v", want)
+			}
+		})
 	}
 }
 

@@ -135,13 +135,13 @@ func (h *History) AcquireHistorical(gen uint64) (*graph.Graph, func(), error) {
 	}
 }
 
-// load materializes gen from the store, verifying its manifest record first.
+// load materializes gen from the store, checked against its manifest record.
 func (h *History) load(gen uint64) (*graph.Graph, error) {
 	return LoadGeneration(h.store, gen)
 }
 
 // LoadGeneration materializes one persisted generation from the store as a
-// frozen graph, verifying its manifest checksum first. Callers that need
+// frozen graph, checked against its manifest record. Callers that need
 // caching and pin management should go through History; this is the raw
 // load used by offline tools (iyp-report -diff).
 func LoadGeneration(store *graph.Store, gen uint64) (*graph.Graph, error) {
@@ -153,10 +153,7 @@ func LoadGeneration(store *graph.Store, gen uint64) (*graph.Graph, error) {
 		if cand.Seq != gen {
 			continue
 		}
-		if err := store.VerifyGen(cand); err != nil {
-			return nil, fmt.Errorf("temporal: generation %d failed verification: %w", gen, err)
-		}
-		g, err := graph.LoadFile(cand.Path)
+		g, _, err := store.Load(cand, nil)
 		if err != nil {
 			return nil, fmt.Errorf("temporal: generation %d: %w", gen, err)
 		}
