@@ -53,6 +53,7 @@ func TestReadmeExplainExamples(t *testing.T) {
 		`MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)-[:CATEGORIZED]->(t:Tag) WHERE a.asn IN [2497, 65001] RETURN p.prefix, t.label`,
 		`MATCH p = shortestPath((a:AS {asn: 2497})-[*..4]-(t:Tag)) RETURN length(p)`,
 		`MATCH (a:AS {asn:$asn})-[:ORIGINATE]-(p:Prefix) RETURN p.prefix`,
+		`MATCH (a:AS {asn: 2497})-[:ORIGINATE]-(p:Prefix)-[:CATEGORIZED]-(t:Tag) RETURN DISTINCT t.label`,
 	} {
 		if !strings.Contains(doc, q) {
 			t.Errorf("README.md does not show the EXPLAIN example query %q", q)

@@ -292,6 +292,9 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, keys []uint32, par
 func (ex *executor) applyMatch(c *MatchClause, in []row, cap int, ret *ReturnClause) ([]row, error) {
 	spec := newMatchSpec(ex.g, ex.q, c.Patterns, c.Where, c.Optional)
 	spec.ret = ret
+	if len(in) > 0 {
+		spec.memo = newMemoPlan(spec, in[0])
+	}
 	if spec.reason == "" && ex.par < 2 {
 		countSerialStatic(reasonDisabled)
 	} else {

@@ -12,6 +12,7 @@ import (
 type clausePlan struct {
 	matchSpec
 	paths []pathPlan
+	in    row // the variables the walk has bound before the clause
 }
 
 // planCtx is the evaluation context plans are made in without executing:
@@ -40,6 +41,7 @@ func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) 
 		}
 		cp.matchSpec, cp.paths = newMatchSpec(ec.g, q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
 		cp.ret = returnAtEmit(ec, q, i)
+		cp.in = m.binding
 		m.push = cp.push
 		for _, path := range mc.Patterns {
 			cp.paths = append(cp.paths, m.planPath(path))
@@ -144,5 +146,8 @@ func explainMatch(sb *strings.Builder, plan *clausePlan) {
 		sb.WriteString("  RETURN evaluated at match emit (DISTINCT per work item)\n")
 	} else if plan.ret != nil {
 		sb.WriteString("  RETURN evaluated at match emit\n")
+	}
+	if memo := newMemoPlan(plan.matchSpec, plan.in).describe(plan.paths[0].anchor, len(plan.patterns[0].Nodes)); memo != "" {
+		fmt.Fprintf(sb, "  %s\n", memo)
 	}
 }

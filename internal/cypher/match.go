@@ -18,16 +18,18 @@ var errStop = &Error{Msg: "stop"}
 type matcher struct {
 	ec      *evalCtx
 	g       *graph.Graph
-	ctx     context.Context // nil = never cancelled (Explain)
-	binding row             // mutated during search (append + truncate)
-	used    relSet          // rels used by the current pattern (stack)
-	push    []pushdown      // WHERE conjuncts usable for anchor index lookups
-	paths   []resolvedPath  // the clause's patterns, resolved against g (nil when only planning)
-	emit    func() error    // called with binding fully extended
-	ticks   int             // cooperative-cancellation tick counter
-	scratch *bfsScratch     // pooled shortestPath BFS state (lazily allocated)
-	relBufs [][]graph.RelID // adjacency buffers, one per scan nesting depth
-	depth   int             // adjacency scans in progress
+	ctx     context.Context       // nil = never cancelled (Explain)
+	binding row                   // mutated during search (append + truncate)
+	used    stackSet[graph.RelID] // rels used by the current pattern
+	push    []pushdown            // WHERE conjuncts usable for anchor index lookups
+	paths   []resolvedPath        // the clause's patterns, resolved against g (nil when only planning)
+	emit    func() error          // called with binding fully extended
+	ticks   int                   // cooperative-cancellation tick counter
+	scratch *bfsScratch           // pooled shortestPath BFS state (lazily allocated)
+	relBufs [][]graph.RelID       // adjacency buffers, one per scan nesting depth
+	depth   int                   // adjacency scans in progress
+	memo    memoPlan              // the clause's memo points (zero: none)
+	states  stackSet[memoKey]     // suffix states this matcher has expanded (grow-only)
 }
 
 // scanRels lists the relationships of node id into the adjacency buffer of
@@ -61,46 +63,68 @@ func (m *matcher) tick() error {
 	return nil
 }
 
-// relSet tracks the relationships used by the current pattern (Cypher's
-// relationship-isomorphism rule). Pushes and pops follow strict LIFO order
-// during backtracking. Membership is a linear scan while the stack is
-// short; once it outgrows relSetIdxThreshold — long variable-length paths
-// otherwise turn the scan quadratic — a map index is built and kept in
-// sync for the rest of the matcher's life.
-type relSet struct {
-	stack []graph.RelID
-	idx   map[graph.RelID]struct{}
+// stackSet is a set kept as a stack. The matcher keeps the relationships
+// used by the current pattern in one (Cypher's relationship-isomorphism
+// rule), pushed and popped in strict LIFO order during backtracking, and
+// the suffix states it has expanded in another (memo.go), which only
+// grows through add. Membership is a linear scan while the stack is
+// short; once it outgrows stackSetIdxThreshold — long variable-length
+// paths otherwise turn the scan quadratic — a map index is built and kept
+// in sync for the rest of the matcher's life.
+type stackSet[K comparable] struct {
+	stack []K
+	idx   map[K]struct{}
 }
 
-const relSetIdxThreshold = 16
+const stackSetIdxThreshold = 16
 
-func (s *relSet) push(id graph.RelID) {
-	s.stack = append(s.stack, id)
+func (s *stackSet[K]) push(k K) {
+	s.stack = append(s.stack, k)
 	if s.idx != nil {
-		s.idx[id] = struct{}{}
-	} else if len(s.stack) > relSetIdxThreshold {
-		s.idx = make(map[graph.RelID]struct{}, 2*len(s.stack))
+		s.idx[k] = struct{}{}
+	} else if len(s.stack) > stackSetIdxThreshold {
+		s.idx = make(map[K]struct{}, 2*len(s.stack))
 		for _, u := range s.stack {
 			s.idx[u] = struct{}{}
 		}
 	}
 }
 
-func (s *relSet) pop() {
-	id := s.stack[len(s.stack)-1]
+func (s *stackSet[K]) pop() {
+	k := s.stack[len(s.stack)-1]
 	s.stack = s.stack[:len(s.stack)-1]
 	if s.idx != nil {
-		delete(s.idx, id)
+		delete(s.idx, k)
 	}
 }
 
-func (s *relSet) has(id graph.RelID) bool {
+// add records k in a set that is never popped: once the map index exists
+// the stack is dropped, so no key is held twice.
+func (s *stackSet[K]) add(k K) {
 	if s.idx != nil {
-		_, ok := s.idx[id]
+		s.idx[k] = struct{}{}
+		return
+	}
+	s.push(k)
+	if s.idx != nil {
+		s.stack = nil
+	}
+}
+
+func (s *stackSet[K]) len() int {
+	if s.idx != nil {
+		return len(s.idx)
+	}
+	return len(s.stack)
+}
+
+func (s *stackSet[K]) has(k K) bool {
+	if s.idx != nil {
+		_, ok := s.idx[k]
 		return ok
 	}
 	for _, u := range s.stack {
-		if u == id {
+		if u == k {
 			return true
 		}
 	}
@@ -357,6 +381,9 @@ func (m *matcher) solvePathPlanned(path *resolvedPath, plan pathPlan, cands []gr
 		if i >= len(path.rels) {
 			return left(anchor)
 		}
+		if anchor == 0 && m.expanded(m.memo.right, i, nodeIDs[i]) {
+			return nil
+		}
 		return m.expandStep(path, i, i+1, nodeIDs, relVals, func() error {
 			return right(i + 1)
 		})
@@ -364,6 +391,9 @@ func (m *matcher) solvePathPlanned(path *resolvedPath, plan pathPlan, cands []gr
 	left = func(i int) error {
 		if i <= 0 {
 			return finish()
+		}
+		if i < anchor && m.expanded(m.memo.left, -i, nodeIDs[i]) {
+			return nil
 		}
 		return m.expandStep(path, i-1, i-1, nodeIDs, relVals, func() error {
 			return left(i - 1)

@@ -97,6 +97,7 @@ type matchSpec struct {
 	push     []pushdown    // WHERE conjuncts usable for anchor index lookups
 	reason   string        // serialReason: "" = the anchor's candidates are split into morsels
 	ret      *ReturnClause // the final RETURN evaluated at emit; nil keeps whole bindings
+	memo     memoPlan      // where the matcher skips suffix states it has expanded (newMemoPlan)
 }
 
 // newMatchSpec builds the spec of one execution of a clause against g.
@@ -246,7 +247,7 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 }
 
 func (ex *executor) newMatcher(spec matchSpec) *matcher {
-	return &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: spec.push, paths: spec.paths}
+	return &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: spec.push, paths: spec.paths, memo: spec.memo}
 }
 
 // execute runs the current window with `workers` workers: one runs on the

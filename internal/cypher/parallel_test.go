@@ -166,26 +166,49 @@ var identityQueries = []struct {
 		WHERE 10 / (a.asn - 64350) < 100 RETURN DISTINCT a.asn.x`, wantErr: true},
 }
 
-// TestReturnAtEmitDecision pins which RETURN shapes run at emit, read off
-// EXPLAIN, which asks the predicate the executor asks. A fallback keeps the
+// TestReturnAtEmitDecision pins which RETURN shapes run at emit, and where
+// a RETURN DISTINCT at emit gets the suffix-state memo, read off EXPLAIN,
+// which asks the predicates the executor asks. A fallback keeps the
 // unfused error: the WHERE's division by zero at a late row, not the
 // failing item's error at the first.
 func TestReturnAtEmitDecision(t *testing.T) {
 	g := buildWideIYP(t, 400)
-	const fused = "RETURN evaluated at match emit"
-	for _, tc := range []struct{ q, want string }{
-		{`MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT b.asn AS asn ORDER BY asn DESC`, fused + " (DISTINCT per work item)\n"},
-		{`MATCH p = (a:AS)-[r:ORIGINATE]->(x:Prefix) RETURN a, r, p, x.prefix, $k AS k, 'lit' AS s`, fused + "\n"},
-		{`MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name) RETURN DISTINCT n.name`, ""},
-		{`MATCH (a:AS) RETURN count(a)`, ""},
-		{`MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.asn`, ""},
-		{`MATCH p = (a:AS)-[:PEERS_WITH]->(b:AS) RETURN p.x`, ""},
-		{`MATCH (a:AS)-[r:PEERS_WITH*1..2]->(b:AS) RETURN r.x`, ""},
-		{`MATCH (a:AS) RETURN a.asn + 1`, ""},
-		{`MATCH (a:AS) RETURN a.asn AS x, a.asn AS x`, ""},
-		{`MATCH (a:AS) WITH a, 1 AS x MATCH (a)-[:COUNTRY]->(c) RETURN x`, ""},
-		{`MATCH (a:AS) RETURN *`, ""},
-		{`MATCH (a:AS) WITH a RETURN a`, ""},
+	const fused, memo = "RETURN evaluated at match emit", "DISTINCT memo at"
+	for _, tc := range []struct{ q, want, memo string }{
+		{`MATCH (a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT b.asn AS asn ORDER BY asn DESC`, fused + " (DISTINCT per work item)\n", ""},
+		{`MATCH p = (a:AS)-[r:ORIGINATE]->(x:Prefix) RETURN a, r, p, x.prefix, $k AS k, 'lit' AS s`, fused + "\n", ""},
+		{`MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name) RETURN DISTINCT n.name`, "", ""},
+		{`MATCH (a:AS) RETURN count(a)`, "", ""},
+		{`MATCH (a:AS) RETURN a.asn AS asn ORDER BY a.asn`, "", ""},
+		{`MATCH p = (a:AS)-[:PEERS_WITH]->(b:AS) RETURN p.x`, "", ""},
+		{`MATCH (a:AS)-[r:PEERS_WITH*1..2]->(b:AS) RETURN r.x`, "", ""},
+		{`MATCH (a:AS) RETURN a.asn + 1`, "", ""},
+		{`MATCH (a:AS) RETURN a.asn AS x, a.asn AS x`, "", ""},
+		{`MATCH (a:AS) WITH a, 1 AS x MATCH (a)-[:COUNTRY]->(c) RETURN x`, "", ""},
+		{`MATCH (a:AS) RETURN *`, "", ""},
+		{`MATCH (a:AS) WITH a RETURN a`, "", ""},
+		// Listing 4's shape: a bound anchor, and the tail the RETURN
+		// reads is typed apart from the hops before it.
+		{`MATCH (a:AS) WHERE a.asn < 64100 MATCH (a)-[:PEERS_WITH]-(b:AS)-[:ORIGINATE]-(p:Prefix)-[:CATEGORIZED]-(t:Tag)
+			WHERE t.label STARTS WITH 'RPKI' RETURN DISTINCT p.prefix, t.label`, fused, memo + " nodes 2, 3 of 4\n"},
+		// Written from the Tag end, the same memo points lie left of the
+		// anchor.
+		{`MATCH (a:AS) WHERE a.asn < 64100 MATCH (t:Tag)-[:CATEGORIZED]-(p:Prefix)-[:ORIGINATE]-(b:AS)-[:PEERS_WITH]-(a)
+			RETURN DISTINCT p.prefix, t.label`, fused, memo + " nodes 2, 3 of 4\n"},
+		// Repeated types: PEERS_WITH and ORIGINATE each lie on both sides
+		// of b, p and c; below, only c has PEERS_WITH on one side alone.
+		{`MATCH (a:AS {asn: 64001})-[:PEERS_WITH]-(b:AS)-[:ORIGINATE]-(p:Prefix)-[:ORIGINATE]-(c:AS)-[:PEERS_WITH]-(d:AS)
+			RETURN DISTINCT d.asn`, fused, ""},
+		{`MATCH (a:AS {asn: 64001})-[:PEERS_WITH]-(b:AS)-[:PEERS_WITH]-(c:AS)-[:COUNTRY]-(k:Country) RETURN DISTINCT k.country_code`,
+			fused, memo + " node 3 of 4\n"},
+		// A back-reference: the WHERE reads a, bound before b and p.
+		{`MATCH (a:AS {asn: 64001})-[:PEERS_WITH]-(b:AS)-[:ORIGINATE]-(p:Prefix)-[:CATEGORIZED]-(t:Tag)
+			WHERE t.label <> a.name RETURN DISTINCT t.label`, fused, ""},
+		// A variable-length hop after a position leaves it no memo.
+		{`MATCH (k:Country {country_code: 'JP'})-[:COUNTRY]-(a:AS)-[:PEERS_WITH*1..2]-(b:AS) RETURN DISTINCT b.asn`, fused, ""},
+		{`MATCH (k:Country {country_code: 'JP'})-[:COUNTRY]-(a:AS)-[:PEERS_WITH]-(b:AS) RETURN DISTINCT b.asn`, fused, memo + " node 2 of 3\n"},
+		// A one-hop lookup has no position between its ends.
+		{`MATCH (a:AS {asn: 64001})-[:ORIGINATE]-(p:Prefix) RETURN DISTINCT p.prefix`, fused, ""},
 	} {
 		out, err := Explain(g, tc.q)
 		if err != nil {
@@ -193,6 +216,9 @@ func TestReturnAtEmitDecision(t *testing.T) {
 		}
 		if got := strings.Contains(out, fused); got != (tc.want != "") || !strings.Contains(out, tc.want) {
 			t.Errorf("%s: EXPLAIN says\n%swant the line %q", tc.q, out, tc.want)
+		}
+		if got := strings.Contains(out, memo); got != (tc.memo != "") || !strings.Contains(out, tc.memo) {
+			t.Errorf("%s: EXPLAIN says\n%swant the memo line %q", tc.q, out, tc.memo)
 		}
 	}
 

@@ -98,19 +98,36 @@ func propOfPatternVar(e Expr, patVars map[string]bool) (*PropAccess, bool) {
 	return pa, true
 }
 
-// refsAny reports whether e references any variable in vars. Variables
-// locally bound by list comprehensions are excluded within their scope.
+// refsAny reports whether e references any variable in vars.
 func refsAny(e Expr, vars map[string]bool) bool {
 	found := false
+	freeVars(e, func(name string) { found = found || vars[name] })
+	return found
+}
+
+// freeVars calls visit for every variable e reads. A variable a list
+// comprehension binds is not read within its scope. Every variable an EXISTS
+// {} or COUNT {} subquery's patterns name is read: a name the enclosing row
+// binds ties the subquery's match to that binding.
+func freeVars(e Expr, visit func(name string)) {
 	var walk func(e Expr, shadow map[string]bool)
+	subquery := func(patterns []PatternPath, where Expr, shadow map[string]bool) {
+		walk(where, shadow)
+		walkPatternProps(patterns, func(e Expr) { walk(e, shadow) })
+		for _, name := range patternVars(patterns) {
+			if !shadow[name] {
+				visit(name)
+			}
+		}
+	}
 	walk = func(e Expr, shadow map[string]bool) {
-		if found || e == nil {
+		if e == nil {
 			return
 		}
 		switch x := e.(type) {
 		case *Variable:
-			if vars[x.Name] && !shadow[x.Name] {
-				found = true
+			if !shadow[x.Name] {
+				visit(x.Name)
 			}
 		case *PropAccess:
 			walk(x.Target, shadow)
@@ -147,28 +164,20 @@ func refsAny(e Expr, vars map[string]bool) bool {
 			}
 		case *ListComprehension:
 			walk(x.Source, shadow)
-			inner := shadow
-			if vars[x.Var] {
-				inner = make(map[string]bool, len(shadow)+1)
-				for k := range shadow {
-					inner[k] = true
-				}
-				inner[x.Var] = true
+			inner := make(map[string]bool, len(shadow)+1)
+			for k := range shadow {
+				inner[k] = true
 			}
+			inner[x.Var] = true
 			walk(x.Where, inner)
 			walk(x.Proj, inner)
 		case *ExistsExpr:
-			// Subquery patterns may rebind names; conservatively treat any
-			// reference inside as a dependency.
-			walk(x.Where, shadow)
-			walkPatternProps(x.Patterns, func(e Expr) { walk(e, shadow) })
+			subquery(x.Patterns, x.Where, shadow)
 		case *CountExpr:
-			walk(x.Where, shadow)
-			walkPatternProps(x.Patterns, func(e Expr) { walk(e, shadow) })
+			subquery(x.Patterns, x.Where, shadow)
 		}
 	}
 	walk(e, nil)
-	return found
 }
 
 func walkPatternProps(paths []PatternPath, visit func(Expr)) {
@@ -371,9 +380,12 @@ var testPlannerHook func(op string, path PatternPath, plan pathPlan)
 
 // planPath picks the anchor position with the cheapest access. For a
 // shortestPath (always two nodes) that is the endpoint the BFS roots at.
+// A bound variable costs 0, which no access undercuts, so the first one
+// ends the search: a second MATCH anchored on a bound variable plans each
+// input row without costing its other positions.
 func (m *matcher) planPath(path PatternPath) pathPlan {
 	plan := pathPlan{acc: m.planAccess(path.Nodes[0])}
-	for i := 1; i < len(path.Nodes); i++ {
+	for i := 1; i < len(path.Nodes) && plan.acc.cost > 0; i++ {
 		if acc := m.planAccess(path.Nodes[i]); acc.cost < plan.acc.cost {
 			plan = pathPlan{anchor: i, acc: acc}
 		}

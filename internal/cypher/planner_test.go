@@ -96,6 +96,48 @@ func TestPushdownSemantics(t *testing.T) {
 	}
 }
 
+// TestPushdownSubqueryPatternVars checks that a WHERE value naming a
+// pattern variable only inside an EXISTS {} or COUNT {} subquery's pattern
+// is not pushed into the anchor lookup: the variable is unbound when the
+// anchor is enumerated, so the pushed value would be wrong.
+func TestPushdownSubqueryPatternVars(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode([]string{"AS"}, graph.Props{"asn": graph.Int(2)})
+	b := g.AddNode([]string{"AS"}, graph.Props{"asn": graph.Int(10)})
+	x := g.AddNode([]string{"X"}, nil)
+	if _, err := g.AddRel("R", a, b, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.AddRel("S", b, x, nil); err != nil {
+		t.Fatal(err)
+	}
+	g.EnsureIndex("AS", "asn")
+	for _, tc := range []struct {
+		q, want string
+		push    bool // EXPLAIN lists an index-serviceable predicate
+	}{
+		{`MATCH (a:AS)-[:R]-(b:AS) WHERE a.asn = COUNT { (b)--() } RETURN a.asn, b.asn`, "[2 10]", false},
+		{`MATCH (a:AS)-[:R]-(b:AS) WITH a, b WHERE a.asn = COUNT { (b)--() } RETURN a.asn, b.asn`, "[2 10]", false},
+		{`MATCH (a:AS)-[:R]-(b:AS) WHERE a.asn = 2 AND EXISTS { (b)-[:S]-(:X) } RETURN a.asn, b.asn`, "[2 10]", true},
+	} {
+		res := mustRun(t, g, tc.q, nil)
+		if len(res.Rows) != 1 || fmt.Sprint(res.Rows[0]) != tc.want {
+			t.Errorf("%s: rows %v, want one row %s", tc.q, res.Rows, tc.want)
+		}
+		out, err := Explain(g, tc.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Contains(out, "index-serviceable WHERE predicates: a.asn = …"); got != tc.push {
+			t.Errorf("%s: EXPLAIN lists a.asn as index-serviceable: %v, want %v\n%s", tc.q, got, tc.push, out)
+		}
+	}
+	where, vars := parseWhere(t, `MATCH (a:AS)-[:R]-(b:AS) WHERE a.asn = COUNT { (b)--() } RETURN a`)
+	if pds := collectPushdowns(where, vars); len(pds) != 0 {
+		t.Errorf("a.asn = COUNT { (b)--() } must not be collected, got %v", pds)
+	}
+}
+
 // TestPushdownExplain pins the EXPLAIN lines the planner emits for
 // pushdown-seeded index access.
 func TestPushdownExplain(t *testing.T) {

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -61,79 +62,59 @@ func TestPaperListingsVerbatim(t *testing.T) {
 	db := testDB(t)
 
 	// Listing 1.
-	res, err := db.Query(context.Background(), `
+	res := listingGolden(t, db, "listing 1", `
 // Select ASes originating prefixes
 MATCH (x:AS)-[:ORIGINATE]-(:Prefix)
 // Return the AS's ASN
-RETURN DISTINCT x.asn`)
-	if err != nil {
-		t.Fatalf("listing 1: %v", err)
-	}
+RETURN DISTINCT x.asn`, 300,
+		"5cfebec3260763f4b527438aec0aad58d528a6c9acf74ff1911847eb16798fed")
 	if res.Len() == 0 {
 		t.Error("listing 1: no originating ASes")
 	}
-	listingGolden(t, "listing 1", res, 300,
-		"5cfebec3260763f4b527438aec0aad58d528a6c9acf74ff1911847eb16798fed")
 
 	// Listing 2.
-	res, err = db.Query(context.Background(), `
+	res = listingGolden(t, db, "listing 2", `
 // Find Prefixes with two originating ASes
 MATCH (x:AS)-[:ORIGINATE]-(p:Prefix)-[:ORIGINATE]-(y:AS)
 // Make sure that the ASNs of the two ASes are different
 WHERE x.asn <> y.asn
 // Return the prefix attribute of the Prefix node
-RETURN DISTINCT p.prefix`)
-	if err != nil {
-		t.Fatalf("listing 2: %v", err)
-	}
+RETURN DISTINCT p.prefix`, 11,
+		"2543d1dbbe4d2f3012410cf13d683aec7cfc24fe18996bd5690afd3df5d77628")
 	if res.Len() == 0 {
 		t.Error("listing 2: no MOAS prefixes (the model plants some)")
 	}
-	listingGolden(t, "listing 2", res, 11,
-		"2543d1dbbe4d2f3012410cf13d683aec7cfc24fe18996bd5690afd3df5d77628")
 
 	// Listing 3 shape (organization parameterized: the simulated graph
 	// has no CERN).
-	res, err = db.Query(context.Background(), `
+	res = listingGolden(t, db, "listing 3", `
 MATCH (org:Organization)-[:MANAGED_BY]-(:AS)-[:ORIGINATE]-(pfx:Prefix)-[:CATEGORIZED]-(:Tag {label:'RPKI Valid'})
 WHERE org.name STARTS WITH $prefix
 MATCH (pfx)-[:PART_OF]-(:IP)-[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(h:HostName)
-RETURN DISTINCT h.name`,
+RETURN DISTINCT h.name`, 2976,
+		"6f3a278fd842a56b85c2295c068018499aaa76a68d483a662c129c10c2e4697e",
 		iyp.WithParams(map[string]iyp.Value{"prefix": iyp.StringValue("ORG-")}))
-	if err != nil {
-		t.Fatalf("listing 3: %v", err)
-	}
 	if res.Len() == 0 {
 		t.Error("listing 3: no hostnames in RPKI-valid space")
 	}
-	listingGolden(t, "listing 3", res, 2976,
-		"6f3a278fd842a56b85c2295c068018499aaa76a68d483a662c129c10c2e4697e")
 
 	// Listing 4.
-	res, err = db.Query(context.Background(), `
+	res = listingGolden(t, db, "listing 4", `
 MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)--(h:HostName)
 -[:RESOLVES_TO {reference_name:'openintel.tranco1m'}]-(:IP)-[:PART_OF]-(pfx:Prefix)-[:CATEGORIZED]-(t:Tag)
 WHERE t.label STARTS WITH 'RPKI Invalid'
-RETURN count(DISTINCT pfx)`)
-	if err != nil {
-		t.Fatalf("listing 4: %v", err)
-	}
+RETURN count(DISTINCT pfx)`, 1,
+		"53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3")
 	if res.Len() != 1 {
 		t.Error("listing 4: expected a single count row")
 	}
-	listingGolden(t, "listing 4", res, 1,
-		"53c234e5e8472b6ac51c1ae1cab3fe06fad053beb8ebfd8977b010655bfdd3c3")
 
 	// Listing 4 as the RiPKI study runs it, over the top tenth.
-	res, err = db.Query(context.Background(), listing4Query, listing4TopTenth(t, db))
-	if err != nil {
-		t.Fatalf("listing 4 window: %v", err)
-	}
-	listingGolden(t, "listing 4 window", res, 181,
-		"22dacffb5a70d06c93711b66fa35c575464e68b05b54ad476858a096c9fafdbf")
+	listingGolden(t, db, "listing 4 window", listing4Query, 181,
+		"22dacffb5a70d06c93711b66fa35c575464e68b05b54ad476858a096c9fafdbf", listing4TopTenth(t, db))
 
 	// Listing 5 (reproducing the /24 grouping input).
-	res, err = db.Query(context.Background(), `
+	res, err := db.Query(context.Background(), `
 MATCH (:Ranking {name: 'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:PARENT]->(tld:DomainName)
 WHERE tld.name IN ['com', 'net', 'org']
 MATCH (d)-[:MANAGED_BY]-(a:AuthoritativeNameServer)-[:RESOLVES_TO]-(i:IP {af:4})
@@ -159,25 +140,41 @@ RETURN d, COLLECT(DISTINCT pfx)`)
 	}
 }
 
-// listingGolden pins a listing's result on the scale-0.1 build: its row
+// listingGolden runs a listing at the default parallelism (0: GOMAXPROCS
+// workers), serially and on eight workers, and pins each result on the scale-0.1 build: its row
 // count and the SHA-256 of its rows in returned order, so a change to the
 // order in which the matcher enumerates adjacency shows up here even when
-// the row set is unchanged.
-func listingGolden(t *testing.T, name string, res *cypher.Result, wantRows int, wantSHA string) {
+// the row set is unchanged. It returns the default run's result.
+func listingGolden(t *testing.T, db *iyp.DB, name, query string, wantRows int, wantSHA string, opts ...iyp.QueryOption) *cypher.Result {
 	t.Helper()
-	h := sha256.New()
-	for _, vals := range res.Rows {
-		for i, v := range vals {
-			if i > 0 {
-				h.Write([]byte{'\t'})
-			}
-			io.WriteString(h, v.String())
+	var first *cypher.Result
+	for _, par := range []int{0, 1, 8} {
+		runOpts := opts
+		if par > 0 {
+			runOpts = append(slices.Clone(opts), iyp.WithParallelism(par))
 		}
-		h.Write([]byte{'\n'})
+		res, err := db.Query(context.Background(), query, runOpts...)
+		if err != nil {
+			t.Fatalf("%s at parallelism %d: %v", name, par, err)
+		}
+		h := sha256.New()
+		for _, vals := range res.Rows {
+			for i, v := range vals {
+				if i > 0 {
+					h.Write([]byte{'\t'})
+				}
+				io.WriteString(h, v.String())
+			}
+			h.Write([]byte{'\n'})
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); res.Len() != wantRows || got != wantSHA {
+			t.Errorf("%s at parallelism %d: %d rows, sha256 %s; golden %d rows, %s", name, par, res.Len(), got, wantRows, wantSHA)
+		}
+		if first == nil {
+			first = res
+		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); res.Len() != wantRows || got != wantSHA {
-		t.Errorf("%s: %d rows, sha256 %s; golden %d rows, %s", name, res.Len(), got, wantRows, wantSHA)
-	}
+	return first
 }
 
 // TestListing4AllocCeiling pins the executor's allocations on Listing 4's

@@ -14,14 +14,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/report.golden fr
 
 // TestReportGolden pins the answers: every study of the reproduction, run
 // on the shared test graph, must print exactly the report in
-// testdata/report.golden, serially and at the default parallelism alike.
+// testdata/report.golden, serially, at the default parallelism and at
+// GOMAXPROCS 8 alike.
 // A change to the store, the executor or a kernel that moves any figure
 // fails here. `go test -run TestReportGolden -update .` rewrites the file
 // after an intended change.
 func TestReportGolden(t *testing.T) {
 	db := testDB(t)
 	path := filepath.Join("testdata", "report.golden")
-	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0), 8} {
 		prev := runtime.GOMAXPROCS(procs)
 		rep, err := studies.RunAll(db.Graph())
 		runtime.GOMAXPROCS(prev)
