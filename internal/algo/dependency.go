@@ -12,9 +12,10 @@ import (
 // terminal dependencies: country codes, AS operators, name servers. A
 // node x is a sole dependency of s when removing x from the graph leaves
 // s with no reachable sink; the kernel counts, per node, how many sources
-// depend solely on it. With K=1 over a domain→key bipartite view this is
-// exactly the paper's "domains with a single country / single AS" SPoF
-// table.
+// depend solely on it. With K=1 over a view whose sources are domains and
+// whose sinks are their dependency keys, this is the paper's "domains with
+// a single country / single AS" SPoF question; CALL algo.dependency asks
+// it of any view.
 
 // DependencyOptions configure the kernel.
 type DependencyOptions struct {

@@ -80,8 +80,7 @@ func (v *View) N() int { return len(v.ids) }
 // M is the number of edges in the view.
 func (v *View) M() int { return len(v.outTo) }
 
-// ExtID maps an internal index to its external node ID. For derived
-// views (NewDerived) the "external ID" is idx+1.
+// ExtID maps an internal index to its external node ID.
 func (v *View) ExtID(i int32) graph.NodeID { return v.ids[i] }
 
 // IntID maps an external node ID to the view's internal index (-1 when
@@ -209,25 +208,6 @@ func NewView(g *graph.Graph, opts ViewOptions) *View {
 	v := buildCSR(ids, ext2int, srcs, dsts, ws)
 	v.BuildTime = time.Since(t0)
 	observeViewBuild(v)
-	return v
-}
-
-// NewDerived builds a view over a caller-constructed graph of n nodes
-// (internal indexes [0, n)) and the given edge list. Studies use it for
-// analysis graphs that exist nowhere in the store — e.g. the
-// domain→dependency-key bipartite graphs of the SPoF evaluation. w may be
-// nil for an unweighted view.
-func NewDerived(n int, from, to []int32, w []float64) *View {
-	t0 := time.Now()
-	ids := make([]graph.NodeID, n)
-	ext2int := make([]int32, n+1)
-	ext2int[0] = -1
-	for i := 0; i < n; i++ {
-		ids[i] = graph.NodeID(i + 1)
-		ext2int[i+1] = int32(i)
-	}
-	v := buildCSR(ids, ext2int, from, to, w)
-	v.BuildTime = time.Since(t0)
 	return v
 }
 

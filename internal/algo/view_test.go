@@ -93,8 +93,21 @@ func TestViewWeights(t *testing.T) {
 	}
 }
 
-// TestNewDerived checks the synthetic-view constructor used by the
-// studies.
+// NewDerived builds a view over a synthetic graph of n nodes (internal
+// indexes [0, n), external IDs idx+1) and the given edge list, the fixture
+// the kernel tests run on. w may be nil for an unweighted view.
+func NewDerived(n int, from, to []int32, w []float64) *View {
+	ids := make([]graph.NodeID, n)
+	ext2int := make([]int32, n+1)
+	ext2int[0] = -1
+	for i := 0; i < n; i++ {
+		ids[i] = graph.NodeID(i + 1)
+		ext2int[i+1] = int32(i)
+	}
+	return buildCSR(ids, ext2int, from, to, w)
+}
+
+// TestNewDerived checks the synthetic-view fixture.
 func TestNewDerived(t *testing.T) {
 	v := NewDerived(4, []int32{0, 0, 2}, []int32{1, 3, 3}, nil)
 	if v.N() != 4 || v.M() != 3 {

@@ -102,6 +102,40 @@ func buildFingerprint(cfg simnet.Config, datasets []string) string {
 	return fmt.Sprintf("%x", h.Sum(nil)[:12])
 }
 
+// crawl runs the crawlers cs into g: a full build's whole dataset set or
+// its unresumed rest, or a delta build's changed datasets. They fetch from
+// the rendered catalog in process or, with UseHTTP, from a localhost server
+// behind the retry policy; WrapFetcher wraps either. The server lives only
+// as long as the crawl.
+func crawl(ctx context.Context, opts BuildOptions, catalog *source.Catalog, g *graph.Graph, cs []ingest.Crawler, fetchTime time.Time, cp *ingest.Checkpoint, logf func(string, ...any)) (ingest.Report, error) {
+	var fetcher source.Fetcher = catalog
+	if opts.UseHTTP {
+		srv, err := source.Serve(catalog)
+		if err != nil {
+			return ingest.Report{}, err
+		}
+		defer srv.Close()
+		// Real network fetches get the hardened retry policy for free.
+		fetcher = &source.RetryFetcher{Base: &source.HTTPFetcher{Base: srv.BaseURL()}}
+		logf("serving datasets at %s", srv.BaseURL())
+	}
+	if opts.WrapFetcher != nil {
+		fetcher = opts.WrapFetcher(fetcher)
+	}
+	pipe := &ingest.Pipeline{
+		Graph:       g,
+		Fetcher:     fetcher,
+		Crawlers:    cs,
+		Concurrency: opts.Concurrency,
+		Timeout:     opts.CrawlerTimeout,
+		FetchTime:   fetchTime,
+		Checkpoint:  cp,
+		OnCommit:    opts.onCommit,
+		Logf:        logf,
+	}
+	return pipe.Run(ctx)
+}
+
 // Build constructs a full IYP knowledge graph.
 func Build(ctx context.Context, opts BuildOptions) (*BuildResult, error) {
 	start := time.Now()
@@ -122,21 +156,6 @@ func Build(ctx context.Context, opts BuildOptions) (*BuildResult, error) {
 
 	catalog := source.Render(in)
 	logf("rendered %d datasets (%d bytes)", len(catalog.Paths()), catalog.Size())
-
-	var fetcher source.Fetcher = catalog
-	if opts.UseHTTP {
-		srv, err := source.Serve(catalog)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		defer srv.Close()
-		// Real network fetches get the hardened retry policy for free.
-		fetcher = &source.RetryFetcher{Base: &source.HTTPFetcher{Base: srv.BaseURL()}}
-		logf("serving datasets at %s", srv.BaseURL())
-	}
-	if opts.WrapFetcher != nil {
-		fetcher = opts.WrapFetcher(fetcher)
-	}
 
 	g := graph.New()
 	ensureIdentityIndexes(g)
@@ -190,18 +209,7 @@ func Build(ctx context.Context, opts BuildOptions) (*BuildResult, error) {
 		}
 	}
 
-	pipe := &ingest.Pipeline{
-		Graph:       g,
-		Fetcher:     fetcher,
-		Crawlers:    runCs,
-		Concurrency: opts.Concurrency,
-		Timeout:     opts.CrawlerTimeout,
-		FetchTime:   fetchTime,
-		Checkpoint:  cp,
-		OnCommit:    opts.onCommit,
-		Logf:        logf,
-	}
-	report, err := pipe.Run(ctx)
+	report, err := crawl(ctx, opts, catalog, g, runCs, fetchTime, cp, logf)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

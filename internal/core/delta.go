@@ -206,36 +206,13 @@ func BuildDelta(ctx context.Context, opts DeltaOptions) (*DeltaResult, error) {
 		fetchTime = time.Now().UTC()
 	}
 
-	var fetcher source.Fetcher = catalog
-	if opts.Build.UseHTTP {
-		srv, err := source.Serve(catalog)
-		if err != nil {
-			return nil, fmt.Errorf("core: delta: %w", err)
-		}
-		defer srv.Close()
-		fetcher = &source.RetryFetcher{Base: &source.HTTPFetcher{Base: srv.BaseURL()}}
-	}
-	if opts.Build.WrapFetcher != nil {
-		fetcher = opts.Build.WrapFetcher(fetcher)
-	}
-
 	runCs := make([]ingest.Crawler, 0, len(changed))
 	for _, c := range cs { // declaration order, as in a full build
 		if drop[c.Reference().Name] {
 			runCs = append(runCs, c)
 		}
 	}
-	pipe := &ingest.Pipeline{
-		Graph:       g,
-		Fetcher:     fetcher,
-		Crawlers:    runCs,
-		Concurrency: opts.Build.Concurrency,
-		Timeout:     opts.Build.CrawlerTimeout,
-		FetchTime:   fetchTime,
-		OnCommit:    opts.Build.onCommit,
-		Logf:        logf,
-	}
-	report, err := pipe.Run(ctx)
+	report, err := crawl(ctx, opts.Build, catalog, g, runCs, fetchTime, nil, logf)
 	if err != nil {
 		return nil, fmt.Errorf("core: delta: %w", err)
 	}

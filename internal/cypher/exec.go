@@ -843,6 +843,12 @@ func rewriteAggregates(e Expr, repl func(*FnCall) Expr) Expr {
 			nx.Thens[i] = rewriteAggregates(x.Thens[i], repl)
 		}
 		return &nx
+	case *ListComprehension:
+		nx := *x
+		nx.Source = rewriteAggregates(x.Source, repl)
+		nx.Where = rewriteAggregates(x.Where, repl)
+		nx.Proj = rewriteAggregates(x.Proj, repl)
+		return &nx
 	default:
 		return e
 	}

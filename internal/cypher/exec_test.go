@@ -271,6 +271,33 @@ RETURN count(DISTINCT n.v) AS dv, toFloat(count(DISTINCT n.v)) / count(*) AS rat
 	}
 }
 
+// TestAggregateInsideListComprehension: an aggregate in a comprehension's
+// source, filter or projection is folded per group like any other nested
+// aggregate.
+func TestAggregateInsideListComprehension(t *testing.T) {
+	g := graph.New()
+	for _, asn := range []int64{1, 2, 3} {
+		g.AddNode([]string{"AS"}, graph.Props{"asn": graph.Int(asn)})
+	}
+	for _, c := range []struct {
+		q    string
+		want string
+	}{
+		{`MATCH (a:AS) WITH a ORDER BY a.asn RETURN [x IN collect(a.asn) | x + 1] AS l`, "[2, 3, 4]"},
+		{`MATCH (a:AS) RETURN size([x IN collect(a.asn) WHERE x > 1]) AS l`, "2"},
+		{`MATCH (a:AS) RETURN [x IN [1, 2, 3, 4] WHERE x > count(a)] AS l`, "[4]"},
+		{`MATCH (a:AS) RETURN [x IN [10] | x + max(a.asn)] AS l`, "[13]"},
+	} {
+		res := mustRun(t, g, c.q, nil)
+		if res.Len() != 1 {
+			t.Fatalf("%s: %d rows", c.q, res.Len())
+		}
+		if v, _ := res.Get(0, "l"); v.String() != c.want {
+			t.Errorf("%s = %s, want %s", c.q, v.String(), c.want)
+		}
+	}
+}
+
 func TestAggregateOverZeroRows(t *testing.T) {
 	g := graph.New()
 	res := mustRun(t, g, `MATCH (n:Nothing) RETURN count(n) AS n, collect(n.x) AS xs, sum(n.v) AS s`, nil)

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"strings"
 
 	"iyp/internal/graph"
@@ -47,10 +48,11 @@ type Crawler interface {
 type Session struct {
 	Fetcher source.Fetcher
 
-	g     *graph.Graph
-	ref   ontology.Reference
-	batch *graph.Batch
-	cache map[cacheKey]graph.NodeID
+	g        *graph.Graph
+	ref      ontology.Reference
+	refProps graph.Props // ref.Props(), rendered once for every Link
+	batch    *graph.Batch
+	cache    map[cacheKey]graph.NodeID
 
 	// Write counters for the pipeline report. Before Commit these count
 	// staged writes; after Commit, the writes actually applied.
@@ -79,7 +81,7 @@ type cacheKey struct {
 // NewSession builds a session for one crawler run. Most callers go through
 // Pipeline.Run; tests use this directly.
 func NewSession(g *graph.Graph, f source.Fetcher, ref ontology.Reference) *Session {
-	return &Session{g: g, Fetcher: f, ref: ref, batch: graph.NewBatch(), cache: map[cacheKey]graph.NodeID{}}
+	return &Session{g: g, Fetcher: f, ref: ref, refProps: ref.Props(), batch: graph.NewBatch(), cache: map[cacheKey]graph.NodeID{}}
 }
 
 // Reference returns the provenance attached to this session's writes.
@@ -268,9 +270,12 @@ func asString(id any) (string, bool) {
 
 // Link stages a relationship annotated with the session's provenance
 // reference. Extra props are merged in (reference properties win on
-// collision, guaranteeing provenance integrity).
+// collision, guaranteeing provenance integrity); the caller's map is not
+// modified.
 func (s *Session) Link(typ string, from, to graph.NodeID, props graph.Props) error {
-	all := s.ref.Annotate(props.Clone())
+	all := make(graph.Props, len(props)+len(s.refProps))
+	maps.Copy(all, props)
+	maps.Copy(all, s.refProps)
 	if err := s.batch.AddRel(typ, from, to, all); err != nil {
 		return fmt.Errorf("ingest: %s: %w", s.ref.Name, err)
 	}

@@ -3,6 +3,7 @@ package ingest
 import (
 	"context"
 	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -161,32 +162,58 @@ func TestSessionDiscardLeavesGraphUntouched(t *testing.T) {
 	}
 }
 
+// TestSessionLinkProvenance: every staged relationship carries the
+// session's reference, which wins over a caller-supplied collision; the
+// caller's other props survive and the caller's map is left unchanged.
 func TestSessionLinkProvenance(t *testing.T) {
-	s := testSession(t)
-	a, _ := s.Node(ontology.AS, uint32(1))
-	p, _ := s.Node(ontology.Prefix, "10.0.0.0/8")
-	if err := s.Link(ontology.Originate, a, p, graph.Props{"count": graph.Int(2)}); err != nil {
-		t.Fatal(err)
-	}
-	_, links := s.Counts()
-	if links != 1 {
-		t.Errorf("linksCreated = %d", links)
-	}
-	commit(t, s)
-	g := s.Graph()
-	rels := g.Rels(s.Resolve(a), graph.DirOut, nil, nil)
-	if len(rels) != 1 {
-		t.Fatalf("rels = %d", len(rels))
-	}
-	props := g.RelProps(rels[0])
-	if v, _ := props[ontology.PropReferenceName].AsString(); v != "test.dataset" {
-		t.Errorf("provenance name = %v", props[ontology.PropReferenceName])
-	}
-	if v, _ := props[ontology.PropReferenceOrg].AsString(); v != "Test Org" {
-		t.Errorf("provenance org = %v", props[ontology.PropReferenceOrg])
-	}
-	if v, _ := props["count"].AsInt(); v != 2 {
-		t.Error("caller props lost")
+	for _, c := range []struct {
+		name  string
+		props graph.Props
+		extra map[string]int64 // caller props that must reach the graph
+	}{
+		{"props", graph.Props{"count": graph.Int(2)}, map[string]int64{"count": 2}},
+		{"nil", nil, nil},
+		{"spoofed", graph.Props{
+			ontology.PropReferenceName: graph.String("spoofed"),
+			"extra":                    graph.Int(1),
+		}, map[string]int64{"extra": 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := testSession(t)
+			a, _ := s.Node(ontology.AS, uint32(1))
+			p, _ := s.Node(ontology.Prefix, "10.0.0.0/8")
+			before := c.props.Clone()
+			if err := s.Link(ontology.Originate, a, p, c.props); err != nil {
+				t.Fatal(err)
+			}
+			if !maps.EqualFunc(c.props, before, graph.Value.Equal) {
+				t.Errorf("caller props changed: %v, was %v", c.props, before)
+			}
+			if _, links := s.Counts(); links != 1 {
+				t.Errorf("linksCreated = %d", links)
+			}
+			commit(t, s)
+			g := s.Graph()
+			rels := g.Rels(s.Resolve(a), graph.DirOut, nil, nil)
+			if len(rels) != 1 {
+				t.Fatalf("rels = %d", len(rels))
+			}
+			props := g.RelProps(rels[0])
+			if v, _ := props[ontology.PropReferenceName].AsString(); v != "test.dataset" {
+				t.Errorf("provenance name = %v", props[ontology.PropReferenceName])
+			}
+			if v, _ := props[ontology.PropReferenceOrg].AsString(); v != "Test Org" {
+				t.Errorf("provenance org = %v", props[ontology.PropReferenceOrg])
+			}
+			for k, want := range c.extra {
+				if v, _ := props[k].AsInt(); v != want {
+					t.Errorf("caller prop %s = %v, want %d", k, props[k], want)
+				}
+			}
+			if len(props) != 2+len(c.extra) {
+				t.Errorf("props = %v", props)
+			}
+		})
 	}
 }
 

@@ -140,26 +140,6 @@ func TestReferenceProps(t *testing.T) {
 	}
 }
 
-func TestReferenceAnnotate(t *testing.T) {
-	ref := Reference{Organization: "X", Name: "x.y"}
-	// nil props allocates.
-	p := ref.Annotate(nil)
-	if v, _ := p[PropReferenceName].AsString(); v != "x.y" {
-		t.Errorf("annotate nil: %v", p)
-	}
-	// Reference wins over caller-supplied collision.
-	p = ref.Annotate(graph.Props{
-		PropReferenceName: graph.String("spoofed"),
-		"extra":           graph.Int(1),
-	})
-	if v, _ := p[PropReferenceName].AsString(); v != "x.y" {
-		t.Errorf("reference should win collisions: %v", p[PropReferenceName])
-	}
-	if v, _ := p["extra"].AsInt(); v != 1 {
-		t.Error("extra props must survive annotation")
-	}
-}
-
 func TestValidateGraphFlagsViolations(t *testing.T) {
 	g := graph.New()
 	// Clean element.

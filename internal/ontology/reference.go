@@ -63,15 +63,3 @@ func (r Reference) Props() graph.Props {
 	}
 	return p
 }
-
-// Annotate copies the reference properties into props (in place),
-// returning props for chaining. A nil props allocates a new map.
-func (r Reference) Annotate(props graph.Props) graph.Props {
-	if props == nil {
-		props = graph.Props{}
-	}
-	for k, v := range r.Props() {
-		props[k] = v
-	}
-	return props
-}

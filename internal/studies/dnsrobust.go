@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"iyp/internal/algo"
 	"iyp/internal/cypher"
 	"iyp/internal/graph"
 	"iyp/internal/netutil"
@@ -33,115 +32,66 @@ type DNSBestPracticeResult struct {
 	Domains int
 }
 
-// harvestDomainNS walks the zone cuts added at refinement in one bulk
-// scan: ranked .com/.net/.org domains with their distinct nameserver name
-// sets. It replaces the study's original Cypher harvest.
-func harvestDomainNS(g *graph.Graph) (nsNames [][]string) {
+// DNSBestPractice reproduces Table 3 in one bulk walk of the zone cuts
+// added at refinement. Every ranked Tranco domain counts toward coverage;
+// a domain under .com/.net/.org is classed by its number of distinct
+// nameserver names as it is visited.
+func DNSBestPractice(g *graph.Graph) (DNSBestPracticeResult, error) {
+	var out DNSBestPracticeResult
+	var total, discarded, meet, exceed, notMeet, inZone, kept int
 	g.BulkRead(func(br *graph.BulkReader) {
-		rankT, okRank := br.TypeID("RANK")
 		parentT, okParent := br.TypeID("PARENT")
 		managedT, okManaged := br.TypeID("MANAGED_BY")
-		domL, okDom := br.LabelID("DomainName")
+		domL, _ := br.LabelID("DomainName")
 		nsL, okNS := br.LabelID("AuthoritativeNameServer")
-		if !okRank || !okParent || !okDom {
-			return
-		}
-		ranking := findRanking(br, TrancoRankingName)
-		if ranking == 0 {
-			return
-		}
-		seen := map[graph.NodeID]bool{}
-		br.EachRelOf(ranking, graph.DirBoth, func(_ graph.RelID, typ uint16, d graph.NodeID) bool {
-			if typ != rankT || !br.NodeHasLabelID(d, domL) || seen[d] {
-				return true
+		var names []string // the visited domain's distinct nameserver names
+		eachRankedDomain(br, TrancoRankingName, func(d graph.NodeID) {
+			total++
+			if !okParent {
+				return
 			}
-			seen[d] = true
 			inStudy := false
 			br.EachRelOf(d, graph.DirOut, func(_ graph.RelID, t2 uint16, tld graph.NodeID) bool {
 				if t2 != parentT || !br.NodeHasLabelID(tld, domL) {
 					return true
 				}
 				n, _ := br.NodeProp(tld, "name").AsString()
-				if comNetOrg(n) {
-					inStudy = true
-					return false
-				}
-				return true
+				inStudy = comNetOrg(n)
+				return !inStudy
 			})
 			if !inStudy {
-				return true
+				return
 			}
-			var names []string
+			out.Domains++
+			names = names[:0]
 			if okManaged && okNS {
-				nameSeen := map[string]bool{}
 				br.EachRelOf(d, graph.DirBoth, func(_ graph.RelID, t2 uint16, ns graph.NodeID) bool {
 					if t2 != managedT || !br.NodeHasLabelID(ns, nsL) {
 						return true
 					}
-					n, _ := br.NodeProp(ns, "name").AsString()
-					if n != "" && !nameSeen[n] {
-						nameSeen[n] = true
+					if n, _ := br.NodeProp(ns, "name").AsString(); n != "" && !slices.Contains(names, n) {
 						names = append(names, n)
 					}
 					return true
 				})
 			}
-			nsNames = append(nsNames, names)
-			return true
+			switch len(names) {
+			case 0:
+				discarded++
+				return
+			case 1:
+				notMeet++
+			case 2:
+				meet++
+			default:
+				exceed++
+			}
+			kept++
+			if slices.ContainsFunc(names, func(n string) bool { return comNetOrg(netutil.TopLevelDomain(n)) }) {
+				inZone++
+			}
 		})
 	})
-	return nsNames
-}
-
-// DNSBestPractice reproduces Table 3. The nameserver-count classes come
-// from the out-degrees of a derived domain→nameserver bipartite view
-// compiled by the analytics engine.
-func DNSBestPractice(g *graph.Graph) (DNSBestPracticeResult, error) {
-	var out DNSBestPracticeResult
-	total, err := trancoSize(g)
-	if err != nil {
-		return out, err
-	}
-	nsNames := harvestDomainNS(g)
-
-	nd := len(nsNames)
-	nsIdx := map[string]int32{}
-	var from, to []int32
-	for i, names := range nsNames {
-		for _, n := range names {
-			j, ok := nsIdx[n]
-			if !ok {
-				j = int32(len(nsIdx))
-				nsIdx[n] = j
-			}
-			from = append(from, int32(i))
-			to = append(to, int32(nd)+j)
-		}
-	}
-	v := algo.NewDerived(nd+len(nsIdx), from, to, nil)
-
-	var discarded, meet, exceed, notMeet, inZone, kept int
-	for i, names := range nsNames {
-		switch v.OutDegree(int32(i)) {
-		case 0:
-			discarded++
-			continue
-		case 1:
-			notMeet++
-		case 2:
-			meet++
-		default:
-			exceed++
-		}
-		kept++
-		for _, n := range names {
-			if comNetOrg(netutil.TopLevelDomain(n)) {
-				inZone++
-				break
-			}
-		}
-	}
-	out.Domains = nd
 	out.CoveragePct = pct(out.Domains, total)
 	out.DiscardedPct = pct(discarded, out.Domains)
 	out.MeetPct = pct(meet, out.Domains)

@@ -4,68 +4,32 @@ import (
 	"iyp/internal/graph"
 )
 
-// Bulk-read harvest helpers. The SPoF and DNS-robustness studies were
-// originally written as Cypher row harvests; they now walk the store once
-// under graph.BulkRead to build the derived bipartite graphs the
-// internal/algo kernels consume, which keeps their numbers identical
-// while replacing millions of per-row lock round-trips with one locked
-// scan plus parallel kernels.
+// The DNS-chain studies (Table 3, Figures 5/6) walk the store once under
+// graph.BulkRead and count as they go, with no row harvest in between:
+// each ranked domain is visited once, and what it adds to the study is
+// known by the end of its visit.
 
-// findRanking locates the Ranking node with the given name (0 = absent).
-func findRanking(br *graph.BulkReader, name string) graph.NodeID {
-	for _, id := range br.NodesByLabel("Ranking") {
-		if s, _ := br.NodeProp(id, "name").AsString(); s == name {
-			return id
+// eachRankedDomain calls fn once per distinct DomainName ranked by the
+// first Ranking node named list, in store order. It calls nothing when the
+// list, the RANK type or the DomainName label is absent.
+func eachRankedDomain(br *graph.BulkReader, list string, fn func(d graph.NodeID)) {
+	rankT, okRank := br.TypeID("RANK")
+	domL, okDom := br.LabelID("DomainName")
+	if !okRank || !okDom {
+		return
+	}
+	for _, ranking := range br.NodesByLabel("Ranking") {
+		if s, _ := br.NodeProp(ranking, "name").AsString(); s != list {
+			continue
 		}
+		seen := map[graph.NodeID]bool{}
+		br.EachRelOf(ranking, graph.DirBoth, func(_ graph.RelID, typ uint16, d graph.NodeID) bool {
+			if typ == rankT && br.NodeHasLabelID(d, domL) && !seen[d] {
+				seen[d] = true
+				fn(d)
+			}
+			return true
+		})
+		return
 	}
-	return 0
-}
-
-// bipartite accumulates a derived domain→key edge list for the analytics
-// kernels: the first len(doms) internal indexes are source (domain)
-// nodes, the rest are key nodes. Indexes are assigned in encounter
-// order, which is deterministic because BulkReader iteration follows
-// store order.
-type bipartite struct {
-	domIdx map[graph.NodeID]int32
-	keyIdx map[string]int32
-	keys   []string
-}
-
-func newBipartite() *bipartite {
-	return &bipartite{domIdx: map[graph.NodeID]int32{}, keyIdx: map[string]int32{}}
-}
-
-func (b *bipartite) domain(id graph.NodeID) int32 {
-	i, ok := b.domIdx[id]
-	if !ok {
-		i = int32(len(b.domIdx))
-		b.domIdx[id] = i
-	}
-	return i
-}
-
-func (b *bipartite) key(k string) int32 {
-	i, ok := b.keyIdx[k]
-	if !ok {
-		i = int32(len(b.keys))
-		b.keyIdx[k] = i
-		b.keys = append(b.keys, k)
-	}
-	return i
-}
-
-// n is the total node count of the derived graph; key j lives at internal
-// index numDomains+j.
-func (b *bipartite) n() int { return len(b.domIdx) + len(b.keys) }
-
-func (b *bipartite) numDomains() int { return len(b.domIdx) }
-
-// sources lists every domain index, the kernel's source set.
-func (b *bipartite) sources() []int32 {
-	s := make([]int32, len(b.domIdx))
-	for i := range s {
-		s[i] = int32(i)
-	}
-	return s
 }

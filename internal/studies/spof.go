@@ -1,11 +1,10 @@
 package studies
 
 import (
-	"context"
+	"slices"
 	"sort"
 	"strconv"
 
-	"iyp/internal/algo"
 	"iyp/internal/graph"
 )
 
@@ -15,6 +14,9 @@ const (
 	DepThirdParty   = "thirdparty"
 	DepHierarchical = "hierarchical"
 )
+
+// depTypes lists the dependency types SPoFEntry counts.
+var depTypes = [...]string{DepDirect, DepThirdParty, DepHierarchical}
 
 // SPoFEntry is one bar of Figures 5/6: how many domains have this
 // country (or AS) as a single point of failure, per dependency type.
@@ -44,36 +46,25 @@ type SPoFResult struct {
 // when every one of its dependencies of that type maps to a single
 // country/AS — losing it breaks resolution.
 //
-// The study runs on the analytics engine: one bulk scan harvests, per
-// dependency type, a derived bipartite domain→key graph (keys are the
-// registration countries from the RIR delegated files, or "AS<asn> name"
-// strings), and the K=1 dependency kernel counts, per key, the domains
-// for which it is the sole reachable sink — exactly the "set size == 1"
-// SPoF condition.
+// The study counts inside one bulk walk of the ranked domains. Keys are
+// the registration countries from the RIR delegated files, or
+// "AS<asn> name" strings. While a domain is visited, each dependency type
+// keeps the one key seen so far or a "more than one" mark; a type that
+// ends the visit with one key adds 1 to that key's entry.
 func SPoF(g *graph.Graph, list, level string, topN int) (SPoFResult, error) {
 	out := SPoFResult{List: list, Level: level}
-	types := []string{DepDirect, DepThirdParty, DepHierarchical}
-
-	bp := newBipartite()
-	edges := map[string][][2]int32{} // dep type -> (domain, key) index pairs
+	counts := map[string]*SPoFEntry{}
 
 	g.BulkRead(func(br *graph.BulkReader) {
-		rankT, okRank := br.TypeID("RANK")
 		depT, okDep := br.TypeID("DEPENDS_ON")
 		countryT, _ := br.TypeID("COUNTRY")
 		nameT, _ := br.TypeID("NAME")
-		domL, okDom := br.LabelID("DomainName")
 		asL, okAS := br.LabelID("AS")
 		countryL, _ := br.LabelID("Country")
 		nameL, _ := br.LabelID("Name")
-		if !okRank || !okDep || !okDom || !okAS {
+		if !okDep || !okAS {
 			return
 		}
-		ranking := findRanking(br, list)
-		if ranking == 0 {
-			return
-		}
-
 		// The key of an AS node. Matching the original non-optional Cypher
 		// join, an AS without a delegated-stats country yields no key even
 		// at the AS level.
@@ -117,12 +108,12 @@ func SPoF(g *graph.Graph, list, level string, topN int) (SPoFResult, error) {
 			return k
 		}
 
-		seen := map[graph.NodeID]bool{}
-		br.EachRelOf(ranking, graph.DirBoth, func(_ graph.RelID, typ uint16, d graph.NodeID) bool {
-			if typ != rankT || !br.NodeHasLabelID(d, domL) || seen[d] {
-				return true
-			}
-			seen[d] = true
+		eachRankedDomain(br, list, func(d graph.NodeID) {
+			// sole[i] is the one key of depTypes[i] seen so far; multi[i]
+			// marks a second, different one.
+			var sole [len(depTypes)]string
+			var multi [len(depTypes)]bool
+			keyed := false
 			br.EachRelOf(d, graph.DirOut, func(rid graph.RelID, t2 uint16, a graph.NodeID) bool {
 				if t2 != depT || !br.NodeHasLabelID(a, asL) {
 					return true
@@ -135,57 +126,39 @@ func SPoF(g *graph.Graph, list, level string, topN int) (SPoFResult, error) {
 				if k == "" {
 					return true
 				}
-				edges[dt] = append(edges[dt], [2]int32{bp.domain(d), bp.key(k)})
+				keyed = true
+				if i := slices.Index(depTypes[:], dt); i >= 0 {
+					if sole[i] == "" {
+						sole[i] = k
+					} else if sole[i] != k {
+						multi[i] = true
+					}
+				}
 				return true
 			})
-			return true
+			if keyed {
+				out.Domains++
+			}
+			for i, k := range sole {
+				if k == "" || multi[i] {
+					continue
+				}
+				e := counts[k]
+				if e == nil {
+					e = &SPoFEntry{Key: k}
+					counts[k] = e
+				}
+				switch depTypes[i] {
+				case DepDirect:
+					e.Direct++
+				case DepThirdParty:
+					e.ThirdParty++
+				case DepHierarchical:
+					e.Hierarchical++
+				}
+			}
 		})
 	})
-	out.Domains = bp.numDomains()
-
-	// One derived view and one kernel run per dependency type: keys are
-	// the sinks; count[key] = domains whose every type-typ dependency
-	// lands on that single key.
-	nd := bp.numDomains()
-	counts := map[string]*SPoFEntry{}
-	bump := func(key, typ string, n int) {
-		e := counts[key]
-		if e == nil {
-			e = &SPoFEntry{Key: key}
-			counts[key] = e
-		}
-		switch typ {
-		case DepDirect:
-			e.Direct += n
-		case DepThirdParty:
-			e.ThirdParty += n
-		case DepHierarchical:
-			e.Hierarchical += n
-		}
-	}
-	ctx := context.Background()
-	for _, typ := range types {
-		pairs := edges[typ]
-		if len(pairs) == 0 {
-			continue
-		}
-		from := make([]int32, len(pairs))
-		to := make([]int32, len(pairs))
-		for i, p := range pairs {
-			from[i] = p[0]
-			to[i] = int32(nd) + p[1]
-		}
-		v := algo.NewDerived(bp.n(), from, to, nil)
-		count, err := algo.Dependency(ctx, v, bp.sources(), algo.DependencyOptions{K: 1})
-		if err != nil {
-			return out, err
-		}
-		for j, key := range bp.keys {
-			if c := count[nd+j]; c > 0 {
-				bump(key, typ, int(c))
-			}
-		}
-	}
 
 	for _, e := range counts {
 		out.Entries = append(out.Entries, *e)

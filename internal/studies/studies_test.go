@@ -2,6 +2,9 @@ package studies
 
 import (
 	"context"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -248,7 +251,8 @@ func refSharedInfra(t *testing.T, g *graph.Graph) SharedInfraResult {
 // nsInfraEdgeGraph is a small Tranco list whose domains sit under com, net
 // and org, under a TLD the original study did not cover (io), and under no
 // parent at all; they share nameservers, /24s and BGP prefixes so every
-// grouping has more than one group and a group larger than one.
+// grouping has more than one group and a group larger than one. One domain
+// has no nameserver and one is linked to the same nameserver twice.
 func nsInfraEdgeGraph(t *testing.T) *graph.Graph {
 	t.Helper()
 	g := graph.New()
@@ -286,11 +290,12 @@ func nsInfraEdgeGraph(t *testing.T) *graph.Graph {
 		{"a.com", "com", []string{"ns1.host.net"}},
 		{"b.com", "com", []string{"ns1.host.net"}},
 		{"c.net", "net", []string{"ns2.host.net"}},
-		{"d.org", "org", []string{"ns1.host.net", "ns3.other.org"}},
+		{"d.org", "org", []string{"ns1.host.net", "ns3.other.org", "ns1.host.net"}}, // one NS linked twice
 		{"e.org", "org", []string{"ns4.bare.com"}},
 		{"f.io", "io", []string{"ns1.host.net"}},
 		{"g.io", "io", []string{"ns2.host.net", "ns3.other.org"}},
 		{"h", "", []string{"ns1.host.net"}}, // no PARENT
+		{"i.net", "net", nil},               // no nameserver
 	} {
 		dn := node("DomainName", graph.Props{"name": graph.String(d.name)})
 		if _, err := g.AddRel("RANK", dn, ranking, graph.Props{"rank": graph.Int(int64(rank + 1))}); err != nil {
@@ -329,6 +334,255 @@ func TestChainFoldsMatchPerQueryReference(t *testing.T) {
 			}
 			if want.ByNS == want.AllByNS || want.ByNS.Groups == 0 {
 				t.Fatalf("graph does not separate the com/net/org rows from the rest: %+v", want)
+			}
+		})
+	}
+}
+
+// refSPoFQuery is the Cypher harvest SPoF ran before it walked the store:
+// per ranked domain, its DNS-chain dependencies with type, AS and
+// registration country (RIR delegated files).
+const refSPoFQuery = `
+MATCH (:Ranking {name:$list})-[:RANK]-(d:DomainName)-[dep:DEPENDS_ON]->(a:AS)
+MATCH (a)-[:COUNTRY {reference_name:'nro.delegated_stats'}]-(c:Country)
+OPTIONAL MATCH (a)-[:NAME {reference_name:'bgptools.as_names'}]-(n:Name)
+RETURN d.name AS domain, dep.dep_type AS typ, a.asn AS asn, c.country_code AS cc, n.name AS asname`
+
+// refSPoF folds refSPoFQuery's rows as SPoF did then: per domain and
+// dependency type the set of keys, a set of one being a SPoF of its key.
+func refSPoF(t *testing.T, g *graph.Graph, list, level string) SPoFResult {
+	t.Helper()
+	res, err := cypher.Run(g, refSPoFQuery, map[string]graph.Value{"list": graph.String(list)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	domains := map[string]map[string]map[string]bool{} // domain -> type -> keys
+	for i := range res.Rows {
+		domain, _ := str(res, i, "domain")
+		typ, _ := str(res, i, "typ")
+		key, _ := str(res, i, "cc")
+		if level != "country" {
+			av, _ := res.Get(i, "asn")
+			asn, _ := av.AsInt()
+			name, _ := str(res, i, "asname")
+			key = asKey(asn, name)
+		}
+		if key == "" || typ == "" {
+			continue
+		}
+		if domains[domain] == nil {
+			domains[domain] = map[string]map[string]bool{}
+		}
+		if domains[domain][typ] == nil {
+			domains[domain][typ] = map[string]bool{}
+		}
+		domains[domain][typ][key] = true
+	}
+	out := SPoFResult{List: list, Level: level, Domains: len(domains)}
+	counts := map[string]*SPoFEntry{}
+	for _, types := range domains {
+		for typ, keys := range types {
+			if len(keys) != 1 {
+				continue
+			}
+			for key := range keys {
+				e := counts[key]
+				if e == nil {
+					e = &SPoFEntry{Key: key}
+					counts[key] = e
+				}
+				switch typ {
+				case DepDirect:
+					e.Direct++
+				case DepThirdParty:
+					e.ThirdParty++
+				case DepHierarchical:
+					e.Hierarchical++
+				}
+			}
+		}
+	}
+	for _, e := range counts {
+		out.Entries = append(out.Entries, *e)
+	}
+	sort.Slice(out.Entries, func(i, j int) bool {
+		if out.Entries[i].Total() != out.Entries[j].Total() {
+			return out.Entries[i].Total() > out.Entries[j].Total()
+		}
+		return out.Entries[i].Key < out.Entries[j].Key
+	})
+	return out
+}
+
+// spofEdgeGraph is a small pair of top lists whose domains depend, per
+// dependency type, on one AS, on two ASes of one country, on two
+// countries, on the same AS twice, or only on ASes without a delegated
+// country; one domain is ranked twice and one dependency has no type. The
+// study graph cannot stand in for it: there, every domain's dependencies of
+// one type sit in a single AS.
+func spofEdgeGraph(t *testing.T) *graph.Graph {
+	t.Helper()
+	g := graph.New()
+	node := func(label string, props graph.Props) graph.NodeID { return g.AddNode([]string{label}, props) }
+	rel := func(typ string, from, to graph.NodeID, props graph.Props) {
+		if _, err := g.AddRel(typ, from, to, props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ref := func(name string) graph.Props { return graph.Props{"reference_name": graph.String(name)} }
+	lists := map[string]graph.NodeID{}
+	for _, name := range []string{TrancoRankingName, "Cisco Umbrella Top 1M"} {
+		lists[name] = node("Ranking", graph.Props{"name": graph.String(name)})
+	}
+	countries := map[string]graph.NodeID{}
+	for _, cc := range []string{"US", "DE", "FR"} {
+		countries[cc] = node("Country", graph.Props{"country_code": graph.String(cc)})
+	}
+	ases := map[int64]graph.NodeID{}
+	for _, a := range []struct {
+		asn       int64
+		cc, ccRef string
+		name      string
+	}{
+		{100, "US", "nro.delegated_stats", "ALPHA"},
+		{200, "US", "nro.delegated_stats", "BETA"},
+		{300, "DE", "nro.delegated_stats", ""},
+		{400, "FR", "other.dataset", "GAMMA"},
+		{500, "", "", ""},
+	} {
+		ases[a.asn] = node("AS", graph.Props{"asn": graph.Int(a.asn)})
+		if a.cc != "" {
+			rel("COUNTRY", ases[a.asn], countries[a.cc], ref(a.ccRef))
+		}
+		if a.name != "" {
+			rel("NAME", ases[a.asn], node("Name", graph.Props{"name": graph.String(a.name)}), ref("bgptools.as_names"))
+		}
+	}
+	type dep struct {
+		typ string
+		asn int64
+	}
+	for _, d := range []struct {
+		name, list string
+		ranks      int
+		deps       []dep
+	}{
+		{"a.com", TrancoRankingName, 1, []dep{{DepDirect, 100}, {DepDirect, 200}, {DepHierarchical, 300}}},
+		{"b.com", TrancoRankingName, 1, []dep{{DepDirect, 100}, {DepDirect, 300}, {DepThirdParty, 200}}},
+		{"c.com", TrancoRankingName, 1, []dep{{DepDirect, 100}, {DepDirect, 100}, {"", 300}}},
+		{"d.com", TrancoRankingName, 1, []dep{{DepDirect, 400}, {DepThirdParty, 500}}},
+		{"e.com", TrancoRankingName, 2, []dep{{DepDirect, 300}}},
+		{"f.com", "Cisco Umbrella Top 1M", 1, []dep{{DepDirect, 200}, {DepHierarchical, 100}, {DepHierarchical, 200}}},
+	} {
+		dn := node("DomainName", graph.Props{"name": graph.String(d.name)})
+		for r := 0; r < d.ranks; r++ {
+			rel("RANK", dn, lists[d.list], graph.Props{"rank": graph.Int(int64(r + 1))})
+		}
+		for _, dp := range d.deps {
+			rel("DEPENDS_ON", dn, ases[dp.asn], graph.Props{"dep_type": graph.String(dp.typ)})
+		}
+	}
+	return g
+}
+
+// refNSCountQuery counts the distinct nameservers of every ranked
+// .com/.net/.org domain, the harvest Table 3 ran before it walked the
+// store.
+const refNSCountQuery = `
+MATCH (:Ranking {name:'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:PARENT]->(tld:DomainName)
+WHERE tld.name IN ['com', 'net', 'org']
+OPTIONAL MATCH (d)-[:MANAGED_BY]-(ns:AuthoritativeNameServer)
+RETURN d.name AS domain, count(DISTINCT ns.name) AS n, collect(DISTINCT ns.name) AS names`
+
+// refDNSBestPractice classes refNSCountQuery's rows into Table 3.
+func refDNSBestPractice(t *testing.T, g *graph.Graph) DNSBestPracticeResult {
+	t.Helper()
+	total, err := trancoSize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cypher.Run(g, refNSCountQuery, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var discarded, meet, exceed, notMeet, inZone int
+	for i := range res.Rows {
+		nv, _ := res.Get(i, "n")
+		n, _ := nv.AsInt()
+		switch n {
+		case 0:
+			discarded++
+			continue
+		case 1:
+			notMeet++
+		case 2:
+			meet++
+		default:
+			exceed++
+		}
+		names, _ := res.Get(i, "names")
+		if slices.ContainsFunc(stringList(names), func(ns string) bool { return comNetOrg(netutil.TopLevelDomain(ns)) }) {
+			inZone++
+		}
+	}
+	d := res.Len()
+	return DNSBestPracticeResult{
+		Domains:       d,
+		CoveragePct:   pct(d, total),
+		DiscardedPct:  pct(discarded, d),
+		MeetPct:       pct(meet, d),
+		ExceedPct:     pct(exceed, d),
+		NotMeetPct:    pct(notMeet, d),
+		InZoneGluePct: pct(inZone, d-discarded),
+	}
+}
+
+// TestDNSChainStudiesMatchQueryReference holds the counting walks of SPoF
+// and Table 3 to their Cypher harvests, over the full lists: every SPoF
+// entry of both top lists at both levels, and every Table 3 class.
+func TestDNSChainStudiesMatchQueryReference(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    func(*testing.T) *graph.Graph
+	}{
+		{"study", studyGraph},
+		{"edges", spofEdgeGraph},
+	} {
+		g := c.g(t)
+		for _, list := range []string{TrancoRankingName, "Cisco Umbrella Top 1M"} {
+			for _, level := range []string{"country", "AS"} {
+				t.Run(c.name+"/"+list+"/"+level, func(t *testing.T) {
+					got, err := SPoF(g, list, level, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := refSPoF(t, g, list, level)
+					if want.Domains == 0 || len(want.Entries) == 0 {
+						t.Fatalf("empty reference: %+v", want)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("walk  %d domains, %d entries: %+v\nquery %d domains, %d entries: %+v",
+							got.Domains, len(got.Entries), got.Entries, want.Domains, len(want.Entries), want.Entries)
+					}
+				})
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		g    func(*testing.T) *graph.Graph
+	}{
+		{"table3/study", studyGraph},
+		{"table3/edges", nsInfraEdgeGraph},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g(t)
+			got, err := DNSBestPractice(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refDNSBestPractice(t, g); got != want || want.Domains == 0 {
+				t.Fatalf("walk  %+v\nquery %+v", got, want)
 			}
 		})
 	}
