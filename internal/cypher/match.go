@@ -16,20 +16,22 @@ import (
 var errStop = &Error{Msg: "stop"}
 
 type matcher struct {
-	ec      *evalCtx
-	g       *graph.Graph
-	ctx     context.Context       // nil = never cancelled (Explain)
-	binding row                   // mutated during search (append + truncate)
-	used    stackSet[graph.RelID] // rels used by the current pattern
-	push    []pushdown            // WHERE conjuncts usable for anchor index lookups
-	paths   []resolvedPath        // the clause's patterns, resolved against g (nil when only planning)
-	emit    func() error          // called with binding fully extended
-	ticks   int                   // cooperative-cancellation tick counter
-	scratch *bfsScratch           // pooled shortestPath BFS state (lazily allocated)
-	relBufs [][]graph.RelID       // adjacency buffers, one per scan nesting depth
-	depth   int                   // adjacency scans in progress
-	memo    memoPlan              // the clause's memo points (zero: none)
-	states  stackSet[memoKey]     // suffix states this matcher has expanded (grow-only)
+	ec        *evalCtx
+	g         *graph.Graph
+	ctx       context.Context       // nil = never cancelled (Explain)
+	binding   row                   // mutated during search (append + truncate)
+	used      stackSet[graph.RelID] // rels used by the current pattern
+	push      []pushdown            // WHERE conjuncts usable for anchor index lookups
+	paths     []resolvedPath        // the clause's patterns, resolved against g (nil when only planning)
+	emit      func() error          // called with binding fully extended
+	ticks     int                   // cooperative-cancellation tick counter
+	scratch   *bfsScratch           // pooled shortestPath BFS state (lazily allocated)
+	relBufs   [][]graph.RelID       // adjacency buffers, one per scan nesting depth
+	depth     int                   // adjacency scans in progress
+	nodeStack []graph.NodeID        // the node at each position of the paths being solved
+	relStack  []Val                 // the relationship value at each of their hops
+	memo      memoPlan              // the clause's memo points (zero: none)
+	states    stackSet[memoKey]     // suffix states this matcher has expanded (grow-only)
 }
 
 // scanRels lists the relationships of node id into the adjacency buffer of
@@ -50,6 +52,25 @@ func (m *matcher) scanRels(id graph.NodeID, dir graph.Dir, rp *resolvedRel) []gr
 }
 
 func (m *matcher) release() { m.depth-- }
+
+// positions claims the per-position node and relationship slots of path
+// on top of the matcher's position stacks until the caller's deferred
+// m.dropPositions(path). A comma-separated pattern solves each path inside
+// the one before it, so the claims nest; every later solve reuses the
+// stacks, so a driver item of 64 bound rows allocates no slots per row. A
+// claim that grows a stack leaves the claims below it on the old array,
+// which their holders alone read and write.
+func (m *matcher) positions(path *resolvedPath) ([]graph.NodeID, []Val) {
+	n, r := len(m.nodeStack), len(m.relStack)
+	m.nodeStack = slices.Grow(m.nodeStack, len(path.nodes))[:n+len(path.nodes)]
+	m.relStack = slices.Grow(m.relStack, len(path.rels))[:r+len(path.rels)]
+	return m.nodeStack[n:], m.relStack[r:]
+}
+
+func (m *matcher) dropPositions(path *resolvedPath) {
+	m.nodeStack = m.nodeStack[:len(m.nodeStack)-len(path.nodes)]
+	m.relStack = m.relStack[:len(m.relStack)-len(path.rels)]
+}
 
 // tick polls the context every tickMask+1 calls. It sits on the matcher's
 // hottest loops (one call per candidate binding), so a pathological
@@ -336,7 +357,7 @@ func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
 		}
 		return nil
 	}
-	for _, start := range m.candidates(*startNP.NodePattern, plan.acc) {
+	for _, start := range m.candidates(*startNP.NodePattern, plan.acc, nil) {
 		if err := fromStart(start); err != nil {
 			return err
 		}
@@ -348,18 +369,16 @@ func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
 // the current binding, then expand from every candidate of its anchor.
 func (m *matcher) solvePathAll(path *resolvedPath, cont func() error) error {
 	plan := m.planPath(*path.PatternPath)
-	return m.solvePathPlanned(path, plan, m.candidates(path.Nodes[plan.anchor], plan.acc), cont)
+	return m.solvePathPlanned(path, plan.anchor, m.candidates(path.Nodes[plan.anchor], plan.acc, nil), cont)
 }
 
-// solvePathPlanned expands path from the planned anchor over exactly the
-// candidate IDs in cands — all of the plan's access, or the morsel of it
-// the MATCH driver handed this matcher.
-func (m *matcher) solvePathPlanned(path *resolvedPath, plan pathPlan, cands []graph.NodeID, cont func() error) error {
+// solvePathPlanned expands path from node position anchor over exactly
+// the candidate IDs in cands — all of the plan's access, or the share of
+// it the MATCH driver handed this matcher.
+func (m *matcher) solvePathPlanned(path *resolvedPath, anchor int, cands []graph.NodeID, cont func() error) error {
 	// Per-position state for path-variable construction.
-	nodeIDs := make([]graph.NodeID, len(path.nodes))
-	relVals := make([]Val, len(path.rels))
-
-	anchor := plan.anchor
+	nodeIDs, relVals := m.positions(path)
+	defer m.dropPositions(path)
 
 	finish := func() error {
 		mark := len(m.binding)

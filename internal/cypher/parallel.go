@@ -18,17 +18,20 @@ import (
 //     that names something the graph has never stored matches nothing and
 //     plans no work.
 //   - For each input row the planner runs once and the anchor's candidates
-//     are enumerated once, and the row contributes work items to one
-//     ordered list: its candidate list cut into morsels of morselSize (a
-//     bound anchor is a one-candidate item), or, for a clause that must not
-//     be split (writes in the branch, comma-separated paths sharing one
-//     binding, shortestPath), a single whole-row item.
+//     are enumerated once. The clause's work is one ordered sequence of
+//     (input row, anchor candidate) pairs, cut into work items of up to
+//     morselSize pairs: a row with many candidates spans several items,
+//     and consecutive rows with one candidate each (a bound anchor) share
+//     one. An item holds one segment per input row it touches. A clause
+//     that must not be split (writes in the branch, comma-separated paths
+//     sharing one binding, shortestPath) makes each row a whole-row item.
 //   - The list runs on the calling goroutine when it holds fewer than two
 //     items or minParallelCandidates units of work, or when fewer than two
 //     workers are allowed; otherwise on a bounded worker pool. Either way
-//     the same loop claims items and the same runMorsel executes them, each
-//     worker on a private matcher (binding, used-relationship stack, BFS
-//     scratch), so the only shared state is the immutable graph and plan.
+//     the same loop claims items and the same runItem executes them, each
+//     worker with private state for the window (matcher, projector, the
+//     buffer its items' rows are cut from), so the only shared state is
+//     the immutable graph and plan.
 //   - The list is built and run in windows of windowItems, so the
 //     candidate lists held at once stay bounded however many rows feed the
 //     clause.
@@ -37,9 +40,10 @@ import (
 // byte-identical at any worker count:
 //
 //   - Input rows are listed in order and a row's candidates in ascending
-//     node-ID order, so concatenating per-item rows in list order is the
-//     order a single sequential enumeration produces. An OPTIONAL MATCH row
-//     whose items produced nothing gets its null row at that position.
+//     node-ID order, so concatenating per-segment rows in list order is the
+//     order a single sequential enumeration produces. Each segment records
+//     where its rows end in its item's rows, so an OPTIONAL MATCH row whose
+//     segments produced nothing gets its null row at that position.
 //     Under a RETURN DISTINCT at emit a worker drops rows one of its earlier
 //     items kept, and the merge rows another worker's earlier item kept.
 //   - A row limit (LIMIT / MaxRows pushdown) caps each item locally at
@@ -47,16 +51,17 @@ import (
 //     limit, no item can contribute more rows than that — and a completion
 //     frontier stops workers claiming items past the point where the
 //     contiguous completed prefix already satisfies the limit.
-//   - Errors replay deterministically: the merge walks items in order,
+//   - Errors replay deterministically: the merge walks segments in order,
 //     stops successfully once the limit is reached, and otherwise returns
 //     the first error in list order — the error sequential execution hits
-//     first (candidates within an item run in order, and sequential
-//     execution stops at the limit before reaching later errors).
+//     first (an item runs its segments, and each its candidates, in order,
+//     and sequential execution stops at the limit before reaching later
+//     errors).
 
 const (
-	// morselSize is the number of anchor candidates per work item: large
-	// enough to amortize scheduling, small enough to balance skewed
-	// expansion costs across workers.
+	// morselSize is the number of (input row, anchor candidate) pairs per
+	// work item: large enough to amortize scheduling, small enough to
+	// balance skewed expansion costs across workers.
 	morselSize = 64
 	// minParallelCandidates is the amount of work (anchor candidates, a
 	// whole-row item counting as one) below which fan-out costs more than
@@ -116,29 +121,39 @@ func newMatchSpec(g *graph.Graph, q *Query, patterns []PatternPath, where Expr, 
 	}
 }
 
-// workItem is one entry of the driver's ordered work list: input row `row`
-// restricted to the anchor candidates cands of its plan. A whole-row item
-// (spec.reason != "") carries neither and enumerates every path of the
-// clause. rows and err are the item's outcome.
-type workItem struct {
-	row   int
-	plan  pathPlan
-	cands []graph.NodeID
+// segment is one input row's share of a work item: input row `row`
+// restricted to the anchor candidates cands, at pattern position anchor.
+// A whole-row segment (spec.reason != "") carries neither and enumerates
+// every path of the clause. end and err are its outcome: where its rows
+// end in its item's rows, and the error it stopped on.
+type segment struct {
+	row    int
+	anchor int
+	cands  []graph.NodeID
 
-	rows []row
-	err  error
+	end int
+	err error
+}
+
+// workItem is one entry of the driver's ordered work list: the segments
+// segs[lo:hi] of its window, and the rows they produced, in order.
+type workItem struct {
+	lo, hi int
+	rows   []row
 }
 
 // matchRun is the state of one runMatch call: what it matches, and the
-// window of the work list it is currently executing — the items, the row
-// limit they share, and the claim counter and completion frontier the
-// window's workers coordinate through.
+// window of the work list it is currently executing — the items and their
+// segments, the row limit they share, and the claim counter and completion
+// frontier the window's workers coordinate through.
 type matchRun struct {
 	ex   *executor
 	spec matchSpec
 	in   []row
 
 	items []workItem
+	segs  []segment
+	ids   []graph.NodeID // the window's bound-anchor candidates, one per row
 	limit int
 	next  atomic.Int64
 	front *frontier
@@ -150,6 +165,13 @@ type matchRun struct {
 // enumeration stops as soon as they are. workers bounds the pool.
 func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row, error) {
 	run := &matchRun{ex: ex, spec: spec, in: in}
+	if len(in) > 1 {
+		// A window holds about one segment and at most one bound-anchor
+		// candidate per input row: size both buffers once, as append's
+		// growth of a big slice copies it about four times over.
+		n := min(len(in), windowItems*morselSize)
+		run.segs, run.ids = make([]segment, 0, n), make([]graph.NodeID, 0, n)
+	}
 	planner := ex.newMatcher(spec)
 	var nullVars []string
 	if spec.optional {
@@ -175,29 +197,37 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 		// candidates, so a small LIMIT over many input rows plans few of
 		// them.
 		first := next
-		items := run.items[:0]
+		items, segs, ids := run.items[:0], run.segs[:0], run.ids[:0]
+		fill := morselSize // pairs in the last item; morselSize: start a new one
 		weight := 0
 		for ; next < len(in) && len(items) < windowItems && (run.limit < 0 || weight < run.limit); next++ {
 			if spec.never != "" {
 				continue // the row gets no items, and under OPTIONAL its null row
 			}
 			if spec.reason != "" {
-				items = append(items, workItem{row: next})
+				segs = append(segs, segment{row: next})
+				items = append(items, workItem{lo: len(segs) - 1, hi: len(segs)})
 				weight++
 				continue
 			}
 			planner.binding = in[next]
 			path := spec.patterns[0]
 			plan := planner.planPath(path)
-			cands := planner.candidates(path.Nodes[plan.anchor], plan.acc)
+			cands := planner.candidates(path.Nodes[plan.anchor], plan.acc, &ids)
 			weight += len(cands)
 			for len(cands) > 0 {
-				n := min(len(cands), morselSize)
-				items = append(items, workItem{row: next, plan: plan, cands: cands[:n]})
+				if fill == morselSize {
+					items = append(items, workItem{lo: len(segs)})
+					fill = 0
+				}
+				n := min(len(cands), morselSize-fill)
+				segs = append(segs, segment{row: next, anchor: plan.anchor, cands: cands[:n]})
+				items[len(items)-1].hi = len(segs)
+				fill += n
 				cands = cands[n:]
 			}
 		}
-		run.items = items
+		run.items, run.segs, run.ids = items, segs, ids
 
 		pool := 1
 		if workers >= 2 && len(items) >= 2 && weight >= minParallelCandidates {
@@ -208,15 +238,27 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 			run.execute(pool)
 		}
 
-		// In-order merge: concatenate, trim at the limit, and surface the
-		// first error in list order only if sequential execution would have
-		// reached it before satisfying the limit.
-		it := 0
+		// In-order merge: concatenate each row's segments, trim at the
+		// limit, and surface the first error in list order only if
+		// sequential execution would have reached it before satisfying the
+		// limit.
+		n := 0
+		for i := range items {
+			n += len(items[i].rows)
+		}
+		out = slices.Grow(out, n)
+		s, it := 0, 0
 		for r := first; r < next; r++ {
 			before := len(out)
-			for ; it < len(items) && items[it].row == r; it++ {
-				out = slices.Grow(out, len(items[it].rows))
-				for _, nr := range items[it].rows {
+			for ; s < len(segs) && segs[s].row == r; s++ {
+				if s == items[it].hi {
+					it++
+				}
+				from := 0
+				if s > items[it].lo {
+					from = segs[s-1].end
+				}
+				for _, nr := range items[it].rows[from:segs[s].end] {
 					if !distinct || pool < 2 || run.dedup.fresh(nr) {
 						out = append(out, nr)
 					}
@@ -224,8 +266,8 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 				if cap >= 0 && len(out) >= cap {
 					return out[:cap], nil
 				}
-				if items[it].err != nil {
-					return nil, items[it].err
+				if segs[s].err != nil {
+					return nil, segs[s].err
 				}
 			}
 			if spec.optional && len(out) == before {
@@ -246,8 +288,8 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 	return out, nil
 }
 
-func (ex *executor) newMatcher(spec matchSpec) *matcher {
-	return &matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: spec.push, paths: spec.paths, memo: spec.memo}
+func (ex *executor) newMatcher(spec matchSpec) matcher {
+	return matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: spec.push, paths: spec.paths, memo: spec.memo}
 }
 
 // execute runs the current window with `workers` workers: one runs on the
@@ -273,26 +315,43 @@ func (r *matchRun) execute(workers int) {
 	wg.Wait()
 }
 
+// worker is one worker's state for a window: a private matcher (binding,
+// used-relationship stack, BFS scratch, memo states) and projector, and
+// the buffer every row its items emit is appended to. An item's rows are
+// a sub-slice of that buffer, so the worker allocates per window, not per
+// item or input row.
+type worker struct {
+	r     *matchRun
+	m     matcher
+	p     projector // the RETURN at emit, if the spec has one
+	rows  []row
+	start int // where the running item's rows begin in rows
+	seg   int // the segment running, for panic attribution
+}
+
 // work is one worker of the current window, on the calling goroutine or in
-// the pool: it claims items in list order and fills in their rows and err
-// until the list or the frontier's cutoff is reached. Items past the
-// cutoff are left untouched: the in-order merge never reaches them.
+// the pool: it claims items in list order and fills in their rows and
+// segment outcomes until the list or the frontier's cutoff is reached.
+// Items past the cutoff are left untouched: the in-order merge never
+// reaches them.
 func (r *matchRun) work(seen map[string]struct{}) {
+	w := &worker{r: r, m: r.ex.newMatcher(r.spec)}
+	if ret := r.spec.ret; ret != nil {
+		w.p = projector{items: ret.Items, distinct: ret.Distinct, seen: seen}
+	}
+	w.m.emit = w.emit
 	// A panic escaping a pool goroutine would kill the process; recover per
-	// worker and let the in-order merge surface it as this item's error
-	// (claimed is the item being run when the panic fired).
+	// worker and let the in-order merge surface it as the running
+	// segment's error (claimed is the item being run when the panic fired).
 	claimed := -1
 	defer func() {
 		if p := recover(); p != nil && claimed >= 0 {
-			r.items[claimed].err = panicError(p)
+			seg := &r.segs[w.seg]
+			seg.err, seg.end = panicError(p), len(w.rows)-w.start
+			r.items[claimed].rows = w.rows[w.start:]
 			r.front.errorAt(claimed)
 		}
 	}()
-	m := r.ex.newMatcher(r.spec)
-	var p *projector
-	if ret := r.spec.ret; ret != nil {
-		p = &projector{items: ret.Items, distinct: ret.Distinct, seen: seen}
-	}
 	for {
 		i := int(r.next.Add(1) - 1)
 		// Items are claimed in ascending order and the cutoff only ever
@@ -300,13 +359,12 @@ func (r *matchRun) work(seen map[string]struct{}) {
 		if i >= len(r.items) || r.front.skip(i) {
 			return
 		}
-		claimed = i
+		claimed, w.start, w.seg = i, len(w.rows), r.items[i].lo
 		if testMorselHook != nil {
 			testMorselHook(i)
 		}
 		it := &r.items[i]
-		it.rows, it.err = r.runMorsel(m, p, it)
-		if it.err != nil {
+		if err := w.runItem(it); err != nil {
 			r.front.errorAt(i)
 			continue
 		}
@@ -319,51 +377,70 @@ func (r *matchRun) work(seen map[string]struct{}) {
 // per-worker recovery path; production code never sets it.
 var testMorselHook func(itemIndex int)
 
-// runMorsel executes one work item on the worker's private matcher and
-// projector (nil: keep bindings), starting from the item's input row. The
-// binding and used stacks are push/pop balanced, so the same matcher is
-// reused for the worker's next item without reallocation.
-func (r *matchRun) runMorsel(m *matcher, p *projector, it *workItem) ([]row, error) {
-	ex, where, limit := r.ex, r.spec.where, r.limit
-	m.binding = append(m.binding[:0], r.in[it.row]...)
-	var out []row
-	m.emit = func() error {
-		if where != nil {
-			v, err := ex.ec.eval(where, m.binding)
-			if err != nil {
-				return err
+// runItem executes item it's segments in order, each from its input row,
+// and returns the error it stopped on. The binding and used stacks are
+// push/pop balanced, so the worker's matcher is reused for every segment
+// without reallocation. A segment after a stop or an error records no
+// rows: the merge never reaches it.
+func (w *worker) runItem(it *workItem) error {
+	r, m := w.r, &w.m
+	var err error
+	for w.seg = it.lo; w.seg < it.hi; w.seg++ {
+		seg := &r.segs[w.seg]
+		if err == nil {
+			m.binding = append(m.binding[:0], r.in[seg.row]...)
+			if r.spec.reason != "" {
+				err = m.solvePaths(0)
+			} else {
+				err = m.solvePathPlanned(&m.paths[0], seg.anchor, seg.cands, m.emit)
 			}
-			if b, null := truth(v); null || !b {
-				return nil
+			if err != errStop {
+				seg.err = err
 			}
 		}
-		// The tracker is shared by every worker of this query (one atomic),
-		// so the budget holds across the whole fan-out.
-		if err := ex.chargeRow(m.binding); err != nil {
-			return err
-		}
-		if p == nil {
-			out = append(out, m.binding.clone())
-		} else if keep, err := ex.projectNext(p, m.binding); err != nil || !keep {
-			return err
-		} else {
-			out = append(out, slices.Clone(p.row))
-		}
-		if limit >= 0 && len(out) >= limit {
-			return errStop
-		}
+		seg.end = len(w.rows) - w.start
+	}
+	it.rows = w.rows[w.start:len(w.rows):len(w.rows)]
+	if err == errStop {
 		return nil
 	}
-	var err error
-	if r.spec.reason != "" {
-		err = m.solvePaths(0)
+	return err
+}
+
+// emit is the worker's matcher's emit: it filters the complete binding by
+// the clause's WHERE, charges it, and appends it — or its projection — as
+// an exact-size row. It stops the item once the item holds what the window
+// still needs.
+func (w *worker) emit() error {
+	ex, m := w.r.ex, &w.m
+	if where := w.r.spec.where; where != nil {
+		v, err := ex.ec.eval(where, m.binding)
+		if err != nil {
+			return err
+		}
+		if b, null := truth(v); null || !b {
+			return nil
+		}
+	}
+	// The tracker is shared by every worker of this query (one atomic),
+	// so the budget holds across the whole fan-out.
+	if err := ex.chargeRow(m.binding); err != nil {
+		return err
+	}
+	if len(w.rows) == cap(w.rows) {
+		w.rows = slices.Grow(w.rows, len(w.rows)) // double, not append's quarter
+	}
+	if w.r.spec.ret == nil {
+		w.rows = append(w.rows, slices.Clone(m.binding))
+	} else if keep, err := ex.projectNext(&w.p, m.binding); err != nil || !keep {
+		return err
 	} else {
-		err = m.solvePathPlanned(&m.paths[0], it.plan, it.cands, m.emit)
+		w.rows = append(w.rows, slices.Clone(w.p.row))
 	}
-	if err == errStop {
-		err = nil
+	if limit := w.r.limit; limit >= 0 && len(w.rows)-w.start >= limit {
+		return errStop
 	}
-	return out, err
+	return nil
 }
 
 // frontier tracks per-item completion so workers can stop claiming items

@@ -3,8 +3,11 @@ package cypher
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"iyp/internal/graph"
@@ -140,6 +143,22 @@ var identityQueries = []struct {
 		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, b.asn`, wantErr: true},
 	{name: "late_row_error_behind_limit", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS)
 		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, b.asn LIMIT 400`},
+	// A work item holds up to 64 (input row, candidate) pairs, so
+	// consecutive one-candidate rows share one: rows bound to null (no
+	// pairs) and rows with long candidate lists fall between them, an
+	// OPTIONAL MATCH's null rows land inside an item, and a LIMIT or a
+	// failing row lands in the middle of one.
+	{name: "bound_rows_between_null_rows", q: `MATCH (a:AS) WITH CASE WHEN a.asn % 7 = 0 THEN null ELSE a END AS a
+		MATCH (a)-[:PEERS_WITH]-(b:AS) RETURN a.asn, b.asn`},
+	{name: "one_candidate_rows_between_long_rows", q: `MATCH (a:AS)
+		WITH a, CASE WHEN a.asn % 50 = 0 THEN range(64000, 64150) WHEN a.asn % 10 = 1 THEN [] ELSE [a.asn + 1] END AS ks
+		MATCH (b:AS) WHERE b.asn IN ks RETURN a.asn, b.asn`},
+	{name: "bound_optional_null_rows_mid_item", q: `MATCH (a:AS)
+		OPTIONAL MATCH (a)-[:ORIGINATE]->(p:Prefix)-[:CATEGORIZED]->(t:Tag) WHERE t.label = "RPKI Invalid"
+		RETURN a.asn, p.prefix`},
+	{name: "bound_limit_mid_item", q: `MATCH (a:AS) MATCH (a)-[:PEERS_WITH]-(b:AS) RETURN a.asn, b.asn LIMIT 130`},
+	{name: "bound_optional_error_mid_item", q: `MATCH (a:AS) OPTIONAL MATCH (a)-[:NAME]->(n:Name)
+		WHERE 10 / (a.asn - 64350) < 100 RETURN a.asn, n.name`, wantErr: true},
 
 	// The final RETURN evaluated at emit (returnAtEmit): every b.asn
 	// recurs in many morsels, so DISTINCT drops duplicates both inside a
@@ -361,6 +380,194 @@ func TestParallelErrorDeterminism(t *testing.T) {
 	if resultKey(got) != resultKey(want) {
 		t.Fatalf("limited results differ:\nserial %d rows\nparallel %d rows", len(want.Rows), len(got.Rows))
 	}
+}
+
+// perRowReference runs `UNWIND $xs AS x` + rest once per element of xs,
+// at Parallelism 1, and concatenates the result rows: what rest's first
+// clause must return over all of xs, in input order. limit >= 0 keeps that
+// many rows.
+func perRowReference(t testing.TB, g *graph.Graph, xs []Val, rest string, limit int) string {
+	t.Helper()
+	q, err := Parse("UNWIND $xs AS x " + rest)
+	if err != nil {
+		t.Fatalf("%s: %v", rest, err)
+	}
+	want := &Result{}
+	for _, x := range xs {
+		res, err := Exec(context.Background(), g, q, ExecOptions{
+			Parallelism: 1,
+			ParamVals:   map[string]Val{"xs": ListVal([]Val{x})},
+		})
+		if err != nil {
+			t.Fatalf("%s for one row: %v", rest, err)
+		}
+		want.Columns = res.Columns
+		want.Rows = append(want.Rows, res.Rows...)
+	}
+	if limit >= 0 && len(want.Rows) > limit {
+		want.Rows = want.Rows[:limit]
+	}
+	return resultKey(want)
+}
+
+// checkPerRowReference requires `UNWIND $xs AS x` + rest (+ LIMIT limit,
+// when limit >= 0) to return perRowReference's rows at Parallelism 1, 2
+// and 8.
+func checkPerRowReference(t testing.TB, g *graph.Graph, xs []Val, rest string, limit int) {
+	t.Helper()
+	want := perRowReference(t, g, xs, rest, limit)
+	text := "UNWIND $xs AS x " + rest
+	if limit >= 0 {
+		text += fmt.Sprintf(" LIMIT %d", limit)
+	}
+	q, err := Parse(text)
+	if err != nil {
+		t.Fatalf("%s: %v", text, err)
+	}
+	for _, par := range []int{1, 2, 8} {
+		res, err := Exec(context.Background(), g, q, ExecOptions{
+			Parallelism: par,
+			ParamVals:   map[string]Val{"xs": ListVal(xs)},
+		})
+		if err != nil {
+			t.Fatalf("%s at Parallelism %d: %v", text, par, err)
+		}
+		if got := resultKey(res); got != want {
+			t.Fatalf("%s at Parallelism %d over %d rows: %d rows, differs from the per-row reference\ngot:\n%.600s\nwant:\n%.600s",
+				text, par, len(xs), len(res.Rows), got, want)
+		}
+	}
+}
+
+// TestParallelBoundAnchorItems checks the work list on RiPKI Listing 4's
+// shape: 1 000 input rows with one bound-anchor candidate each share
+// work items, 64 rows to an item, not one item per row, and the clause
+// returns exactly the per-row reference's rows at every worker count.
+func TestParallelBoundAnchorItems(t *testing.T) {
+	g := buildWideIYP(t, 1000)
+	res, err := execQ(t, g, `MATCH (a:AS) RETURN a`, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs := make([]Val, len(res.Rows))
+	for i, vals := range res.Rows {
+		xs[i] = vals[0]
+	}
+	const rest = `MATCH (x)-[:PEERS_WITH]-(b:AS)-[:COUNTRY]->(c:Country) RETURN x.asn, b.asn, c.country_code`
+	checkPerRowReference(t, g, xs, rest, -1)
+
+	var items atomic.Int64
+	testMorselHook = func(int) { items.Add(1) }
+	defer func() { testMorselHook = nil }()
+	want := int64(len(xs)+morselSize-1) / morselSize
+	for _, par := range []int{1, 2, 8} {
+		items.Store(0)
+		if _, err := execQ(t, g, "UNWIND $xs AS x "+rest, ExecOptions{
+			Parallelism: par,
+			ParamVals:   map[string]Val{"xs": ListVal(xs)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if n := items.Load(); n > want {
+			t.Errorf("Parallelism %d: %d input rows ran %d work items, want at most %d", par, len(xs), n, want)
+		}
+	}
+}
+
+// TestParallelOptionalRowAcrossItems checks an OPTIONAL MATCH row whose
+// candidates span several work items: it gets its null row only when none
+// of its segments matched, whichever item they fall in.
+func TestParallelOptionalRowAcrossItems(t *testing.T) {
+	g := buildWideIYP(t, 400)
+	const want = "1 64000\n2 64000\n2 64001\n0 null\n"
+	for _, par := range []int{1, 8} {
+		res, err := execQ(t, g, `UNWIND [1, 2, 0] AS k OPTIONAL MATCH (b:AS) WHERE b.asn < 64000 + k RETURN k, b.asn`,
+			ExecOptions{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		for _, vals := range res.Rows {
+			fmt.Fprintf(&sb, "%s %s\n", vals[0], vals[1])
+		}
+		if sb.String() != want {
+			t.Errorf("Parallelism %d: rows\n%swant\n%s", par, sb.String(), want)
+		}
+	}
+}
+
+// boundAnchorQuery decodes a random clause anchored on x from data
+// (exhausted data reads as zeros): a one- or two-hop chain over chainGraph's
+// labels and types with x at either end, OPTIONAL and a LIMIT each half the
+// time, and a WHERE on the far node now and then. xs, its input rows, are
+// 150–400 of the graph's nodes drawn with repeats from seed, one in eight
+// null.
+func boundAnchorQuery(g *graph.Graph, seed int64, data []byte) (xs []Val, rest string, limit int) {
+	pick := func(n int) int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b) % n
+	}
+	r := rand.New(rand.NewSource(seed))
+	xs = make([]Val, 150+r.Intn(251))
+	for i := range xs {
+		xs[i] = NullVal()
+		if r.Intn(8) != 0 {
+			xs[i] = NodeVal(graph.NodeID(r.Intn(g.NumNodes())))
+		}
+	}
+	var sb strings.Builder
+	if pick(2) == 1 {
+		sb.WriteString("OPTIONAL ")
+	}
+	hops := 1 + pick(2)
+	nodes := []string{"(x)"}
+	for k := 1; k <= hops; k++ {
+		nodes = append(nodes, fmt.Sprintf("(n%d%s)", k, []string{"", ":A", ":B"}[pick(3)]))
+	}
+	if pick(2) == 1 {
+		slices.Reverse(nodes)
+	}
+	sb.WriteString("MATCH " + nodes[0])
+	for k := 1; k <= hops; k++ {
+		typ := []string{":R", ":S", "", ":R|S"}[pick(4)]
+		if k == 1 && pick(6) == 0 {
+			typ += "*1..2" // one variable-length hop at most: hubs make two slow
+		}
+		fmt.Fprintf(&sb, []string{"-[%s]-", "-[%s]->", "<-[%s]-"}[pick(3)], typ)
+		sb.WriteString(nodes[k])
+	}
+	far := fmt.Sprintf("n%d", hops)
+	switch pick(4) {
+	case 1:
+		fmt.Fprintf(&sb, " WHERE %s.i %% 2 = 0", far)
+	case 2:
+		fmt.Fprintf(&sb, " WHERE %s.i > x.i", far)
+	}
+	fmt.Fprintf(&sb, " RETURN x.i, %s.i", far)
+	limit = -1
+	if pick(2) == 1 {
+		limit = pick(256) + pick(256)
+	}
+	return xs, sb.String(), limit
+}
+
+// FuzzParallelBoundAnchorRows checks the driver's work list on random
+// bound-anchor clauses over the memo fuzzer's seeded graphs: the rows at
+// Parallelism 1, 2 and 8 must equal the per-row reference's.
+func FuzzParallelBoundAnchorRows(f *testing.F) {
+	f.Add(int64(0), []byte{0, 0, 1, 0, 1, 0, 0, 0})
+	f.Add(int64(1), []byte{1, 1, 2, 2, 1, 1, 2, 0, 2, 1, 40, 90})
+	f.Add(int64(2), []byte{1, 0, 0, 1, 0, 3, 2, 2, 1, 0})
+	f.Add(int64(3), []byte{0, 1, 1, 0, 0, 2, 0, 1, 1, 64, 0})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		g := chainGraph(seed % 8)
+		xs, rest, limit := boundAnchorQuery(g, seed, data)
+		checkPerRowReference(t, g, xs, rest, limit)
+	})
 }
 
 // TestParallelCancellation checks that a cancelled context stops a

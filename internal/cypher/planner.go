@@ -398,8 +398,12 @@ func (m *matcher) planPath(path PatternPath) pathPlan {
 
 // candidates enumerates the access's candidate node IDs in ascending
 // order — the order every access path already produces, which keeps
-// planned execution row-for-row identical across access choices.
-func (m *matcher) candidates(np NodePattern, acc anchorAccess) []graph.NodeID {
+// planned execution row-for-row identical across access choices. A bound
+// anchor's one candidate is appended to *ids when ids is non-nil, and the
+// result is that last element — the MATCH driver plans a window of rows
+// into one buffer, not a slice per row; with ids nil it gets a slice of
+// its own.
+func (m *matcher) candidates(np NodePattern, acc anchorAccess, ids *[]graph.NodeID) []graph.NodeID {
 	if testPlannerHook != nil {
 		testPlannerHook("enumerate", PatternPath{}, pathPlan{})
 	}
@@ -407,7 +411,11 @@ func (m *matcher) candidates(np NodePattern, acc anchorAccess) []graph.NodeID {
 	case accessBound:
 		if v, ok := m.binding.get(np.Var); ok {
 			if id, isNode := v.AsNode(); isNode {
-				return []graph.NodeID{id}
+				if ids == nil {
+					return []graph.NodeID{id}
+				}
+				*ids = append(*ids, id)
+				return (*ids)[len(*ids)-1:]
 			}
 		}
 		return nil // bound to a non-node: cannot match

@@ -184,10 +184,14 @@ func listingGolden(t *testing.T, db *iyp.DB, name, query string, wantRows int, w
 // matched row, a per-scan adjacency buffer, a string per DISTINCT key or a
 // copied binding per match each breach them.
 func TestListing4AllocCeiling(t *testing.T) {
-	// 2 048 objects and 537 930 bytes measured. Copying every matched
-	// binding for a projection after the match took 3 975 and 1 660 210; a
-	// 168-byte Val with per-scan buffers and string keys took 19 054 objects.
-	const ceiling, bytesCeiling = 2560, 672400
+	// 899 objects and 273 368 bytes measured. A work item per input row
+	// of the bound-anchor clause, with a closure, a candidate slice and
+	// position buffers each, and room for four more bindings in every
+	// matched row took 2 079 and 541 264 (the ceiling was 2 560 and
+	// 672 400 then). Copying every matched binding for a projection after
+	// the match took 3 975 and 1 660 210; a 168-byte Val with per-scan
+	// buffers and string keys took 19 054 objects.
+	const ceiling, bytesCeiling = 1124, 341700
 	db := testDB(t)
 	window := listing4TopTenth(t, db)
 	var rows int
