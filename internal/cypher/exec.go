@@ -290,7 +290,7 @@ func runSingle(ctx context.Context, g *graph.Graph, q *Query, keys []uint32, par
 // applyMatch runs one MATCH / OPTIONAL MATCH clause over its input rows
 // through the driver (parallel.go), with the query's worker budget.
 func (ex *executor) applyMatch(c *MatchClause, in []row, cap int, ret *ReturnClause) ([]row, error) {
-	spec := newMatchSpec(ex.g, ex.q, c.Patterns, c.Where, c.Optional)
+	spec := newMatchSpec(ex.ec, ex.q, c.Patterns, c.Where, c.Optional)
 	spec.ret = ret
 	if len(in) > 0 {
 		spec.memo = newMemoPlan(spec, in[0])
@@ -308,7 +308,7 @@ func (ex *executor) applyMatch(c *MatchClause, in []row, cap int, ret *ReturnCla
 // into the driver. It stays on the calling goroutine — it is itself called
 // from inside work items. limit < 0 means unlimited.
 func (ex *executor) matchOnce(patterns []PatternPath, where Expr, seed row, limit int) ([]row, error) {
-	return ex.runMatch(newMatchSpec(ex.g, ex.q, patterns, where, false), []row{seed}, limit, 1)
+	return ex.runMatch(newMatchSpec(ex.ec, ex.q, patterns, where, false), []row{seed}, limit, 1)
 }
 
 // returnRowCap computes how many input rows the final RETURN clause can

@@ -39,7 +39,7 @@ func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) 
 			visit(cl, nil)
 			continue
 		}
-		cp.matchSpec, cp.paths = newMatchSpec(ec.g, q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
+		cp.matchSpec, cp.paths = newMatchSpec(ec, q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
 		cp.ret = returnAtEmit(ec, q, i)
 		cp.in = m.binding
 		m.push = cp.push
@@ -136,18 +136,86 @@ func explainMatch(sb *strings.Builder, plan *clausePlan) {
 		}
 		fmt.Fprintf(sb, "  index-serviceable WHERE predicates: %s\n", strings.Join(parts, ", "))
 	}
+	for i, site := range predicateSites(plan) {
+		p := &plan.preds[i]
+		if p.never != "" {
+			fmt.Fprintf(sb, "  cell predicate at %s: %s — never holds: %s\n", site, p.describe(), p.never)
+		} else {
+			fmt.Fprintf(sb, "  cell predicate at %s: %s\n", site, p.describe())
+		}
+	}
+	if len(plan.preds) > 0 && plan.filter != nil {
+		sb.WriteString("  rest of WHERE evaluated at match emit\n")
+	}
+	spec := plan.matchSpec
+	spec.memo = newMemoPlan(spec, plan.in)
 	if plan.reason != "" {
 		fmt.Fprintf(sb, "  execution: serial — %s\n", plan.reason)
 	} else {
 		fmt.Fprintf(sb, "  execution: morsel-parallel eligible (morsels of %d; serial below %d anchor candidates)\n",
 			morselSize, minParallelCandidates)
+		anchor := plan.paths[0]
+		if _, _, ok := spec.cutHop(plan.in, anchor.anchor); ok && (anchor.acc.kind == accessBound || anchor.acc.kind == accessIndex) {
+			fmt.Fprintf(sb, "  a single anchor candidate's first hop runs in morsels of %d adjacency entries (from %d)\n",
+				morselSize, minParallelCandidates)
+		}
 	}
 	if plan.ret != nil && plan.ret.Distinct {
 		sb.WriteString("  RETURN evaluated at match emit (DISTINCT per work item)\n")
 	} else if plan.ret != nil {
 		sb.WriteString("  RETURN evaluated at match emit\n")
 	}
-	if memo := newMemoPlan(plan.matchSpec, plan.in).describe(plan.paths[0].anchor, len(plan.patterns[0].Nodes)); memo != "" {
+	if memo := spec.memo.describe(plan.paths[0].anchor, len(plan.patterns[0].Nodes)); memo != "" {
 		fmt.Fprintf(sb, "  %s\n", memo)
 	}
+}
+
+// predicateSites names, for each of plan's cell predicates, the pattern
+// position the matcher runs it at: the first position, in the order the
+// plan binds them, that binds one of its variables once all of them are
+// bound.
+func predicateSites(plan *clausePlan) []string {
+	sites := make([]string, len(plan.preds))
+	bound := map[string]bool{}
+	for _, b := range plan.in {
+		bound[b.name] = true
+	}
+	visit := func(name, site string) {
+		if name == "" {
+			return
+		}
+		bound[name] = true
+		for i := range plan.preds {
+			p := &plan.preds[i]
+			if sites[i] == "" && (name == p.l.v || name == p.r.v) && bound[p.l.v] && (p.r.v == "" || bound[p.r.v]) {
+				sites[i] = site
+			}
+		}
+	}
+	for i, path := range plan.patterns {
+		at := func(kind string, k, n int) string {
+			s := fmt.Sprintf("%s %d of %d", kind, k+1, n)
+			if len(plan.patterns) > 1 {
+				s = fmt.Sprintf("path %d %s", i+1, s)
+			}
+			return s
+		}
+		node := func(k int) { visit(path.Nodes[k].Var, at("node", k, len(path.Nodes))) }
+		hop := func(k int) { visit(path.Rels[k].Var, at("hop", k, len(path.Rels))) }
+		a := plan.paths[i].anchor
+		node(a)
+		if path.Shortest {
+			node(1 - a)
+			continue
+		}
+		for k := a; k < len(path.Rels); k++ {
+			node(k + 1)
+			hop(k)
+		}
+		for k := a; k > 0; k-- {
+			node(k - 1)
+			hop(k - 1)
+		}
+	}
+	return sites
 }

@@ -32,18 +32,31 @@ type matcher struct {
 	relStack  []Val                 // the relationship value at each of their hops
 	memo      memoPlan              // the clause's memo points (zero: none)
 	states    stackSet[memoKey]     // suffix states this matcher has expanded (grow-only)
+	span      adjSpan               // the stretch of adjacency the next scan reads (n == 0: all of it)
 }
+
+// adjSpan is a stretch of a node's adjacency as Graph.RelsAt reads it: n
+// relationships from adjacency position from on.
+type adjSpan struct{ from, n int }
 
 // scanRels lists the relationships of node id into the adjacency buffer of
 // the next scan depth and claims it until the caller's deferred release.
 // Scans nest — each relationship's continuation may scan again — so every
 // depth keeps its own buffer, which every later scan at that depth reuses.
+// A set span restricts the scan to that stretch and is used up by it: the
+// driver sets one for a work item that holds a stretch of its anchor's
+// first expansion step, which is the item's first scan.
 func (m *matcher) scanRels(id graph.NodeID, dir graph.Dir, rp *resolvedRel) []graph.RelID {
 	if m.depth == len(m.relBufs) {
 		m.relBufs = append(m.relBufs, nil)
 	}
 	rels := m.relBufs[m.depth][:0]
-	if !rp.none {
+	switch {
+	case rp.none:
+	case m.span.n > 0:
+		rels, _ = m.g.RelsAt(id, dir, rp.types, m.span.from, m.span.n, rels)
+		m.span = adjSpan{}
+	default:
 		rels = m.g.Rels(id, dir, rp.types, rels)
 	}
 	m.relBufs[m.depth] = rels
@@ -222,25 +235,10 @@ func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
 	startNP, endNP := &path.nodes[0], &path.nodes[1]
 	// Root the BFS at the cheaper end, flipping the pattern when needed.
 	plan := m.planPath(*path.PatternPath)
-	relDir := rp.Dir
 	if plan.anchor == 1 {
 		startNP, endNP = endNP, startNP
-		switch relDir {
-		case DirRight:
-			relDir = DirLeft
-		case DirLeft:
-			relDir = DirRight
-		}
 	}
-	var dir graph.Dir
-	switch relDir {
-	case DirAny:
-		dir = graph.DirBoth
-	case DirRight:
-		dir = graph.DirOut
-	case DirLeft:
-		dir = graph.DirIn
-	}
+	dir := stepDir(rp.Dir, plan.anchor == 0)
 	maxHops := rp.MaxHops
 	if maxHops < 0 {
 		maxHops = 1 << 30
@@ -455,25 +453,7 @@ func (m *matcher) expandStep(path *resolvedPath, relIdx, toIdx int, nodeIDs []gr
 	cur := nodeIDs[fromIdx]
 	rp := &path.rels[relIdx]
 	np := &path.nodes[toIdx]
-
-	// Direction relative to the bound node.
-	var dir graph.Dir
-	switch rp.Dir {
-	case DirAny:
-		dir = graph.DirBoth
-	case DirRight: // pattern arrow Nodes[relIdx] -> Nodes[relIdx+1]
-		if rightward {
-			dir = graph.DirOut
-		} else {
-			dir = graph.DirIn
-		}
-	case DirLeft:
-		if rightward {
-			dir = graph.DirIn
-		} else {
-			dir = graph.DirOut
-		}
-	}
+	dir := stepDir(rp.Dir, rightward)
 
 	if rp.VarLen {
 		return m.expandVarLen(rp, np, cur, dir, toIdx, nodeIDs, relVals, relIdx, cont)
@@ -498,6 +478,18 @@ func (m *matcher) expandStep(path *resolvedPath, relIdx, toIdx int, nodeIDs []gr
 		}
 	}
 	return nil
+}
+
+// stepDir is the graph direction of a hop with pattern direction d,
+// followed from its left node (rightward) or from its right node.
+func stepDir(d RelDir, rightward bool) graph.Dir {
+	switch {
+	case d == DirAny:
+		return graph.DirBoth
+	case (d == DirRight) == rightward: // the arrow leaves the bound node
+		return graph.DirOut
+	}
+	return graph.DirIn
 }
 
 // tryRel attempts to use relationship rid for pattern position relIdx.
@@ -546,6 +538,10 @@ func (m *matcher) tryRel(rp *resolvedRel, np *resolvedNode, cur graph.NodeID, di
 	}
 	if rp.Var != "" && !preBound {
 		m.binding = append(m.binding, binding{rp.Var, RelVal(rid)})
+	}
+	if !m.cellsHold(rp.preds) {
+		m.binding = m.binding[:mark]
+		return nil
 	}
 	m.used.push(rid)
 	nodeIDs[toIdx] = other
@@ -655,7 +651,7 @@ func (m *matcher) bindNode(np *resolvedNode, id graph.NodeID) (mark int, ok bool
 				return mark, false, nil
 			}
 			ok, err := m.nodeSatisfies(np, id)
-			return mark, ok, err
+			return mark, ok && m.cellsHold(np.preds), err
 		}
 	}
 	if ok, err := m.nodeSatisfies(np, id); !ok || err != nil {
@@ -665,6 +661,10 @@ func (m *matcher) bindNode(np *resolvedNode, id graph.NodeID) (mark int, ok bool
 		return mark, true, nil
 	}
 	m.binding = append(m.binding, binding{np.Var, NodeVal(id)})
+	if !m.cellsHold(np.preds) {
+		m.binding = m.binding[:mark]
+		return mark, false, nil
+	}
 	return mark, true, nil
 }
 

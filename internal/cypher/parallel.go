@@ -13,18 +13,24 @@ import (
 // COUNT {} subquery, a MERGE probe — is one call to runMatch:
 //
 //   - What is fixed for the clause (its pattern names resolved to the
-//     graph's ids, WHERE pushdowns, the static reason it may not be split)
-//     is collected once per clause execution, in newMatchSpec. A clause
-//     that names something the graph has never stored matches nothing and
-//     plans no work.
+//     graph's ids, WHERE pushdowns, the WHERE conjuncts compiled into cell
+//     predicates the matcher runs as soon as their variables are bound, the
+//     static reason it may not be split) is collected once per clause
+//     execution, in newMatchSpec. A clause that names something the graph
+//     has never stored matches nothing and plans no work.
 //   - For each input row the planner runs once and the anchor's candidates
 //     are enumerated once. The clause's work is one ordered sequence of
 //     (input row, anchor candidate) pairs, cut into work items of up to
 //     morselSize pairs: a row with many candidates spans several items,
 //     and consecutive rows with one candidate each (a bound anchor) share
-//     one. An item holds one segment per input row it touches. A clause
-//     that must not be split (writes in the branch, comma-separated paths
-//     sharing one binding, shortestPath) makes each row a whole-row item.
+//     one. An item holds one segment per input row it touches. With two or
+//     more workers, a row whose one candidate's first expansion step has
+//     minParallelCandidates or more adjacency entries is cut inside that
+//     step instead (cut, cutHop): the planner walks the adjacency once, and
+//     each of the row's items reads only its own stretch of morselSize
+//     entries (Graph.RelsAt). A clause that must not be split (writes in
+//     the branch, comma-separated paths sharing one binding, shortestPath)
+//     makes each row a whole-row item.
 //   - The list runs on the calling goroutine when it holds fewer than two
 //     items or minParallelCandidates units of work, or when fewer than two
 //     workers are allowed; otherwise on a bounded worker pool. Either way
@@ -39,9 +45,10 @@ import (
 // Item results are merged back in list order, which makes the result table
 // byte-identical at any worker count:
 //
-//   - Input rows are listed in order and a row's candidates in ascending
-//     node-ID order, so concatenating per-segment rows in list order is the
-//     order a single sequential enumeration produces. Each segment records
+//   - Input rows are listed in order, a row's candidates in ascending
+//     node-ID order and a cut step's stretches in adjacency order, so
+//     concatenating per-segment rows in list order is the order a single
+//     sequential enumeration produces. Each segment records
 //     where its rows end in its item's rows, so an OPTIONAL MATCH row whose
 //     segments produced nothing gets its null row at that position.
 //     Under a RETURN DISTINCT at emit a worker drops rows one of its earlier
@@ -59,13 +66,14 @@ import (
 //     errors).
 
 const (
-	// morselSize is the number of (input row, anchor candidate) pairs per
-	// work item: large enough to amortize scheduling, small enough to
-	// balance skewed expansion costs across workers.
+	// morselSize is the number of (input row, anchor candidate) pairs, or
+	// of a cut step's adjacency entries, per work item: large enough to
+	// amortize scheduling, small enough to balance skewed expansion costs
+	// across workers.
 	morselSize = 64
-	// minParallelCandidates is the amount of work (anchor candidates, a
-	// whole-row item counting as one) below which fan-out costs more than
-	// it buys: fewer than two full morsels.
+	// minParallelCandidates is the amount of work (anchor candidates and
+	// cut adjacency entries, a whole-row item counting as one) below which
+	// fan-out costs more than it buys: fewer than two full morsels.
 	minParallelCandidates = 2 * morselSize
 	// windowItems bounds how many work items are planned ahead of
 	// execution. A window always ends on an input-row boundary.
@@ -98,6 +106,8 @@ type matchSpec struct {
 	paths    []resolvedPath // patterns resolved against the executing graph
 	never    string         // non-empty: why the clause matches nothing (resolvePaths)
 	where    Expr
+	preds    []cellPred // WHERE conjuncts the matcher tests on stored cells (compileWhere)
+	filter   Expr       // the rest of where, evaluated at emit
 	optional bool
 	push     []pushdown    // WHERE conjuncts usable for anchor index lookups
 	reason   string        // serialReason: "" = the anchor's candidates are split into morsels
@@ -105,16 +115,19 @@ type matchSpec struct {
 	memo     memoPlan      // where the matcher skips suffix states it has expanded (newMemoPlan)
 }
 
-// newMatchSpec builds the spec of one execution of a clause against g.
-// It runs per execution, not per parse, because the ids it resolves are
-// those of g.
-func newMatchSpec(g *graph.Graph, q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
-	paths, never := resolvePaths(g, patterns)
+// newMatchSpec builds the spec of one execution of a clause against ec's
+// graph and parameters. It runs per execution, not per parse, because the
+// ids it resolves are those of the graph.
+func newMatchSpec(ec *evalCtx, q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
+	paths, never := resolvePaths(ec.g, patterns)
+	preds, filter := compileWhere(ec, paths, patterns, where)
 	return matchSpec{
 		patterns: patterns,
 		paths:    paths,
 		never:    never,
 		where:    where,
+		preds:    preds,
+		filter:   filter,
 		optional: optional,
 		push:     collectPushdowns(where, patternVarSet(patterns)),
 		reason:   serialReason(q, patterns),
@@ -122,14 +135,17 @@ func newMatchSpec(g *graph.Graph, q *Query, patterns []PatternPath, where Expr, 
 }
 
 // segment is one input row's share of a work item: input row `row`
-// restricted to the anchor candidates cands, at pattern position anchor.
-// A whole-row segment (spec.reason != "") carries neither and enumerates
-// every path of the clause. end and err are its outcome: where its rows
-// end in its item's rows, and the error it stopped on.
+// restricted to the anchor candidates cands, at pattern position anchor,
+// and when span is set to that stretch of its one candidate's first
+// expansion step. A whole-row segment (spec.reason != "") carries none of
+// them and enumerates every path of the clause. end and err are its
+// outcome: where its rows end in its item's rows, and the error it
+// stopped on.
 type segment struct {
 	row    int
 	anchor int
 	cands  []graph.NodeID
+	span   adjSpan
 
 	end int
 	err error
@@ -154,6 +170,7 @@ type matchRun struct {
 	items []workItem
 	segs  []segment
 	ids   []graph.NodeID // the window's bound-anchor candidates, one per row
+	spans []adjSpan      // the stretches cut reported last
 	limit int
 	next  atomic.Int64
 	front *frontier
@@ -214,6 +231,17 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 			path := spec.patterns[0]
 			plan := planner.planPath(path)
 			cands := planner.candidates(path.Nodes[plan.anchor], plan.acc, &ids)
+			if len(cands) == 1 && workers >= 2 {
+				if n := run.cut(in[next], plan.anchor, cands[0]); n > 0 {
+					for _, sp := range run.spans {
+						segs = append(segs, segment{row: next, anchor: plan.anchor, cands: cands, span: sp})
+						items = append(items, workItem{lo: len(segs) - 1, hi: len(segs)})
+					}
+					weight += n
+					fill = morselSize
+					continue
+				}
+			}
 			weight += len(cands)
 			for len(cands) > 0 {
 				if fill == morselSize {
@@ -286,6 +314,65 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 		metricMatchSerialFewCandidates.Add(1)
 	}
 	return out, nil
+}
+
+// cut cuts the first expansion step of input row b's one anchor candidate
+// id, at pattern position anchor, into run.spans: stretches of morselSize
+// adjacency entries, which it finds by walking the adjacency once. It
+// returns the entries they cover, or 0 when it cuts nothing: the step has
+// fewer than minParallelCandidates entries, or spec.cutHop declines it.
+// A step it does not cut costs it no allocation.
+func (r *matchRun) cut(b row, anchor int, id graph.NodeID) int {
+	rp, dir, ok := r.spec.cutHop(b, anchor)
+	if !ok {
+		return 0
+	}
+	var buf [morselSize]graph.RelID
+	rels, mid := r.ex.g.RelsAt(id, dir, rp.types, 0, morselSize, buf[:0])
+	if len(rels) < morselSize {
+		return 0
+	}
+	rels, pos := r.ex.g.RelsAt(id, dir, rp.types, mid, morselSize, buf[:0])
+	if len(rels) < morselSize {
+		return 0
+	}
+	r.spans = append(r.spans[:0], adjSpan{0, morselSize}, adjSpan{mid, morselSize})
+	total := minParallelCandidates // two full stretches
+	for n := morselSize; n == morselSize; {
+		rels, next := r.ex.g.RelsAt(id, dir, rp.types, pos, morselSize, buf[:0])
+		if n = len(rels); n > 0 {
+			r.spans = append(r.spans, adjSpan{pos, n})
+			total += n
+		}
+		pos = next
+	}
+	return total
+}
+
+// cutHop returns the first expansion step of the clause's path from
+// anchor, and its direction from there, when the driver may cut it into
+// stretches under input row b: a single-path clause the driver splits
+// (spec.reason is ""), with no memo points (a worker skips only the suffix
+// states it expanded itself, so spreading one anchor's states over workers
+// would expand each once per worker), whose step is neither
+// variable-length nor over a relationship variable b binds.
+func (spec *matchSpec) cutHop(b row, anchor int) (*resolvedRel, graph.Dir, bool) {
+	if spec.reason != "" || spec.memo.right != nil {
+		return nil, 0, false
+	}
+	path := &spec.paths[0]
+	hop, rightward := anchor, anchor < len(path.rels)
+	if !rightward {
+		hop--
+	}
+	if hop < 0 {
+		return nil, 0, false
+	}
+	rp := &path.rels[hop]
+	if _, bound := b.get(rp.Var); rp.VarLen || rp.none || rp.Var != "" && bound {
+		return nil, 0, false
+	}
+	return rp, stepDir(rp.Dir, rightward), true
 }
 
 func (ex *executor) newMatcher(spec matchSpec) matcher {
@@ -389,6 +476,7 @@ func (w *worker) runItem(it *workItem) error {
 		seg := &r.segs[w.seg]
 		if err == nil {
 			m.binding = append(m.binding[:0], r.in[seg.row]...)
+			m.span = seg.span
 			if r.spec.reason != "" {
 				err = m.solvePaths(0)
 			} else {
@@ -408,12 +496,12 @@ func (w *worker) runItem(it *workItem) error {
 }
 
 // emit is the worker's matcher's emit: it filters the complete binding by
-// the clause's WHERE, charges it, and appends it — or its projection — as
-// an exact-size row. It stops the item once the item holds what the window
-// still needs.
+// what the cell predicates left of the clause's WHERE, charges it, and
+// appends it — or its projection — as an exact-size row. It stops the item
+// once the item holds what the window still needs.
 func (w *worker) emit() error {
 	ex, m := w.r.ex, &w.m
-	if where := w.r.spec.where; where != nil {
+	if where := w.r.spec.filter; where != nil {
 		v, err := ex.ec.eval(where, m.binding)
 		if err != nil {
 			return err

@@ -474,6 +474,90 @@ func TestParallelBoundAnchorItems(t *testing.T) {
 	}
 }
 
+// TestParallelSingleAnchorSplit checks the work list on a clause whose one
+// anchor candidate is a hub: its first hop is cut into work items of
+// morselSize adjacency entries, ⌈entries / morselSize⌉ of them, and the
+// rows equal the serial rows at every worker count, with the hop read out,
+// in and both ways over mixed types and self-loops. A RETURN DISTINCT with
+// memo points, the anchor's among them, keeps the anchor whole.
+func TestParallelSingleAnchorSplit(t *testing.T) {
+	g := graph.New()
+	hub := g.AddNode([]string{"Hub"}, graph.Props{"name": graph.String("hub")})
+	r := rand.New(rand.NewSource(7))
+	for i := 0; i < 1200; i++ {
+		typ := []string{"T", "T", "U"}[r.Intn(3)]
+		leaf := g.AddNode([]string{"Leaf"}, graph.Props{"i": graph.Int(int64(i))})
+		switch {
+		case i%40 == 0:
+			mustRel(t, g, typ, hub, hub, graph.Props{"k": graph.Int(int64(i))})
+		case r.Intn(2) == 0:
+			mustRel(t, g, typ, hub, leaf, graph.Props{"k": graph.Int(int64(i))})
+		default:
+			mustRel(t, g, typ, leaf, hub, graph.Props{"k": graph.Int(int64(i))})
+		}
+		if i%3 == 0 {
+			other := g.AddNode([]string{"Other"}, graph.Props{"j": graph.Int(int64(i % 7))})
+			mustRel(t, g, "V", leaf, other, nil)
+		}
+	}
+	tid, _ := g.TypeID("T")
+	kept := func(dir graph.Dir) int { return len(g.Rels(hub, dir, []uint16{tid}, nil)) }
+
+	var items atomic.Int64
+	testMorselHook = func(int) { items.Add(1) }
+	defer func() { testMorselHook = nil }()
+	prev := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(prev)
+	for _, tc := range []struct {
+		q     string
+		items int // at 2 and 8 workers; 0: ⌈entries / morselSize⌉
+		dir   graph.Dir
+	}{
+		{q: `MATCH (h:Hub)-[r:T]-(x) RETURN r.k, x.i`, dir: graph.DirBoth},
+		{q: `MATCH (h:Hub)-[r:T]->(x) RETURN r.k, x.i`, dir: graph.DirOut},
+		{q: `MATCH (h:Hub)<-[r:T]-(x) RETURN r.k, x.i`, dir: graph.DirIn},
+		{q: `MATCH (x)-[r:T]-(h:Hub) RETURN r.k, x.i`, dir: graph.DirBoth},
+		{q: `MATCH (h:Hub)-[r:T]-(x)-[:V]-(y:Other) WHERE r.k >= 100 AND r.k < 900 RETURN r.k, x.i, y.j`, dir: graph.DirBoth},
+		{q: `MATCH (h:Hub)-[:T]-(x:Leaf) RETURN x.i LIMIT 150`, items: -1},
+		// A bound anchor under OPTIONAL MATCH: its null row comes only when
+		// no stretch matched.
+		{q: `MATCH (h:Hub) OPTIONAL MATCH (h)-[r:T]-(x:Leaf) WHERE x.i < 0 RETURN h.name, x.i`, items: -1},
+		{q: `MATCH (h:Hub) OPTIONAL MATCH (h)-[r:T]-(x:Leaf) WHERE x.i > 1150 RETURN h.name, x.i`, items: -1},
+		// A clause with memo points keeps its anchor whole: one item,
+		// whether the memo point is the anchor or lies past it.
+		{q: `MATCH (y:Other)-[:V]-(h:Hub)-[:T]-(x:Leaf) RETURN DISTINCT x.i`, items: 1},
+		{q: `MATCH (h:Hub)-[:T]-(x:Leaf)-[:V]-(y:Other) RETURN DISTINCT y.j`, items: 1},
+	} {
+		runtime.GOMAXPROCS(prev)
+		serial, err := execQ(t, g, tc.q, ExecOptions{Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := resultKey(serial)
+		wantItems := int64(tc.items)
+		if tc.items == 0 {
+			wantItems = int64(kept(tc.dir)+morselSize-1) / morselSize
+		}
+		for _, par := range []int{2, 8} {
+			items.Store(0)
+			res, err := execQ(t, g, tc.q, ExecOptions{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := resultKey(res); got != want {
+				t.Errorf("%s at Parallelism %d: rows differ from serial\nserial:\n%.400s\ngot:\n%.400s", tc.q, par, want, got)
+			}
+			if n := items.Load(); wantItems > 0 && n != wantItems {
+				t.Errorf("%s at Parallelism %d: %d work items, want %d", tc.q, par, n, wantItems)
+			}
+		}
+		runtime.GOMAXPROCS(1)
+		if res, err := execQ(t, g, tc.q, ExecOptions{}); err != nil || resultKey(res) != want {
+			t.Errorf("%s at GOMAXPROCS 1: rows differ from serial (err %v)", tc.q, err)
+		}
+	}
+}
+
 // TestParallelOptionalRowAcrossItems checks an OPTIONAL MATCH row whose
 // candidates span several work items: it gets its null row only when none
 // of its segments matched, whichever item they fall in.

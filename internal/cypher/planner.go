@@ -35,8 +35,9 @@ const (
 // IN expr` whose value expression does not depend on variables introduced
 // by the clause's own patterns. Such a conjunct can seed the anchor's
 // candidate enumeration through a (label,key) index before expansion
-// starts; the full WHERE is still evaluated on every emitted row, so a
-// pushdown only ever restricts the candidate set.
+// starts; every conjunct is still checked on every binding (as a cell
+// predicate or at emit), so a pushdown only ever restricts the candidate
+// set.
 type pushdown struct {
 	Var string
 	Key string

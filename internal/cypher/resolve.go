@@ -25,20 +25,23 @@ type resolvedPath struct {
 }
 
 // resolvedNode is a node pattern with its labels and inline properties
-// resolved.
+// resolved, and the WHERE's cell predicates that read its variable.
 type resolvedNode struct {
 	*NodePattern
 	labels []uint16
 	props  []resolvedProp
+	preds  []*cellPred
 }
 
 // resolvedRel is a relationship pattern with its type alternation and
-// inline properties resolved. none marks a pattern no relationship of the
-// graph satisfies; otherwise empty types admit every type.
+// inline properties resolved, and the WHERE's cell predicates that read its
+// variable. none marks a pattern no relationship of the graph satisfies;
+// otherwise empty types admit every type.
 type resolvedRel struct {
 	*RelPattern
 	types []uint16
 	props []resolvedProp
+	preds []*cellPred
 	none  bool
 }
 

@@ -130,3 +130,47 @@ func checkTypedRels(t *testing.T, what string, g *Graph) {
 func dirName(d Dir) string {
 	return [...]string{"out", "in", "both"}[d]
 }
+
+// TestRelsAtStretchesMatchRels walks every node's adjacency in stretches
+// of a few relationships, from each position RelsAt returns: the stretches
+// concatenate to what Rels lists, self-loops under DirBoth included, and a
+// stretch read again from its position lists the same relationships.
+func TestRelsAtStretchesMatchRels(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	g := New()
+	var nodes []NodeID
+	for range 12 {
+		nodes = append(nodes, g.AddNode([]string{"N"}, nil))
+	}
+	for range 200 {
+		from, to := nodes[r.Intn(len(nodes))], nodes[r.Intn(len(nodes))]
+		if _, err := g.AddRel([]string{"A", "B"}[r.Intn(2)], from, to, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := g.TypeID("A")
+	for _, id := range nodes {
+		for _, types := range [][]uint16{nil, {a}} {
+			for _, dir := range []Dir{DirOut, DirIn, DirBoth} {
+				want := g.Rels(id, dir, types, nil)
+				for _, limit := range []int{1, 3, 7} {
+					var got []RelID
+					for pos := 0; ; {
+						stretch, next := g.RelsAt(id, dir, types, pos, limit, nil)
+						if again, _ := g.RelsAt(id, dir, types, pos, len(stretch), nil); !slices.Equal(again, stretch) {
+							t.Fatalf("node %d %s: stretch from %d read %v, then %v", id, dirName(dir), pos, stretch, again)
+						}
+						got = append(got, stretch...)
+						if len(stretch) < limit {
+							break
+						}
+						pos = next
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("node %d %s types %v, stretches of %d: %v, Rels %v", id, dirName(dir), types, limit, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -1326,28 +1326,44 @@ const (
 // adjacency entries alone, so a call whose buf has room allocates nothing
 // and touches a relationship only to drop a self-loop's second sighting.
 func (g *Graph) Rels(id NodeID, dir Dir, types []uint16, buf []RelID) []RelID {
+	buf, _ = g.RelsAt(id, dir, types, 0, math.MaxInt, buf)
+	return buf
+}
+
+// RelsAt is Rels over a stretch of node id's adjacency: it appends at most
+// limit of the relationships Rels lists, reading adjacency entries from
+// position from on, and returns the extended buffer and the position after
+// the last entry it read, where the next stretch starts. Positions number
+// the out entries and then the in entries, whatever dir is, so a walk that
+// starts at 0 and goes on from each returned position lists exactly what
+// Rels lists, in its order, and a stretch read again from the same
+// position lists the same relationships.
+func (g *Graph) RelsAt(id NodeID, dir Dir, types []uint16, from, limit int, buf []RelID) ([]RelID, int) {
 	g.rlock()
 	defer g.runlock()
 	n := g.node(id)
 	if n == nil {
-		return buf
+		return buf, from
 	}
+	pos, kept := from, 0
 	if dir != DirIn {
-		for _, e := range n.out {
-			if ofType(e, types) {
+		for ; pos < len(n.out) && kept < limit; pos++ {
+			if e := n.out[pos]; ofType(e, types) {
 				buf = append(buf, e.rel())
+				kept++
 			}
 		}
 	}
-	if dir != DirOut {
-		for _, e := range n.in {
-			// A self-loop already appeared in the out scan.
-			if ofType(e, types) && (dir != DirBoth || !g.selfLoop(e.rel())) {
+	if dir != DirOut && kept < limit {
+		for pos = max(pos, len(n.out)); pos < len(n.out)+len(n.in) && kept < limit; pos++ {
+			// A self-loop already appeared in the out entries.
+			if e := n.in[pos-len(n.out)]; ofType(e, types) && (dir != DirBoth || !g.selfLoop(e.rel())) {
 				buf = append(buf, e.rel())
+				kept++
 			}
 		}
 	}
-	return buf
+	return buf, pos
 }
 
 // Degree returns the number of incident relationships in the given

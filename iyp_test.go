@@ -184,10 +184,12 @@ func listingGolden(t *testing.T, db *iyp.DB, name, query string, wantRows int, w
 // matched row, a per-scan adjacency buffer, a string per DISTINCT key or a
 // copied binding per match each breach them.
 func TestListing4AllocCeiling(t *testing.T) {
-	// 899 objects and 273 368 bytes measured. A work item per input row
-	// of the bound-anchor clause, with a closure, a candidate slice and
-	// position buffers each, and room for four more bindings in every
-	// matched row took 2 079 and 541 264 (the ceiling was 2 560 and
+	// 905 objects and 277 112 bytes measured (899 and 272 664 before the
+	// first clause's WHERE became cell predicates and its single anchor's
+	// hop was cut into work items of adjacency entries). A work item per
+	// input row of the bound-anchor clause, with a closure, a candidate
+	// slice and position buffers each, and room for four more bindings in
+	// every matched row took 2 079 and 541 264 (the ceiling was 2 560 and
 	// 672 400 then). Copying every matched binding for a projection after
 	// the match took 3 975 and 1 660 210; a 168-byte Val with per-scan
 	// buffers and string keys took 19 054 objects.
@@ -220,9 +222,10 @@ func TestListing4AllocCeiling(t *testing.T) {
 // binding per match, a map per result row or a sorted latency window per
 // request each breach them.
 func TestLookupAllocCeiling(t *testing.T) {
-	// 152 objects and 19 302 bytes measured; with every binding copied, a
-	// map per row for reflection to encode and a sorted latency window it
-	// took 257 and 47 052.
+	// 170 objects and 20 648 bytes measured (20 304 before each pattern
+	// position carried its WHERE cell predicates); with every binding
+	// copied, a map per row for reflection to encode and a sorted latency
+	// window it took 257 and 47 052.
 	const allocsCeiling, bytesCeiling = 190, 24100
 	db := testDB(t)
 	var bodies [][]byte
