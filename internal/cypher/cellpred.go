@@ -8,16 +8,25 @@ import (
 	"iyp/internal/graph"
 )
 
-// Cell predicates. A top-level AND conjunct of a MATCH clause's WHERE of
-// the form `v.key op c` — op one of =, <>, <, <=, >, >=, STARTS WITH and IN;
-// c a literal, a $parameter, or for IN a list of them — or `v.key op w.key`,
-// where v and w are variables the clause's patterns bind to nodes or single
-// relationships, is compiled once per clause execution (newMatchSpec) into
-// a test of the stored cells: the key is resolved to its id, the constant
-// evaluated once, and `=` against a string compares dictionary ids. The
-// matcher runs each one as soon as all its variables are bound (bindNode,
-// tryRel), so a binding that fails it is never extended, and the driver's
-// emit evaluates only what is left of the WHERE.
+// Property tests. Every "this entity's property compares with that value"
+// of a MATCH clause is one cellPred at the pattern positions that read the
+// entity, compiled once per clause execution (newMatchSpec): an inline
+// property `{key: value}` is an `=` predicate on its node or relationship
+// (resolvePaths); a top-level AND conjunct of the WHERE of the form `v.key
+// op c` — op one of =, <>, <, <=, >, >=, STARTS WITH and IN, c a literal, a
+// $parameter or a list of them — or `v.key op w.key`, v and w bound by the
+// clause's patterns to nodes or single relationships, is one on every
+// position that binds v or w (compileWhere). The key is resolved to its
+// id, a constant evaluated once, and `=` against a string compares
+// dictionary ids; an inline value that is no constant is evaluated on the
+// binding, and its error is the match's. The matcher runs a position's
+// predicates on each candidate there (cellsHold), reading the candidate
+// itself; only `v.key op w.key` reads its other variable from the binding,
+// and waits until it is bound. An `=` or IN predicate whose value reads no
+// pattern variable also seeds the index lookup of an anchor at its position
+// (planIndexAccess), as does a WHERE conjunct of that shape that is not
+// tested (seedOnly): one whose value reads the input row, the mirrored `c
+// = v.key`, or any conjunct of a WHERE that does not compile.
 //
 // Rows do not change. A WHERE keeps a binding only when every conjunct is
 // true, and a compiled conjunct fails exactly when the evaluator's would be
@@ -35,66 +44,107 @@ var cellOps = map[BinOp]string{
 	OpStartsWith: "STARTS WITH", OpIn: "IN",
 }
 
+// predOrigin says where a cellPred comes from, which decides how EXPLAIN
+// names it.
+type predOrigin uint8
+
+const (
+	fromInline predOrigin = iota // an inline property {key: value}
+	fromWhere                    // a WHERE conjunct the matcher tests
+	seedOnly                     // a WHERE conjunct that only seeds index lookups
+)
+
 // cellRef is the cell `v.key` of a pattern variable, its key resolved.
 type cellRef struct {
-	v     string
+	v     string // "" for an anonymous position's inline property
+	name  string // the key
 	key   uint32
 	known bool // the graph stores key; an unknown key reads null
 }
 
-// read returns the cell of entity e (null when e stores none).
-func (c cellRef) read(g *graph.Graph, e Val) graph.Value {
-	if !c.known {
-		return graph.Null()
-	}
-	if id, ok := e.AsNode(); ok {
-		return g.NodePropByID(id, c.key)
-	}
-	if id, ok := e.AsRel(); ok {
-		return g.RelPropByID(id, c.key)
+// cand is the candidate a pattern position tests: node, or relationship
+// rel when node is 0, for the position's variable v.
+type cand struct {
+	v    string
+	node graph.NodeID
+	rel  graph.RelID
+}
+
+// read returns the cell of e (null when e stores none).
+func (c cellRef) read(g *graph.Graph, e cand) graph.Value {
+	switch {
+	case !c.known:
+	case e.node != 0:
+		return g.NodePropByID(e.node, c.key)
+	case e.rel != 0:
+		return g.RelPropByID(e.rel, c.key)
 	}
 	return graph.Null()
 }
 
-// cellPred is one compiled conjunct: the cell l compared by op with the
-// cell r, or with the constant c when r.v is "".
-type cellPred struct {
-	conj  *BinaryExpr // the conjunct
-	op    BinOp
-	l, r  cellRef
-	c     Val           // the constant, evaluated
-	in    []graph.Value // IN: the constant list's non-null scalars
-	str   uint32        // = on a string the dictionary holds: its id
-	isStr bool
-	never string // non-empty: why no binding satisfies the conjunct
+// side is the entity c reads at candidate e: e itself when c is e's
+// variable, otherwise what binding b binds c's variable to (ok false when
+// it binds nothing; neither a node nor a relationship reads null).
+func (c cellRef) side(b row, e cand) (cand, bool) {
+	if c.v == e.v {
+		return e, true
+	}
+	val, ok := b.get(c.v)
+	id, _ := val.AsNode()
+	rid, _ := val.AsRel()
+	return cand{v: c.v, node: id, rel: rid}, ok
 }
 
-// holds runs p on binding b. ready is false while a variable of p is
-// unbound; otherwise held reports whether the conjunct is true.
-func (p *cellPred) holds(g *graph.Graph, b row) (held, ready bool) {
-	le, ok := b.get(p.l.v)
-	if !ok {
-		return false, false
-	}
-	rv := p.c.scalar // null for a list
-	if p.r.v != "" {
-		re, ok := b.get(p.r.v)
-		if !ok {
-			return false, false
+// cellPred is one compiled property test: the cell l compared by op with
+// the cell r, when r.v is set, or else with a value — the constant c, or
+// val evaluated on the binding.
+type cellPred struct {
+	conj   *BinaryExpr // the WHERE conjunct (nil for an inline property)
+	op     BinOp
+	l, r   cellRef
+	val    Expr          // the value when it is no constant, evaluated per binding
+	c      Val           // the constant; a list a cell can hold as a scalar list
+	in     []graph.Value // IN: c's elements a cell can hold, nulls left out
+	never  string        // non-empty: why no candidate satisfies p
+	str    uint32        // = on a string the dictionary holds: its id
+	isStr  bool
+	pair   bool // l and r read different variables
+	origin predOrigin
+}
+
+// holds runs p on e, the candidate at the position it runs at, under
+// binding b. ready is false while b does not bind the other variable of
+// a two-variable predicate. err is the error of an inline value that
+// fails to evaluate.
+func (p *cellPred) holds(ec *evalCtx, b row, e cand) (held, ready bool, err error) {
+	rv := p.c.scalar // null for a value no cell holds
+	if p.val != nil {
+		v, err := ec.eval(p.val, b)
+		if err != nil {
+			return false, true, err
 		}
-		rv = p.r.read(g, re)
+		rv, _ = cellValue(v) // null for a value no cell holds: equals nothing
+	}
+	le, re := e, e
+	if p.pair {
+		if le, ready = p.l.side(b, e); !ready {
+			return false, false, nil
+		}
+		if re, ready = p.r.side(b, e); !ready {
+			return false, false, nil
+		}
 	}
 	switch {
 	case p.never != "":
-		return false, true
+		return false, true, nil
+	case p.isStr && le.node != 0:
+		return ec.g.NodePropIsString(le.node, p.l.key, p.str), true, nil
 	case p.isStr:
-		if id, ok := le.AsNode(); ok {
-			return g.NodePropIsString(id, p.l.key, p.str), true
-		}
-		id, ok := le.AsRel()
-		return ok && g.RelPropIsString(id, p.l.key, p.str), true
+		return le.rel != 0 && ec.g.RelPropIsString(le.rel, p.l.key, p.str), true, nil
+	case p.r.v != "":
+		rv = p.r.read(ec.g, re)
 	}
-	return p.test(p.l.read(g, le), rv), true
+	return p.test(p.l.read(ec.g, le), rv), true, nil
 }
 
 // test applies p's operator to the cell lv and the right-hand value rv as
@@ -134,66 +184,120 @@ func (p *cellPred) test(lv, rv graph.Value) bool {
 	return c >= 0
 }
 
-// cellsHold runs the predicates of a pattern position whose variable is
-// bound on the current binding, and reports whether none that is ready
-// fails.
-func (m *matcher) cellsHold(preds []*cellPred) bool {
+// seeds reports whether p can seed an index lookup at its position: an =
+// or IN with a value, not a second cell.
+func (p *cellPred) seeds() bool { return (p.op == OpEq || p.op == OpIn) && p.r.v == "" }
+
+// cellsHold runs a position's property tests on its candidate e, and
+// reports whether none that is ready fails. err is an inline value's
+// evaluation error.
+func (m *matcher) cellsHold(preds []*cellPred, e cand) (bool, error) {
 	for _, p := range preds {
-		if held, ready := p.holds(m.g, m.binding); ready && !held {
-			return false
+		if held, ready, err := p.holds(m.ec, m.binding, e); err != nil || ready && !held {
+			return false, err
 		}
 	}
-	return true
+	return true, nil
 }
 
-// compileWhere compiles where's conjuncts against the clause's resolved
-// paths: it returns the cell predicates, each also listed on every pattern
-// position that binds one of its variables, and the rest of where that emit
-// still evaluates (nil when nothing is left). It compiles nothing unless
-// every conjunct it leaves cannot fail.
-func compileWhere(ec *evalCtx, paths []resolvedPath, patterns []PatternPath, where Expr) (preds []cellPred, rest Expr) {
-	if where == nil {
-		return nil, nil
+// cellValue is v as a stored cell would hold it: a scalar, or a list of
+// them. ok is false for a value no cell holds: an entity, a map, a path,
+// or a list holding one.
+func cellValue(v Val) (graph.Value, bool) {
+	if s, ok := v.Scalar(); ok {
+		return s, true
 	}
-	var others []Expr
-	var split func(e Expr)
-	split = func(e Expr) {
-		if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
-			split(b.Left)
-			split(b.Right)
-		} else if p, ok := compileConjunct(ec, patterns, e); ok {
-			preds = append(preds, p)
-		} else {
-			others = append(others, e)
+	l, ok := v.AsList()
+	if !ok {
+		return graph.Null(), false
+	}
+	elems := make([]graph.Value, len(l))
+	for i, e := range l {
+		if elems[i], ok = cellValue(e); !ok {
+			return graph.Null(), false
 		}
 	}
-	split(where)
-	if len(preds) == 0 || slices.ContainsFunc(others, func(e Expr) bool { return !cannotFail(ec, patterns, e) }) {
-		return nil, where
+	return graph.List(elems...), true
+}
+
+// inlinePred compiles the inline property `key: e` of the position that
+// binds v (an `=` predicate).
+func inlinePred(ec *evalCtx, v, key string, e Expr) cellPred {
+	p := cellPred{origin: fromInline, op: OpEq, l: keyRef(ec.g, v, key)}
+	if !p.l.known {
+		p.never = fmt.Sprintf("unknown property key `%s`", key)
 	}
-	for _, e := range others {
-		if rest == nil {
+	if !p.setConst(ec, e) {
+		p.val = e
+	}
+	return p
+}
+
+// compileWhere compiles the clause's WHERE: a conjunct of a cell
+// predicate's shape is a fromWhere predicate, one that can only seed an
+// index lookup a seedOnly one, and filter is the rest that emit still
+// evaluates (nil when nothing is left). Nothing is tested during the match
+// unless every conjunct left cannot fail: then the whole WHERE stays at
+// emit, and of its compiled conjuncts those that seed stay seeds. Each
+// predicate is then listed on the node and relationship positions that
+// bind one of its variables.
+func (s *matchSpec) compileWhere(ec *evalCtx) {
+	s.filter = s.where
+	first, compiles := len(s.preds), true
+	var rest Expr
+	eachConjunct(s.where, func(e Expr) {
+		if p, ok := compileConjunct(ec, s.patterns, e); ok {
+			s.preds = append(s.preds, p)
+			return
+		}
+		if p, ok := seedOf(s.patterns, e); ok {
+			s.preds = append(s.preds, p)
+		}
+		if compiles = compiles && cannotFail(ec, s.patterns, e); rest == nil {
 			rest = e
 		} else {
 			rest = &BinaryExpr{Op: OpAnd, Left: rest, Right: e}
 		}
+	})
+	tested := func(p cellPred) bool { return p.origin == fromWhere }
+	if compiles && slices.ContainsFunc(s.preds[first:], tested) {
+		s.filter = rest
+	} else {
+		s.preds = slices.DeleteFunc(s.preds, func(p cellPred) bool { return tested(p) && !p.seeds() })
+		for i := first; i < len(s.preds); i++ {
+			s.preds[i].origin = seedOnly
+		}
 	}
-	for i := range preds {
-		p := &preds[i]
-		for j := range paths {
-			for k := range paths[j].nodes {
-				if v := paths[j].nodes[k].Var; v != "" && (v == p.l.v || v == p.r.v) {
-					paths[j].nodes[k].preds = append(paths[j].nodes[k].preds, p)
+	for i := first; i < len(s.preds); i++ {
+		p := &s.preds[i]
+		reads := func(v string) bool { return v != "" && (v == p.l.v || v == p.r.v) }
+		for j := range s.paths {
+			for k := range s.paths[j].nodes {
+				if n := &s.paths[j].nodes[k]; reads(n.Var) && tested(*p) {
+					n.preds = append(n.preds, p)
+				}
+				if n := &s.paths[j].nodes[k]; reads(n.Var) && p.seeds() {
+					n.seeds = append(n.seeds, p)
 				}
 			}
-			for k := range paths[j].rels {
-				if v := paths[j].rels[k].Var; v != "" && (v == p.l.v || v == p.r.v) {
-					paths[j].rels[k].preds = append(paths[j].rels[k].preds, p)
+			for k := range s.paths[j].rels {
+				if r := &s.paths[j].rels[k]; reads(r.Var) && tested(*p) {
+					r.preds = append(r.preds, p)
 				}
 			}
 		}
 	}
-	return preds, rest
+}
+
+// eachConjunct calls visit for every top-level AND conjunct of e, left to
+// right.
+func eachConjunct(e Expr, visit func(Expr)) {
+	if b, ok := e.(*BinaryExpr); ok && b.Op == OpAnd {
+		eachConjunct(b.Left, visit)
+		eachConjunct(b.Right, visit)
+	} else if e != nil {
+		visit(e)
+	}
 }
 
 // compileConjunct compiles e when it has a cell predicate's shape.
@@ -206,56 +310,101 @@ func compileConjunct(ec *evalCtx, patterns []PatternPath, e Expr) (cellPred, boo
 	if !ok {
 		return cellPred{}, false
 	}
-	p := cellPred{conj: b, op: b.Op, l: l}
+	p := cellPred{origin: fromWhere, conj: b, op: b.Op, l: l}
 	if !l.known {
-		p.never = fmt.Sprintf("unknown property key `%s`", b.Left.(*PropAccess).Key)
+		p.never = fmt.Sprintf("unknown property key `%s`", l.name)
 	}
 	if r, ok := cellOf(ec.g, patterns, b.Right); ok && b.Op != OpIn {
-		p.r = r
+		p.r, p.pair = r, r.v != l.v
 		if !r.known && p.never == "" {
-			p.never = fmt.Sprintf("unknown property key `%s`", b.Right.(*PropAccess).Key)
+			p.never = fmt.Sprintf("unknown property key `%s`", r.name)
 		}
 		return p, true
 	}
-	if !isConstant(b.Right) {
+	return p, p.setConst(ec, b.Right)
+}
+
+// seedOf matches a WHERE conjunct that can seed an index lookup: `v.key =
+// e`, `e = v.key` or `v.key IN e`, v a variable of the clause's patterns
+// and e reading none of them, not even in a subquery's pattern.
+func seedOf(patterns []PatternPath, e Expr) (cellPred, bool) {
+	b, ok := e.(*BinaryExpr)
+	if !ok || b.Op != OpEq && b.Op != OpIn {
 		return cellPred{}, false
 	}
-	v, err := ec.eval(b.Right, nil)
+	bound := func(name string) bool { bound, _ := patternVarKind(patterns, name); return bound }
+	for i, side := range [2][2]Expr{{b.Left, b.Right}, {b.Right, b.Left}} {
+		pa, ok := side[0].(*PropAccess)
+		if !ok || i > 0 && b.Op == OpIn {
+			continue
+		}
+		reads := false
+		freeVars(side[1], func(name string) { reads = reads || bound(name) })
+		if v, ok := pa.Target.(*Variable); ok && bound(v.Name) && !reads {
+			return cellPred{origin: seedOnly, conj: b, op: b.Op, l: cellRef{v: v.Name, name: pa.Key}, val: side[1]}, true
+		}
+	}
+	return cellPred{}, false
+}
+
+// setConst compiles p's value from e, evaluated once, when e is a
+// constant: a literal, a $parameter or a list of them that evaluates
+// without error. It reports false when e is none, or when the conjunct
+// must stay with the evaluator: an IN whose constant is no list, or an
+// ordering against a value no cell holds (never for an `=`).
+func (p *cellPred) setConst(ec *evalCtx, e Expr) bool {
+	if !isConstant(e) {
+		return false
+	}
+	c, err := ec.eval(e, nil)
 	if err != nil {
-		return cellPred{}, false
+		return false
 	}
-	p.c = v
-	if b.Op == OpIn {
-		elems, err := listElems(v)
-		if v.IsNull() {
+	p.c = c
+	if p.op == OpIn {
+		elems, err := listElems(c)
+		if c.IsNull() {
 			p.never = "IN null"
 		} else if err != nil {
-			return cellPred{}, false // the evaluator's error stays in the WHERE
+			return false // the evaluator's error stays in the WHERE
 		}
 		for _, e := range elems {
-			if s, ok := e.Scalar(); ok && !s.IsNull() {
+			if s, ok := cellValue(e); ok && !s.IsNull() {
 				p.in = append(p.in, s)
 			}
 		}
-		return p, true
+		return true
 	}
-	c, ok := v.Scalar()
-	if !ok {
-		return cellPred{}, false
+	cell, ok := cellValue(c)
+	if _, scalar := c.Scalar(); !scalar && p.op != OpEq && p.op != OpNeq {
+		return false
+	} else if !scalar && ok {
+		p.c = ScalarVal(cell)
 	}
-	if s, isStr := c.AsString(); c.IsNull() {
+	switch s, isStr := cell.AsString(); {
+	case c.IsNull():
 		p.never = "compared with null"
-	} else if isStr && b.Op == OpEq {
-		if x, param := b.Right.(*Param); param {
+	case !ok && p.op == OpEq:
+		p.never = "compared with a value no property holds"
+	case !ok:
+		return false
+	case isStr && p.op == OpEq:
+		if x, param := e.(*Param); param {
 			if _, supplied := ec.params[x.Name]; !supplied {
-				return p, true // planned (EXPLAIN) without its value
+				break // planned (EXPLAIN) without its value
 			}
 		}
 		if p.str, p.isStr = ec.g.Interner().Lookup(s); !p.isStr {
 			p.never = fmt.Sprintf("unknown string %q", s)
 		}
 	}
-	return p, true
+	return true
+}
+
+// keyRef resolves v.key against g.
+func keyRef(g *graph.Graph, v, key string) cellRef {
+	id, known := g.KeyID(key)
+	return cellRef{v: v, name: key, key: id, known: known}
 }
 
 // cellOf matches `v.key` where v is a variable patterns bind to nodes or
@@ -272,8 +421,7 @@ func cellOf(g *graph.Graph, patterns []PatternPath, e Expr) (cellRef, bool) {
 	if _, entity := patternVarKind(patterns, v.Name); !entity {
 		return cellRef{}, false
 	}
-	key, known := g.KeyID(pa.Key)
-	return cellRef{v: v.Name, key: key, known: known}, true
+	return keyRef(g, v.Name, pa.Key), true
 }
 
 // isConstant reports whether e is a literal, a $parameter or a list of
@@ -288,15 +436,15 @@ func isConstant(e Expr) bool {
 	return false
 }
 
-// describe renders the conjunct for EXPLAIN, a parameter by name and a
-// string constant quoted.
+// describe renders a WHERE conjunct for EXPLAIN, a parameter by name and
+// a string constant quoted.
 func (p *cellPred) describe() string {
-	l := fmt.Sprintf("%s.%s %s ", p.l.v, p.conj.Left.(*PropAccess).Key, cellOps[p.op])
-	switch r := p.conj.Right.(type) {
-	case *PropAccess:
-		return l + p.r.v + "." + r.Key
-	case *Param:
-		return l + "$" + r.Name
+	l := fmt.Sprintf("%s.%s %s ", p.l.v, p.l.name, cellOps[p.op])
+	if p.r.v != "" {
+		return l + p.r.v + "." + p.r.name
+	}
+	if x, ok := p.conj.Right.(*Param); ok {
+		return l + "$" + x.Name
 	}
 	if s, ok := p.c.AsString(); ok {
 		return l + fmt.Sprintf("%q", s)

@@ -2,6 +2,7 @@ package cypher
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -94,13 +95,13 @@ func FuzzCellPredicate(f *testing.F) {
 		}
 		mc := q.Clauses[0].(*MatchClause)
 		ec := &evalCtx{g: g, params: params}
-		paths, _ := resolvePaths(g, mc.Patterns)
-		preds, rest := compileWhere(ec, paths, mc.Patterns, mc.Where)
+		spec := newMatchSpec(ec, q, mc.Patterns, mc.Where, false)
+		preds := slices.DeleteFunc(spec.preds, func(p cellPred) bool { return p.origin != fromWhere })
 		if len(preds) == 0 {
 			return
 		}
-		if len(preds) != 1 || rest != nil {
-			t.Fatalf("%s: compiled to %d predicates and a rest %v", conj, len(preds), rest)
+		if len(preds) != 1 || spec.filter != nil {
+			t.Fatalf("%s: compiled to %d predicates and a rest %v", conj, len(preds), spec.filter)
 		}
 		p := &preds[0]
 		g.EachRel(func(rid graph.RelID) bool {
@@ -111,8 +112,9 @@ func FuzzCellPredicate(f *testing.F) {
 				t.Fatalf("%s compiled, but the evaluator fails on %v: %v", conj, b, err)
 			}
 			want, null := truth(v)
-			got, ready := p.holds(g, b)
-			if !ready || got != (want && !null) {
+			l, _ := p.l.side(b, cand{})
+			got, ready, err := p.holds(ec, b, l)
+			if err != nil || !ready || got != (want && !null) {
 				t.Fatalf("%s on x=%v r=%v y=%v: compiled says %v (ready %v), the evaluator %v", conj,
 					g.NodeProps(from), g.RelProps(rid), g.NodeProps(to), got, ready, v)
 			}
@@ -230,5 +232,105 @@ func TestCellPredicatesMatchEmit(t *testing.T) {
 				t.Errorf("%s: no rows", atEmit)
 			}
 		}
+	}
+}
+
+// TestStoredListEqualsList checks that a stored list equals a list literal
+// or parameter holding the same elements, by every path that compares
+// them: the evaluator (a WHERE kept at emit by `0 + 0 = 0`), a compiled
+// WHERE, an inline property at the anchor and past it, labelled or not,
+// and DISTINCT.
+func TestStoredListEqualsList(t *testing.T) {
+	g := graph.New()
+	a := g.AddNode([]string{"A"}, graph.Props{"tags": graph.List(graph.Int(1), graph.Int(2))})
+	mustRel(t, g, "R", a, g.AddNode([]string{"B"}, nil), nil)
+	params := map[string]graph.Value{"l": graph.List(graph.Int(1), graph.Int(2))}
+	for _, q := range []string{
+		`MATCH (n:A) WHERE n.tags = [1, 2] RETURN count(*)`,
+		`MATCH (n:A) WHERE n.tags = [1, 2] AND 0 + 0 = 0 RETURN count(*)`,
+		`MATCH (n:A) WHERE n.tags IN [[1, 2]] RETURN count(*)`,
+		`MATCH (n:A) WHERE n.tags IN [[1.0, 2]] AND 0 + 0 = 0 RETURN count(*)`,
+		`MATCH (n:A) WHERE n.tags <> [1, 2] OR n.tags = $l RETURN count(*)`,
+		`MATCH (n:A {tags: [1, 2]}) RETURN count(*)`,
+		`MATCH (n {tags: [1, 2]}) RETURN count(*)`,
+		`MATCH (n:A {tags: $l}) RETURN count(*)`,
+		`MATCH (n {tags: $l}) RETURN count(*)`,
+		`MATCH (b:B) WITH b MATCH (b)--(n:A {tags: [1, 2]}) RETURN count(*)`,
+		`MATCH (n:A) UNWIND [n.tags, [1, 2], $l] AS v WITH DISTINCT v RETURN count(*)`,
+	} {
+		if n, err := mustRun(t, g, q, params).ScalarInt(); err != nil || n != 1 {
+			t.Errorf("%s: %d (err %v), want 1", q, n, err)
+		}
+	}
+}
+
+// TestInlinePropertiesMatchWhere checks that an inline property `{v: c}`
+// answers the rows, or the error, of `WHERE x.v = c` evaluated at emit, on
+// a labelled node (a filtered label scan) and an unlabelled one, at the
+// anchor and past it, and on a single relationship; for every right-hand
+// side FuzzCellPredicate draws, list literals and a list parameter, a
+// missing parameter, and an unknown key and string. Each case runs on a
+// fresh graph, inline form first, so no earlier read has left anything in
+// the dictionary.
+func TestInlinePropertiesMatchWhere(t *testing.T) {
+	params := map[string]Val{
+		"int":   ScalarVal(graph.Int(3)),
+		"str":   ScalarVal(graph.String("ab")),
+		"list":  ListVal([]Val{ScalarVal(graph.Float(3)), NullVal(), NodeVal(1)}),
+		"null":  NullVal(),
+		"slist": ScalarVal(graph.List(graph.Int(1), graph.String("abc"))),
+	}
+	rights := []string{
+		"3", "3.0", "2.5", "-1", "'abc'", "'ab'", "'not stored'", "true", "null",
+		"[3, 'abc', null]", "[2.5, [1, 'abc']]", "[]", "$int", "$str", "$list", "$null",
+		"y.v", "y.w", "y.nokey", "[1, 'abc']", "[1.0, 'abc']", "$slist", "$nope",
+	}
+	// Each form: the inline pattern and its WHERE twin, %[1]s the key and
+	// %[2]s the value; y is bound by the input row.
+	forms := []struct{ inline, where string }{
+		{`MATCH (x:N {%[1]s: %[2]s})`, `MATCH (x:N) WHERE x.%[1]s = %[2]s`},
+		{`MATCH (x {%[1]s: %[2]s})`, `MATCH (x) WHERE x.%[1]s = %[2]s`},
+		{`MATCH (a:N) WITH a, y MATCH (a)-->(x:N {%[1]s: %[2]s})`, `MATCH (a:N) WITH a, y MATCH (a)-->(x:N) WHERE x.%[1]s = %[2]s`},
+		{`MATCH (a:N) WITH a, y MATCH (a)<--(x {%[1]s: %[2]s})`, `MATCH (a:N) WITH a, y MATCH (a)<--(x) WHERE x.%[1]s = %[2]s`},
+		{`MATCH (a)-[x:R {%[1]s: %[2]s}]->(b)`, `MATCH (a)-[x:R]->(b) WHERE x.%[1]s = %[2]s`},
+	}
+	matched := 0
+	for _, f := range forms {
+		for _, key := range []string{"v", "nokey"} {
+			for _, right := range rights {
+				inline := fmt.Sprintf("MATCH (y:N) WITH y "+f.inline+" RETURN y, x", key, right)
+				where := fmt.Sprintf("MATCH (y:N) WITH y "+f.where+" AND 0 + 0 = 0 RETURN y, x", key, right)
+				for _, par := range []int{1, 8} {
+					g := cellPredGraph(t)
+					got, err := execQ(t, g, inline, ExecOptions{ParamVals: params, Parallelism: par})
+					want, wantErr := execQ(t, g, where, ExecOptions{ParamVals: params, Parallelism: par})
+					switch {
+					case wantErr != nil || err != nil:
+						if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+							t.Errorf("%s at Parallelism %d: error %v, want %v", inline, par, err, wantErr)
+						}
+					case resultKey(got) != resultKey(want):
+						t.Errorf("%s at Parallelism %d: %d rows, want the %d of %s", inline, par, got.Len(), want.Len(), where)
+					case want.Len() > 0:
+						matched++
+					}
+				}
+			}
+		}
+	}
+	if matched < 50 {
+		t.Errorf("only %d cases matched any row", matched)
+	}
+}
+
+// TestRelInlinePropertyRunsBeforeFarNode pins where a relationship's inline
+// properties run: on each relationship before the node at its far end is
+// bound, so a value that fails to evaluate is an error even when no far
+// node matches (ORIGINATE never ends at an AS).
+func TestRelInlinePropertyRunsBeforeFarNode(t *testing.T) {
+	g := buildTinyIYP(t)
+	_, err := Run(g, `MATCH (a:AS)-[r:ORIGINATE {reference_name: $nope}]->(p:AS) RETURN count(*)`, nil)
+	if err == nil || !strings.Contains(err.Error(), "parameter $nope not provided") {
+		t.Errorf("error %v, want the missing parameter", err)
 	}
 }

@@ -42,10 +42,9 @@ func walkBranch(ec *evalCtx, q *Query, visit func(cl Clause, plan *clausePlan)) 
 		cp.matchSpec, cp.paths = newMatchSpec(ec, q, mc.Patterns, mc.Where, mc.Optional), cp.paths[:0]
 		cp.ret = returnAtEmit(ec, q, i)
 		cp.in = m.binding
-		m.push = cp.push
-		for _, path := range mc.Patterns {
-			cp.paths = append(cp.paths, m.planPath(path))
-			for _, np := range path.Nodes {
+		for i := range cp.matchSpec.paths {
+			cp.paths = append(cp.paths, m.planPath(&cp.matchSpec.paths[i]))
+			for _, np := range mc.Patterns[i].Nodes {
 				if _, bound := m.binding.get(np.Var); np.Var != "" && !bound {
 					m.binding = append(m.binding, binding{np.Var, NodeVal(0)})
 				}
@@ -125,26 +124,29 @@ func explainMatch(sb *strings.Builder, plan *clausePlan) {
 	if plan.never != "" {
 		fmt.Fprintf(sb, "  never matches: %s\n", plan.never)
 	}
-	if len(plan.push) > 0 {
-		parts := make([]string, len(plan.push))
-		for j, pd := range plan.push {
-			op := "="
-			if pd.In {
-				op = "IN"
-			}
-			parts[j] = fmt.Sprintf("%s.%s %s …", pd.Var, pd.Key, op)
+	var seeds []string
+	for i := range plan.preds {
+		if p := &plan.preds[i]; p.origin != fromInline && p.seeds() {
+			seeds = append(seeds, fmt.Sprintf("%s.%s %s …", p.l.v, p.l.name, cellOps[p.op]))
 		}
-		fmt.Fprintf(sb, "  index-serviceable WHERE predicates: %s\n", strings.Join(parts, ", "))
 	}
+	if len(seeds) > 0 {
+		fmt.Fprintf(sb, "  index-serviceable WHERE predicates: %s\n", strings.Join(seeds, ", "))
+	}
+	tested := false
 	for i, site := range predicateSites(plan) {
 		p := &plan.preds[i]
-		if p.never != "" {
+		switch {
+		case p.origin != fromWhere:
+			continue
+		case p.never != "":
 			fmt.Fprintf(sb, "  cell predicate at %s: %s — never holds: %s\n", site, p.describe(), p.never)
-		} else {
+		default:
 			fmt.Fprintf(sb, "  cell predicate at %s: %s\n", site, p.describe())
 		}
+		tested = true
 	}
-	if len(plan.preds) > 0 && plan.filter != nil {
+	if tested && plan.filter != nil {
 		sb.WriteString("  rest of WHERE evaluated at match emit\n")
 	}
 	spec := plan.matchSpec
@@ -170,10 +172,10 @@ func explainMatch(sb *strings.Builder, plan *clausePlan) {
 	}
 }
 
-// predicateSites names, for each of plan's cell predicates, the pattern
-// position the matcher runs it at: the first position, in the order the
-// plan binds them, that binds one of its variables once all of them are
-// bound.
+// predicateSites names, for each of plan's compiled WHERE conjuncts, the
+// pattern position the matcher runs it at: the first position, in the
+// order the plan binds them, that binds one of its variables once all of
+// them are bound.
 func predicateSites(plan *clausePlan) []string {
 	sites := make([]string, len(plan.preds))
 	bound := map[string]bool{}
@@ -187,7 +189,7 @@ func predicateSites(plan *clausePlan) []string {
 		bound[name] = true
 		for i := range plan.preds {
 			p := &plan.preds[i]
-			if sites[i] == "" && (name == p.l.v || name == p.r.v) && bound[p.l.v] && (p.r.v == "" || bound[p.r.v]) {
+			if p.origin == fromWhere && sites[i] == "" && (name == p.l.v || name == p.r.v) && bound[p.l.v] && (p.r.v == "" || bound[p.r.v]) {
 				sites[i] = site
 			}
 		}

@@ -21,7 +21,6 @@ type matcher struct {
 	ctx       context.Context       // nil = never cancelled (Explain)
 	binding   row                   // mutated during search (append + truncate)
 	used      stackSet[graph.RelID] // rels used by the current pattern
-	push      []pushdown            // WHERE conjuncts usable for anchor index lookups
 	paths     []resolvedPath        // the clause's patterns, resolved against g (nil when only planning)
 	emit      func() error          // called with binding fully extended
 	ticks     int                   // cooperative-cancellation tick counter
@@ -234,7 +233,7 @@ func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
 	rp := &path.rels[0]
 	startNP, endNP := &path.nodes[0], &path.nodes[1]
 	// Root the BFS at the cheaper end, flipping the pattern when needed.
-	plan := m.planPath(*path.PatternPath)
+	plan := m.planPath(path)
 	if plan.anchor == 1 {
 		startNP, endNP = endNP, startNP
 	}
@@ -315,7 +314,7 @@ func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
 			rels := m.scanRels(cur.id, dir, rp)
 			defer m.release()
 			for _, rid := range rels {
-				ok, err := m.propsMatch(rp.props, 0, rid)
+				ok, err := m.cellsHold(rp.preds, cand{v: rp.Var, rel: rid})
 				if err != nil {
 					return err
 				}
@@ -366,7 +365,7 @@ func (m *matcher) solveShortest(path *resolvedPath, cont func() error) error {
 // solvePathAll is the general backtracking matcher: plan the path against
 // the current binding, then expand from every candidate of its anchor.
 func (m *matcher) solvePathAll(path *resolvedPath, cont func() error) error {
-	plan := m.planPath(*path.PatternPath)
+	plan := m.planPath(path)
 	return m.solvePathPlanned(path, plan.anchor, m.candidates(path.Nodes[plan.anchor], plan.acc, nil), cont)
 }
 
@@ -524,7 +523,8 @@ func (m *matcher) tryRel(rp *resolvedRel, np *resolvedNode, cur graph.NodeID, di
 			return nil
 		}
 	}
-	ok, err := m.propsMatch(rp.props, 0, rid)
+	e := cand{v: rp.Var, rel: rid}
+	ok, err := m.cellsHold(rp.preds[:rp.inline], e)
 	if err != nil || !ok {
 		return err
 	}
@@ -539,9 +539,9 @@ func (m *matcher) tryRel(rp *resolvedRel, np *resolvedNode, cur graph.NodeID, di
 	if rp.Var != "" && !preBound {
 		m.binding = append(m.binding, binding{rp.Var, RelVal(rid)})
 	}
-	if !m.cellsHold(rp.preds) {
+	if ok, err := m.cellsHold(rp.preds[rp.inline:], e); err != nil || !ok {
 		m.binding = m.binding[:mark]
-		return nil
+		return err
 	}
 	m.used.push(rid)
 	nodeIDs[toIdx] = other
@@ -609,7 +609,7 @@ func (m *matcher) expandVarLen(rp *resolvedRel, np *resolvedNode, cur graph.Node
 			if m.relUsed(rid) {
 				continue
 			}
-			ok, err := m.propsMatch(rp.props, 0, rid)
+			ok, err := m.cellsHold(rp.preds, cand{v: rp.Var, rel: rid})
 			if err != nil {
 				return err
 			}
@@ -646,29 +646,23 @@ func (m *matcher) bindNode(np *resolvedNode, id graph.NodeID) (mark int, ok bool
 	}
 	if np.Var != "" {
 		if bv, exists := m.binding.get(np.Var); exists {
-			bn, isNode := bv.AsNode()
-			if !isNode || bn != id {
+			if bn, isNode := bv.AsNode(); !isNode || bn != id {
 				return mark, false, nil
 			}
 			ok, err := m.nodeSatisfies(np, id)
-			return mark, ok && m.cellsHold(np.preds), err
+			return mark, ok, err
 		}
 	}
 	if ok, err := m.nodeSatisfies(np, id); !ok || err != nil {
 		return mark, false, err
 	}
-	if np.Var == "" {
-		return mark, true, nil
-	}
-	m.binding = append(m.binding, binding{np.Var, NodeVal(id)})
-	if !m.cellsHold(np.preds) {
-		m.binding = m.binding[:mark]
-		return mark, false, nil
+	if np.Var != "" {
+		m.binding = append(m.binding, binding{np.Var, NodeVal(id)})
 	}
 	return mark, true, nil
 }
 
-// nodeSatisfies checks the node's labels and inline properties. An inline
+// nodeSatisfies checks the node's labels and property tests. An inline
 // value that fails to evaluate is an error, as it is for a relationship.
 func (m *matcher) nodeSatisfies(np *resolvedNode, id graph.NodeID) (bool, error) {
 	for _, l := range np.labels {
@@ -676,41 +670,7 @@ func (m *matcher) nodeSatisfies(np *resolvedNode, id graph.NodeID) (bool, error)
 			return false, nil
 		}
 	}
-	return m.propsMatch(np.props, id, 0)
-}
-
-// propsMatch checks resolved inline properties against node id, or
-// against relationship rid when id is 0.
-func (m *matcher) propsMatch(props []resolvedProp, id graph.NodeID, rid graph.RelID) (bool, error) {
-	for i := range props {
-		p := &props[i]
-		if p.isStr {
-			if id != 0 && !m.g.NodePropIsString(id, p.key, p.str) || id == 0 && !m.g.RelPropIsString(rid, p.key, p.str) {
-				return false, nil
-			}
-			continue
-		}
-		want, err := m.ec.eval(p.val, m.binding)
-		if err != nil {
-			return false, err
-		}
-		// A null equals nothing, and a key the graph does not store holds
-		// nothing.
-		ws, ok := want.Scalar()
-		if !ok || ws.IsNull() || !p.known {
-			return false, nil
-		}
-		var have graph.Value
-		if id != 0 {
-			have = m.g.NodePropByID(id, p.key)
-		} else {
-			have = m.g.RelPropByID(rid, p.key)
-		}
-		if !have.Equal(ws) {
-			return false, nil
-		}
-	}
-	return true, nil
+	return m.cellsHold(np.preds, cand{v: np.Var, node: id})
 }
 
 func (m *matcher) buildPath(nodeIDs []graph.NodeID, relVals []Val) Val {

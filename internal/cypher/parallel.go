@@ -13,8 +13,8 @@ import (
 // COUNT {} subquery, a MERGE probe — is one call to runMatch:
 //
 //   - What is fixed for the clause (its pattern names resolved to the
-//     graph's ids, WHERE pushdowns, the WHERE conjuncts compiled into cell
-//     predicates the matcher runs as soon as their variables are bound, the
+//     graph's ids, its inline properties and WHERE conjuncts compiled into
+//     the property tests and index seeds of its pattern positions, the
 //     static reason it may not be split) is collected once per clause
 //     execution, in newMatchSpec. A clause that names something the graph
 //     has never stored matches nothing and plans no work.
@@ -106,10 +106,9 @@ type matchSpec struct {
 	paths    []resolvedPath // patterns resolved against the executing graph
 	never    string         // non-empty: why the clause matches nothing (resolvePaths)
 	where    Expr
-	preds    []cellPred // WHERE conjuncts the matcher tests on stored cells (compileWhere)
-	filter   Expr       // the rest of where, evaluated at emit
+	preds    []cellPred // the property tests and index seeds: inline properties, then WHERE conjuncts
+	filter   Expr       // the rest of where, evaluated at emit (compileWhere)
 	optional bool
-	push     []pushdown    // WHERE conjuncts usable for anchor index lookups
 	reason   string        // serialReason: "" = the anchor's candidates are split into morsels
 	ret      *ReturnClause // the final RETURN evaluated at emit; nil keeps whole bindings
 	memo     memoPlan      // where the matcher skips suffix states it has expanded (newMemoPlan)
@@ -119,19 +118,16 @@ type matchSpec struct {
 // graph and parameters. It runs per execution, not per parse, because the
 // ids it resolves are those of the graph.
 func newMatchSpec(ec *evalCtx, q *Query, patterns []PatternPath, where Expr, optional bool) matchSpec {
-	paths, never := resolvePaths(ec.g, patterns)
-	preds, filter := compileWhere(ec, paths, patterns, where)
-	return matchSpec{
-		patterns: patterns,
-		paths:    paths,
-		never:    never,
-		where:    where,
-		preds:    preds,
-		filter:   filter,
-		optional: optional,
-		push:     collectPushdowns(where, patternVarSet(patterns)),
-		reason:   serialReason(q, patterns),
-	}
+	s := matchSpec{patterns: patterns, where: where, optional: optional, reason: serialReason(q, patterns)}
+	// Every inline property and WHERE conjunct compiles to at most one
+	// predicate, and positions point into preds: it never grows.
+	n := 0
+	eachConjunct(where, func(Expr) { n++ })
+	walkPatternProps(patterns, func(Expr) { n++ })
+	s.preds = make([]cellPred, 0, n)
+	s.resolvePaths(ec)
+	s.compileWhere(ec)
+	return s
 }
 
 // segment is one input row's share of a work item: input row `row`
@@ -228,9 +224,8 @@ func (ex *executor) runMatch(spec matchSpec, in []row, cap, workers int) ([]row,
 				continue
 			}
 			planner.binding = in[next]
-			path := spec.patterns[0]
-			plan := planner.planPath(path)
-			cands := planner.candidates(path.Nodes[plan.anchor], plan.acc, &ids)
+			plan := planner.planPath(&spec.paths[0])
+			cands := planner.candidates(spec.patterns[0].Nodes[plan.anchor], plan.acc, &ids)
 			if len(cands) == 1 && workers >= 2 {
 				if n := run.cut(in[next], plan.anchor, cands[0]); n > 0 {
 					for _, sp := range run.spans {
@@ -376,7 +371,7 @@ func (spec *matchSpec) cutHop(b row, anchor int) (*resolvedRel, graph.Dir, bool)
 }
 
 func (ex *executor) newMatcher(spec matchSpec) matcher {
-	return matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, push: spec.push, paths: spec.paths, memo: spec.memo}
+	return matcher{ec: ex.ec, g: ex.g, ctx: ex.ctx, paths: spec.paths, memo: spec.memo}
 }
 
 // execute runs the current window with `workers` workers: one runs on the

@@ -11,14 +11,15 @@ import (
 // Statistics-driven access planning for MATCH patterns. planPath decides,
 // per pattern path, which node position anchors the search and how its
 // candidates are produced — a bound variable, a (label,property) index
-// lookup seeded by inline props or WHERE pushdowns, a filtered label scan,
-// a plain label scan, or a full node scan — using the graph's maintained
-// cardinality counters (graph.PropCardinality, CountByLabel, NumNodes) to
-// estimate each option. planPath is the only place an anchor is chosen: the
-// MATCH driver (parallel.go) calls it once per input row, and EXPLAIN and
-// the cost estimator reach it through the one clause walk they share
-// (walkBranch, explain.go), so what EXPLAIN prints and what admission
-// control costs is what runs.
+// lookup seeded by one of the position's =/IN predicates (an inline
+// property or a WHERE conjunct, cellpred.go), a label scan filtered on an
+// inline property, a plain label scan, or a full node scan — using the
+// graph's maintained cardinality counters (graph.PropCardinality,
+// CountByLabel, NumNodes) to estimate each option. planPath is the only
+// place an anchor is chosen: the MATCH driver (parallel.go) calls it once
+// per input row, and EXPLAIN and the cost estimator reach it through the
+// one clause walk they share (walkBranch, explain.go), so what EXPLAIN
+// prints and what admission control costs is what runs.
 
 // accessKind enumerates anchor candidate sources, cheapest first.
 type accessKind int
@@ -30,81 +31,6 @@ const (
 	accessLabelScan                   // scan of the rarest label
 	accessFullScan                    // every node
 )
-
-// pushdown is one WHERE conjunct of the form `var.key = expr` or `var.key
-// IN expr` whose value expression does not depend on variables introduced
-// by the clause's own patterns. Such a conjunct can seed the anchor's
-// candidate enumeration through a (label,key) index before expansion
-// starts; every conjunct is still checked on every binding (as a cell
-// predicate or at emit), so a pushdown only ever restricts the candidate
-// set.
-type pushdown struct {
-	Var string
-	Key string
-	In  bool // `IN expr` rather than `= expr`
-	Val Expr // the value expression (for IN, the list expression)
-}
-
-// collectPushdowns splits where into top-level AND conjuncts and keeps the
-// index-serviceable ones. patVars is the set of variables the clause's own
-// patterns introduce: a value expression referencing any of them cannot be
-// resolved before enumeration and is not collected.
-func collectPushdowns(where Expr, patVars map[string]bool) []pushdown {
-	var out []pushdown
-	var walk func(e Expr)
-	walk = func(e Expr) {
-		b, ok := e.(*BinaryExpr)
-		if !ok {
-			return
-		}
-		switch b.Op {
-		case OpAnd:
-			walk(b.Left)
-			walk(b.Right)
-		case OpEq:
-			if pd, ok := eqPushdown(b.Left, b.Right, patVars); ok {
-				out = append(out, pd)
-			} else if pd, ok := eqPushdown(b.Right, b.Left, patVars); ok {
-				out = append(out, pd)
-			}
-		case OpIn:
-			if pa, ok := propOfPatternVar(b.Left, patVars); ok && !refsAny(b.Right, patVars) {
-				out = append(out, pushdown{Var: pa.Target.(*Variable).Name, Key: pa.Key, In: true, Val: b.Right})
-			}
-		}
-	}
-	walk(where)
-	return out
-}
-
-func eqPushdown(lhs, rhs Expr, patVars map[string]bool) (pushdown, bool) {
-	pa, ok := propOfPatternVar(lhs, patVars)
-	if !ok || refsAny(rhs, patVars) {
-		return pushdown{}, false
-	}
-	return pushdown{Var: pa.Target.(*Variable).Name, Key: pa.Key, Val: rhs}, true
-}
-
-// propOfPatternVar matches `v.key` where v is one of the clause's pattern
-// variables.
-func propOfPatternVar(e Expr, patVars map[string]bool) (*PropAccess, bool) {
-	pa, ok := e.(*PropAccess)
-	if !ok {
-		return nil, false
-	}
-	v, ok := pa.Target.(*Variable)
-	if !ok || !patVars[v.Name] {
-		return nil, false
-	}
-	return pa, true
-}
-
-// refsAny reports whether e references any variable in vars.
-func refsAny(e Expr, vars map[string]bool) bool {
-	found := false
-	freeVars(e, func(name string) { found = found || vars[name] })
-	return found
-}
 
 // freeVars calls visit for every variable e reads. A variable a list
 // comprehension binds is not read within its scope. Every variable an EXISTS
@@ -199,21 +125,19 @@ func walkPatternProps(paths []PatternPath, visit func(Expr)) {
 // anchorAccess is the planned candidate source for one node position.
 type anchorAccess struct {
 	kind  accessKind
-	label string // accessIndex / accessPropScan / accessLabelScan
-	key   string // accessIndex / accessPropScan
+	label string    // accessIndex / accessPropScan / accessLabelScan
+	pred  *cellPred // accessIndex / accessPropScan: the predicate whose key and value are looked up
 	// vals are the resolved lookup values for accessIndex, already
 	// deduplicated. Empty with kind accessIndex means the predicate is
 	// statically unsatisfiable (e.g. `= null`): zero candidates.
-	vals     []graph.Value
-	fromPush bool    // accessIndex seeded by a WHERE pushdown, not an inline prop
-	in       bool    // pushdown used IN rather than equality
-	est      float64 // estimated candidate count after the access filter
-	cost     float64 // anchor-selection cost; lower wins
+	vals []graph.Value
+	est  float64 // estimated candidate count after the access filter
+	cost float64 // anchor-selection cost; lower wins
 }
 
-// planAccess decides how to enumerate candidates for node pattern np given
-// the current binding and the clause's pushdowns (m.push).
-func (m *matcher) planAccess(np NodePattern) anchorAccess {
+// planAccess decides how to enumerate candidates for node position np
+// given the current binding.
+func (m *matcher) planAccess(np *resolvedNode) anchorAccess {
 	if np.Var != "" {
 		if v, ok := m.binding.get(np.Var); ok {
 			if _, isNode := v.AsNode(); isNode {
@@ -235,8 +159,8 @@ func (m *matcher) planAccess(np NodePattern) anchorAccess {
 		if len(np.Props) > 0 {
 			// Unindexed inline props: NodesByProp scans the label but the
 			// equality filter usually discards most of it.
-			key := sortedPropKeys(np.Props)[0]
-			return anchorAccess{kind: accessPropScan, label: label, key: key,
+			p := np.preds[0] // the first inline property in key order
+			return anchorAccess{kind: accessPropScan, label: label, pred: p,
 				est: float64(minCount), cost: 1 + float64(minCount)/2}
 		}
 		return anchorAccess{kind: accessLabelScan, label: label,
@@ -246,88 +170,58 @@ func (m *matcher) planAccess(np NodePattern) anchorAccess {
 	return anchorAccess{kind: accessFullScan, est: n, cost: 3 + n}
 }
 
-// planIndexAccess tries every (label, key) pair available from inline
-// properties and WHERE pushdowns, resolves the lookup values against the
-// current binding, and returns the indexed access with the smallest
+// planIndexAccess tries every (label, key) pair of a label of np and a
+// predicate that seeds it, resolves the predicate's lookup values against
+// the current binding, and returns the indexed access with the smallest
 // estimated candidate count. ok is false when no pair has an index or
 // resolvable values.
-func (m *matcher) planIndexAccess(np NodePattern) (anchorAccess, bool) {
-	best := anchorAccess{}
-	found := false
-	consider := func(acc anchorAccess) {
-		if !found || acc.est < best.est {
-			best, found = acc, true
-		}
-	}
+func (m *matcher) planIndexAccess(np *resolvedNode) (best anchorAccess, ok bool) {
 	for _, label := range np.Labels {
-		for _, key := range sortedPropKeys(np.Props) {
-			if !m.g.HasIndex(label, key) {
+		for _, p := range np.seeds {
+			if !m.g.HasIndex(label, p.l.name) {
 				continue
 			}
-			v, err := m.ec.eval(np.Props[key], m.binding)
-			if err != nil {
+			vals, resolved := m.lookupVals(p)
+			if !resolved {
 				continue
 			}
-			sv, ok := v.Scalar()
-			if !ok {
-				continue
+			est := m.g.PropCardinality(label, p.l.name).Selectivity() * float64(len(vals))
+			if !ok || est < best.est {
+				best, ok = anchorAccess{kind: accessIndex, label: label, pred: p,
+					vals: vals, est: est, cost: 1 + est}, true
 			}
-			sel := m.g.PropCardinality(label, key).Selectivity()
-			consider(anchorAccess{kind: accessIndex, label: label, key: key,
-				vals: []graph.Value{sv}, est: sel, cost: 1 + sel})
-		}
-		for _, pd := range m.push {
-			if pd.Var == "" || pd.Var != np.Var || !m.g.HasIndex(label, pd.Key) {
-				continue
-			}
-			vals, ok := m.resolvePushdownVals(pd)
-			if !ok {
-				continue
-			}
-			sel := m.g.PropCardinality(label, pd.Key).Selectivity()
-			consider(anchorAccess{kind: accessIndex, label: label, key: pd.Key,
-				vals: vals, fromPush: true, in: pd.In,
-				est: sel * float64(len(vals)), cost: 1 + sel*float64(len(vals))})
 		}
 	}
-	return best, found
+	return best, ok
 }
 
-// resolvePushdownVals evaluates a pushdown's value expression to concrete
-// lookup values. ok is false when the expression cannot be resolved into
-// index lookups without changing semantics — evaluation errors (which must
-// surface at WHERE time), non-list IN operands, or list elements that are
-// not graph scalars.
-func (m *matcher) resolvePushdownVals(pd pushdown) ([]graph.Value, bool) {
-	v, err := m.ec.eval(pd.Val, m.binding)
-	if err != nil {
-		return nil, false
+// lookupVals evaluates p's value under the current binding to concrete
+// lookup values. ok is false when the value cannot be resolved into index
+// lookups without changing semantics — evaluation errors (which must
+// surface when the predicate is tested), non-list IN operands, or values
+// no stored cell can hold.
+func (m *matcher) lookupVals(p *cellPred) ([]graph.Value, bool) {
+	v := p.c
+	if p.val != nil {
+		var err error
+		if v, err = m.ec.eval(p.val, m.binding); err != nil {
+			return nil, false
+		}
 	}
 	if v.IsNull() {
-		// `= null` and `IN null` evaluate to null: the conjunct — and with
-		// it the whole AND — never holds, so the candidate set is empty.
+		// `= null` and `IN null` evaluate to null: the predicate never
+		// holds, so the candidate set is empty.
 		return nil, true
 	}
-	if !pd.In {
-		sv, ok := v.Scalar()
+	if p.op != OpIn {
+		c, ok := cellValue(v)
 		if !ok {
 			return nil, false
 		}
-		return []graph.Value{sv}, true
+		return []graph.Value{c}, true
 	}
-	elems, ok := v.AsList()
-	if !ok {
-		if sv, isScalar := v.Scalar(); isScalar {
-			if gl, isList := sv.AsList(); isList {
-				out := make([]graph.Value, 0, len(gl))
-				for _, e := range gl {
-					if !e.IsNull() {
-						out = append(out, e)
-					}
-				}
-				return dedupeVals(out), true
-			}
-		}
+	elems, err := listElems(v)
+	if err != nil {
 		return nil, false // IN over a non-list errors at eval time; keep that
 	}
 	out := make([]graph.Value, 0, len(elems))
@@ -335,11 +229,11 @@ func (m *matcher) resolvePushdownVals(pd pushdown) ([]graph.Value, bool) {
 		if e.IsNull() {
 			continue // null never equals a stored value
 		}
-		sv, isScalar := e.Scalar()
-		if !isScalar {
+		c, ok := cellValue(e)
+		if !ok {
 			return nil, false
 		}
-		out = append(out, sv)
+		out = append(out, c)
 	}
 	return dedupeVals(out), true
 }
@@ -355,15 +249,6 @@ func dedupeVals(vals []graph.Value) []graph.Value {
 		}
 	}
 	return out
-}
-
-func sortedPropKeys(props map[string]Expr) []string {
-	ks := make([]string, 0, len(props))
-	for k := range props {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 // pathPlan is the chosen start strategy for one pattern path.
@@ -384,15 +269,15 @@ var testPlannerHook func(op string, path PatternPath, plan pathPlan)
 // A bound variable costs 0, which no access undercuts, so the first one
 // ends the search: a second MATCH anchored on a bound variable plans each
 // input row without costing its other positions.
-func (m *matcher) planPath(path PatternPath) pathPlan {
-	plan := pathPlan{acc: m.planAccess(path.Nodes[0])}
-	for i := 1; i < len(path.Nodes) && plan.acc.cost > 0; i++ {
-		if acc := m.planAccess(path.Nodes[i]); acc.cost < plan.acc.cost {
+func (m *matcher) planPath(path *resolvedPath) pathPlan {
+	plan := pathPlan{acc: m.planAccess(&path.nodes[0])}
+	for i := 1; i < len(path.nodes) && plan.acc.cost > 0; i++ {
+		if acc := m.planAccess(&path.nodes[i]); acc.cost < plan.acc.cost {
 			plan = pathPlan{anchor: i, acc: acc}
 		}
 	}
 	if testPlannerHook != nil {
-		testPlannerHook("plan", path, plan)
+		testPlannerHook("plan", *path.PatternPath, plan)
 	}
 	return plan
 }
@@ -425,10 +310,11 @@ func (m *matcher) candidates(np NodePattern, acc anchorAccess, ids *[]graph.Node
 	case accessPropScan:
 		// NodesByProp falls back to a filtered label scan when no index
 		// exists; remaining constraints are verified by nodeSatisfies.
-		if v, err := m.ec.eval(np.Props[acc.key], m.binding); err == nil {
-			if sv, ok := v.Scalar(); ok {
-				return m.g.NodesByProp(acc.label, acc.key, sv)
+		if vals, ok := m.lookupVals(acc.pred); ok {
+			if len(vals) == 0 {
+				return nil
 			}
+			return m.g.NodesByProp(acc.label, acc.pred.l.name, vals[0])
 		}
 		// Unresolvable inline value: scan the label and let nodeSatisfies
 		// re-evaluate it per candidate, returning its error.
@@ -452,12 +338,12 @@ func (m *matcher) plannedIndexIDs(acc anchorAccess) []graph.NodeID {
 		return nil
 	}
 	if len(acc.vals) == 1 {
-		return m.g.NodesByProp(acc.label, acc.key, acc.vals[0])
+		return m.g.NodesByProp(acc.label, acc.pred.l.name, acc.vals[0])
 	}
 	var ids []graph.NodeID
 	seen := map[graph.NodeID]bool{}
 	for _, v := range acc.vals {
-		for _, id := range m.g.NodesByProp(acc.label, acc.key, v) {
+		for _, id := range m.g.NodesByProp(acc.label, acc.pred.l.name, v) {
 			if !seen[id] {
 				seen[id] = true
 				ids = append(ids, id)
@@ -475,14 +361,11 @@ func (acc anchorAccess) describe(np NodePattern) string {
 		return fmt.Sprintf("bound variable `%s`", np.Var)
 	case accessIndex:
 		src := "inline property"
-		if acc.fromPush {
-			src = "WHERE pushdown ="
-			if acc.in {
-				src = "WHERE pushdown IN"
-			}
+		if acc.pred.origin != fromInline {
+			src = "WHERE pushdown " + cellOps[acc.pred.op]
 		}
 		return fmt.Sprintf("index lookup %s.%s (%s, est. %s rows)",
-			acc.label, acc.key, src, fmtEst(acc.est))
+			acc.label, acc.pred.l.name, src, fmtEst(acc.est))
 	case accessPropScan:
 		return fmt.Sprintf("label scan :%s filtered on properties (%d nodes)",
 			acc.label, int(acc.est))
@@ -496,13 +379,4 @@ func (acc anchorAccess) describe(np NodePattern) string {
 func fmtEst(f float64) string {
 	s := fmt.Sprintf("%.1f", f)
 	return strings.TrimSuffix(s, ".0")
-}
-
-// patternVarSet collects the variables a clause's patterns introduce.
-func patternVarSet(patterns []PatternPath) map[string]bool {
-	set := map[string]bool{}
-	for _, name := range patternVars(patterns) {
-		set[name] = true
-	}
-	return set
 }

@@ -11,14 +11,25 @@ import (
 	"iyp/internal/graph"
 )
 
-func parseWhere(t *testing.T, src string) (Expr, map[string]bool) {
+// serviceable returns the predicates EXPLAIN lists as index-serviceable
+// for the query's first MATCH clause.
+func serviceable(t *testing.T, g *graph.Graph, src string) map[string]bool {
 	t.Helper()
-	q, err := Parse(src)
+	out, err := Explain(g, src)
 	if err != nil {
-		t.Fatalf("parse %q: %v", src, err)
+		t.Fatalf("explain %q: %v", src, err)
 	}
-	mc := q.Clauses[0].(*MatchClause)
-	return mc.Where, patternVarSet(mc.Patterns)
+	got := map[string]bool{}
+	const prefix = "  index-serviceable WHERE predicates: "
+	for _, line := range strings.Split(out, "\n") {
+		if list, ok := strings.CutPrefix(line, prefix); ok {
+			for _, p := range strings.Split(list, ", ") {
+				got[strings.TrimSuffix(p, " …")] = true
+			}
+			break
+		}
+	}
+	return got
 }
 
 func TestPushdownCollection(t *testing.T) {
@@ -26,37 +37,27 @@ func TestPushdownCollection(t *testing.T) {
 	// orientations and through nested ANDs; IN is collected; anything
 	// referencing the clause's own pattern variables on the value side is
 	// not.
-	where, vars := parseWhere(t,
+	g := buildTinyIYP(t)
+	got := serviceable(t, g,
 		`MATCH (a:AS)-[:ORIGINATE]->(p:Prefix)
 		 WHERE a.asn = 64500 AND "x" = p.prefix AND p.af IN [4, 6] AND a.name = p.prefix
 		 RETURN a`)
-	pds := collectPushdowns(where, vars)
-	got := map[string]bool{}
-	for _, pd := range pds {
-		key := pd.Var + "." + pd.Key
-		if pd.In {
-			key += " IN"
-		}
-		got[key] = true
-	}
-	for _, want := range []string{"a.asn", "p.prefix", "p.af IN"} {
+	for _, want := range []string{"a.asn =", "p.prefix =", "p.af IN"} {
 		if !got[want] {
 			t.Errorf("pushdown %s not collected (got %v)", want, got)
 		}
 	}
-	if got["a.name"] {
+	if got["a.name ="] {
 		t.Error("a.name = p.prefix references a pattern variable and must not be collected")
 	}
 
 	// OR poisons the whole disjunction: no conjunct under it is safe.
-	where, vars = parseWhere(t, `MATCH (a:AS) WHERE a.asn = 1 OR a.asn = 2 RETURN a`)
-	if pds := collectPushdowns(where, vars); len(pds) != 0 {
+	if pds := serviceable(t, g, `MATCH (a:AS) WHERE a.asn = 1 OR a.asn = 2 RETURN a`); len(pds) != 0 {
 		t.Errorf("OR must not produce pushdowns, got %v", pds)
 	}
 
 	// Variables bound before the clause (not in patVars) are resolvable.
-	where, vars = parseWhere(t, `MATCH (a:AS) WHERE a.asn = $wanted RETURN a`)
-	if pds := collectPushdowns(where, vars); len(pds) != 1 {
+	if pds := serviceable(t, g, `MATCH (a:AS) WHERE a.asn = $wanted RETURN a`); len(pds) != 1 {
 		t.Errorf("parameter RHS must be collected, got %v", pds)
 	}
 }
@@ -132,8 +133,7 @@ func TestPushdownSubqueryPatternVars(t *testing.T) {
 			t.Errorf("%s: EXPLAIN lists a.asn as index-serviceable: %v, want %v\n%s", tc.q, got, tc.push, out)
 		}
 	}
-	where, vars := parseWhere(t, `MATCH (a:AS)-[:R]-(b:AS) WHERE a.asn = COUNT { (b)--() } RETURN a`)
-	if pds := collectPushdowns(where, vars); len(pds) != 0 {
+	if pds := serviceable(t, g, `MATCH (a:AS)-[:R]-(b:AS) WHERE a.asn = COUNT { (b)--() } RETURN a`); len(pds) != 0 {
 		t.Errorf("a.asn = COUNT { (b)--() } must not be collected, got %v", pds)
 	}
 }

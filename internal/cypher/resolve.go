@@ -3,18 +3,20 @@ package cypher
 import (
 	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"iyp/internal/graph"
 )
 
-// Names resolved to graph ids. A MATCH clause's labels, relationship types,
-// inline property keys and inline string literals are resolved against the
-// graph the clause executes on, once per clause execution (newMatchSpec),
-// so the matcher's per-candidate checks and adjacency scans compare
-// integers. The ids live in a side table beside the AST, indexed by pattern
-// position, never in the AST itself: a parsed query is cached and executed
-// against every generation, and a later generation may store names an
-// earlier one had never seen.
+// Names resolved to graph ids. A MATCH clause's labels and relationship
+// types are resolved against the graph the clause executes on, once per
+// clause execution (newMatchSpec), and its inline properties compiled into
+// property tests (cellpred.go), so the matcher's per-candidate checks and
+// adjacency scans compare integers. The ids live in a side table beside the
+// AST, indexed by pattern position, never in the AST itself: a parsed query
+// is cached and executed against every generation, and a later generation
+// may store names an earlier one had never seen.
 
 // resolvedPath is one pattern path's side table: the resolved element at
 // every node and relationship position of the embedded path.
@@ -24,47 +26,41 @@ type resolvedPath struct {
 	rels  []resolvedRel
 }
 
-// resolvedNode is a node pattern with its labels and inline properties
-// resolved, and the WHERE's cell predicates that read its variable.
+// resolvedNode is a node pattern with its labels resolved, the property
+// tests its candidates must pass — its inline properties, then the WHERE's
+// — and the =/IN predicates on its variable that can seed an index lookup
+// when it anchors the path.
 type resolvedNode struct {
 	*NodePattern
 	labels []uint16
-	props  []resolvedProp
 	preds  []*cellPred
+	seeds  []*cellPred
 }
 
-// resolvedRel is a relationship pattern with its type alternation and
-// inline properties resolved, and the WHERE's cell predicates that read its
-// variable. none marks a pattern no relationship of the graph satisfies;
-// otherwise empty types admit every type.
+// resolvedRel is a relationship pattern with its type alternation resolved
+// and the property tests its relationships must pass: preds[:inline] are
+// its inline properties, tested before the node at its far end is bound,
+// and the rest the WHERE's, tested once it is. none marks a pattern no
+// relationship of the graph satisfies; otherwise empty types admit every
+// type.
 type resolvedRel struct {
 	*RelPattern
-	types []uint16
-	props []resolvedProp
-	preds []*cellPred
-	none  bool
+	types  []uint16
+	preds  []*cellPred
+	inline int
+	none   bool
 }
 
-// resolvedProp is one inline property `key: val`. Under a key the graph has
-// never stored (!known) val is still evaluated, for its errors, but nothing
-// matches; a string literal (isStr) compares the stored cell with the
-// literal's dictionary id instead of evaluating val.
-type resolvedProp struct {
-	key   uint32
-	known bool
-	val   Expr
-	str   uint32
-	isStr bool
-}
-
-// resolvePaths resolves patterns against g. never is non-empty when some
-// pattern element names a label, relationship type, key or string literal
-// g has never stored in a way that no binding can satisfy, and says which,
-// for EXPLAIN: the clause then matches nothing and is not enumerated.
-func resolvePaths(g *graph.Graph, patterns []PatternPath) (paths []resolvedPath, never string) {
-	paths = make([]resolvedPath, len(patterns))
-	for i := range patterns {
-		p := &patterns[i]
+// resolvePaths resolves the clause's patterns against ec's graph and
+// compiles their inline properties. never is set when some pattern element
+// names a label, relationship type, key or string literal the graph has
+// never stored in a way that no binding can satisfy, and says which, for
+// EXPLAIN: the clause then matches nothing and is not enumerated.
+func (s *matchSpec) resolvePaths(ec *evalCtx) {
+	g := ec.g
+	s.paths = make([]resolvedPath, len(s.patterns))
+	for i := range s.patterns {
+		p := &s.patterns[i]
 		rp := resolvedPath{PatternPath: p, nodes: make([]resolvedNode, len(p.Nodes)), rels: make([]resolvedRel, len(p.Rels))}
 		for j := range p.Nodes {
 			np := &p.Nodes[j]
@@ -73,13 +69,16 @@ func resolvePaths(g *graph.Graph, patterns []PatternPath) (paths []resolvedPath,
 			for _, l := range np.Labels {
 				lid, ok := g.LabelID(l)
 				if !ok {
-					never = cmp.Or(never, "unknown label `"+l+"`")
+					s.never = cmp.Or(s.never, "unknown label `"+l+"`")
 				}
 				rn.labels = append(rn.labels, lid)
 			}
 			var why string
-			rn.props, why = resolveProps(g, np.Props)
-			never = cmp.Or(never, why)
+			rn.preds, why = s.inline(ec, np.Var, np.Props)
+			// Every inline property seeds. The cap makes the WHERE's
+			// appends to either list copy rather than share an array.
+			rn.seeds = rn.preds[:len(rn.preds):len(rn.preds)]
+			s.never = cmp.Or(s.never, why)
 		}
 		for j := range p.Rels {
 			pat := &p.Rels[j]
@@ -97,47 +96,49 @@ func resolvePaths(g *graph.Graph, patterns []PatternPath) (paths []resolvedPath,
 				why = "" // another alternative is stored
 			}
 			var propWhy string
-			rr.props, propWhy = resolveProps(g, pat.Props)
+			rr.preds, propWhy = s.inline(ec, pat.Var, pat.Props)
+			rr.inline = len(rr.preds)
 			if why = cmp.Or(why, propWhy); why != "" {
 				rr.none = true
 				// A zero-hop variable-length step binds without a
 				// relationship, so only it can still match.
 				if !pat.VarLen || pat.MinHops > 0 {
-					never = cmp.Or(never, why)
+					s.never = cmp.Or(s.never, why)
 				}
 			}
 		}
-		paths[i] = rp
+		s.paths[i] = rp
 	}
-	return paths, never
 }
 
-// resolveProps resolves inline properties in key order. why is non-empty
-// when a literal is compared under a key the graph has never stored, or a
-// string literal is one it has never stored: no entity can hold it. An
-// unknown key compared with an expression still evaluates it per row, so
-// that its errors surface.
-func resolveProps(g *graph.Graph, props map[string]Expr) (out []resolvedProp, why string) {
+// inline compiles the inline properties of the position that binds v, in
+// key order. why is non-empty when a literal is compared under a key the
+// graph has never stored, or a string literal is one it has never stored:
+// no entity can hold it.
+func (s *matchSpec) inline(ec *evalCtx, v string, props map[string]Expr) (preds []*cellPred, why string) {
 	if len(props) == 0 {
 		return nil, ""
 	}
-	out = make([]resolvedProp, 0, len(props))
-	for _, k := range sortedPropKeys(props) {
-		rp := resolvedProp{val: props[k]}
-		rp.key, rp.known = g.KeyID(k)
-		if lit, ok := rp.val.(*Literal); ok {
-			if !rp.known {
-				why = cmp.Or(why, "unknown property key `"+k+"`")
-			}
-			if lit.Kind == LitString {
-				if rp.str, rp.isStr = g.Interner().Lookup(lit.S); !rp.isStr {
-					why = cmp.Or(why, fmt.Sprintf("unknown string %q", lit.S))
-				}
-			}
-		}
-		out = append(out, rp)
+	first := len(s.preds)
+	for key, e := range props {
+		s.preds = append(s.preds, inlinePred(ec, v, key, e))
 	}
-	return out, why
+	compiled := s.preds[first:]
+	slices.SortFunc(compiled, func(a, b cellPred) int { return strings.Compare(a.l.name, b.l.name) })
+	preds = make([]*cellPred, len(compiled))
+	for i := range compiled {
+		p := &compiled[i]
+		preds[i] = p
+		if _, lit := props[p.l.name].(*Literal); !lit {
+			continue
+		}
+		if !p.l.known {
+			why = cmp.Or(why, "unknown property key `"+p.l.name+"`")
+		} else if str, isStr := p.c.AsString(); isStr && !p.isStr {
+			why = cmp.Or(why, fmt.Sprintf("unknown string %q", str))
+		}
+	}
+	return preds, why
 }
 
 // resolveKeys resolves every property key a statement reads through

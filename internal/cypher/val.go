@@ -205,10 +205,14 @@ func (v Val) AsBool() (bool, bool) {
 }
 
 // Equal implements Cypher equality: entities compare by identity, scalars
-// by value, lists element-wise.
+// by value, lists element-wise. A scalar list (a stored property, a
+// graph.Value parameter) is the list of its elements: it equals a list
+// value holding equal elements.
 func (v Val) Equal(o Val) bool {
 	if v.kind != o.kind {
-		return false
+		vl, verr := listElems(v)
+		ol, oerr := listElems(o)
+		return verr == nil && oerr == nil && slices.EqualFunc(vl, ol, Val.Equal)
 	}
 	switch v.kind {
 	case ValScalar:
@@ -250,11 +254,19 @@ const (
 // '=', and a string runs to the next unescaped separator. Node,
 // relationship and numeric keys, and the keys of strings without structure
 // bytes, are the encoding's original ones, so ORDER BY over existing data
-// orders as it always has.
+// orders as it always has. A scalar list keys as the list of its elements,
+// as Equal says.
 func (v Val) appendKey(buf []byte) []byte {
 	switch v.kind {
 	case ValScalar:
-		return appendScalarKey(append(buf, 'S'), v.scalar)
+		l, ok := v.scalar.AsList()
+		if !ok {
+			return appendScalarKey(append(buf, 'S'), v.scalar)
+		}
+		buf = strconv.AppendInt(append(buf, 'L'), int64(len(l)), 10)
+		for _, e := range l {
+			buf = ScalarVal(e).appendKey(append(buf, keySep))
+		}
 	case ValNode:
 		return strconv.AppendUint(append(buf, 'N'), v.id, 10)
 	case ValRel:
@@ -316,13 +328,6 @@ func appendScalarKey(buf []byte, v graph.Value) []byte {
 	case graph.KindString:
 		s, _ := v.AsString()
 		return appendEscaped(append(buf, 's'), s, keyEsc)
-	case graph.KindList:
-		l, _ := v.AsList()
-		buf = strconv.AppendInt(append(buf, 'l'), int64(len(l)), 10)
-		for _, e := range l {
-			buf = appendScalarKey(append(buf, keySep), e)
-		}
-		return buf
 	}
 	return append(buf, '?')
 }

@@ -769,13 +769,21 @@ func (g *Graph) probeKey(v Value) (ckey, bool) {
 	}
 }
 
-// findEntry locates keyID in a sorted property column.
+// findEntry locates keyID in a sorted property column: the index of its
+// entry, or where one would be inserted. Every property read calls it, so
+// it is a hand-written binary search rather than sort.Search, whose
+// closure is not inlined.
 func findEntry(cp []centry, keyID uint32) (int, bool) {
-	i := sort.Search(len(cp), func(i int) bool { return cp[i].key >= keyID })
-	if i < len(cp) && cp[i].key == keyID {
-		return i, true
+	lo, hi := 0, len(cp)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cp[mid].key < keyID {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return i, false
+	return lo, lo < len(cp) && cp[lo].key == keyID
 }
 
 // encodeProps converts a boxed property map into a sorted column.
@@ -1500,8 +1508,11 @@ func (g *Graph) HasIndex(label, key string) bool {
 
 // NodesByProp returns nodes with label whose property key equals v. It uses
 // the (label,key) index when present and otherwise falls back to scanning
-// the label's nodes. Either way the comparison is by interned id, so a
-// probe string the graph has never seen returns empty without a scan.
+// the label's nodes, comparing each stored cell with v as Value.Equal
+// does. A probe string the graph has never seen returns empty without a
+// scan. A list is always scanned: its normalized key is only in the
+// dictionary once an index or an earlier write interned it, and a read
+// interns nothing.
 func (g *Graph) NodesByProp(label, key string, v Value) []NodeID {
 	g.rlock()
 	lid, ok := g.labelIDs[label]
@@ -1526,14 +1537,14 @@ func (g *Graph) NodesByProp(label, key string, v Value) []NodeID {
 		return out
 	}
 	var out []NodeID
-	if valKnown {
+	if valKnown || v.kind == KindList {
 		if set := g.labelIdx[lid]; set != nil {
 			set.each(func(id NodeID) bool {
 				n := g.node(id)
 				if n == nil {
 					return true
 				}
-				if i, had := findEntry(n.cprops, keyID); had && g.entryKey(n.cprops[i]) == k {
+				if i, had := findEntry(n.cprops, keyID); had && g.decEntry(n.cprops[i]).Equal(v) {
 					out = append(out, id)
 				}
 				return true

@@ -380,3 +380,25 @@ func TestStats(t *testing.T) {
 		t.Error("Stats.String empty")
 	}
 }
+
+// TestNodesByPropListScan checks the unindexed scan on a list value: a
+// stored list is found by an equal probe list, numerically equal elements
+// included, on a fresh graph where nothing has interned the list's
+// normalized key; and the read interns nothing into the dictionary.
+func TestNodesByPropListScan(t *testing.T) {
+	g := New()
+	id := g.AddNode([]string{"A"}, Props{"tags": List(Int(1), Int(2))})
+	g.AddNode([]string{"A"}, Props{"tags": List(Int(1))})
+	before := g.Interner().Len()
+	for _, probe := range []Value{List(Int(1), Int(2)), List(Float(1), Int(2))} {
+		if got := g.NodesByProp("A", "tags", probe); len(got) != 1 || got[0] != id {
+			t.Errorf("NodesByProp(A, tags, %v) = %v, want [%d]", probe, got, id)
+		}
+	}
+	if got := g.NodesByProp("A", "tags", List(Int(2), Int(1))); len(got) != 0 {
+		t.Errorf("NodesByProp(A, tags, [2, 1]) = %v, want none", got)
+	}
+	if after := g.Interner().Len(); after != before {
+		t.Errorf("a read grew the dictionary from %d to %d strings", before, after)
+	}
+}
