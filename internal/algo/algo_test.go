@@ -106,38 +106,6 @@ func (ng *naiveGraph) m() int {
 	return m
 }
 
-// naiveBFS is a textbook queue BFS over the adjacency maps.
-func naiveBFS(ng *naiveGraph, sources []int32, maxDepth int32, reverse bool) []int32 {
-	dist := make([]int32, ng.n())
-	for i := range dist {
-		dist[i] = -1
-	}
-	var queue []int32
-	for _, s := range sources {
-		if dist[s] == -1 {
-			dist[s] = 0
-			queue = append(queue, s)
-		}
-	}
-	adj := ng.out
-	if reverse {
-		adj = ng.in
-	}
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		if maxDepth > 0 && dist[u] >= maxDepth {
-			continue
-		}
-		for _, w := range adj[u] {
-			if dist[w] == -1 {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
 // naiveWCC is sequential union-find over the undirected edge set.
 func naiveWCC(ng *naiveGraph) ([]int32, int) {
 	parent := make([]int32, ng.n())
@@ -194,15 +162,4 @@ func samePartition(t *testing.T, a, b []int32) {
 		a2b[a[i]] = b[i]
 		b2a[b[i]] = a[i]
 	}
-}
-
-// lineGraph builds a derived view 0 -> 1 -> ... -> n-1.
-func lineGraph(n int) *View {
-	from := make([]int32, n-1)
-	to := make([]int32, n-1)
-	for i := 0; i < n-1; i++ {
-		from[i] = int32(i)
-		to[i] = int32(i + 1)
-	}
-	return NewDerived(n, from, to, nil)
 }

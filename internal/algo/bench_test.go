@@ -59,18 +59,3 @@ func BenchmarkPageRank(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkBFS(b *testing.B) {
-	v := NewView(simGraph(b), ViewOptions{})
-	ctx := context.Background()
-	sources := []int32{0}
-	for _, w := range benchWorkerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := BFS(ctx, v, sources, BFSOptions{Workers: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

@@ -2,6 +2,7 @@ package algo
 
 import (
 	"sync"
+	"weak"
 
 	"iyp/internal/graph"
 )
@@ -12,12 +13,14 @@ import (
 // mutates, Graph.Version moves and the stale view is replaced on next
 // use. The cache is a small bounded map — analytics workloads touch a
 // handful of view shapes — and builds are single-flighted so a burst of
-// identical CALL queries compiles once.
+// identical CALL queries compiles once. The key holds its graph weakly:
+// the cache never keeps a superseded generation alive, and the views of
+// a collected graph are dropped at the next insertion.
 
 const viewCacheCap = 8
 
 type viewCacheKey struct {
-	g    *graph.Graph
+	g    weak.Pointer[graph.Graph]
 	opts string
 }
 
@@ -37,7 +40,7 @@ var (
 // once per graph generation. Concurrent callers for the same key share
 // one build.
 func CachedView(g *graph.Graph, opts ViewOptions) *View {
-	key := viewCacheKey{g: g, opts: opts.key()}
+	key := viewCacheKey{g: weak.Make(g), opts: opts.key()}
 	version := g.Version()
 
 	viewCacheMu.Lock()
@@ -49,6 +52,7 @@ func CachedView(g *graph.Graph, opts ViewOptions) *View {
 	if e == nil {
 		e = &viewCacheEntry{version: version}
 		if _, exists := viewCache[key]; !exists {
+			dropViewsLocked(func(k viewCacheKey) bool { return k.g.Value() == nil })
 			viewCacheLRU = append(viewCacheLRU, key)
 			for len(viewCacheLRU) > viewCacheCap {
 				evict := viewCacheLRU[0]
@@ -68,13 +72,21 @@ func CachedView(g *graph.Graph, opts ViewOptions) *View {
 }
 
 // InvalidateViews drops every cached view for g (all generations). Used
-// by tests and by callers that know g is about to be retired.
+// by tests and by callers that know g is about to be retired. It reads
+// the keys' pointers rather than making one for g, so retiring a graph
+// that never had a view does not give it a weak handle.
 func InvalidateViews(g *graph.Graph) {
 	viewCacheMu.Lock()
 	defer viewCacheMu.Unlock()
+	dropViewsLocked(func(k viewCacheKey) bool { return k.g.Value() == g })
+}
+
+// dropViewsLocked removes every cached view whose key matches drop; the
+// caller holds viewCacheMu.
+func dropViewsLocked(drop func(viewCacheKey) bool) {
 	kept := viewCacheLRU[:0]
 	for _, k := range viewCacheLRU {
-		if k.g == g {
+		if drop(k) {
 			delete(viewCache, k)
 			continue
 		}

@@ -24,16 +24,9 @@ func TestKernelsWorkerCountInvariant(t *testing.T) {
 	g := simGraph(t)
 	v := NewView(g, ViewOptions{})
 	ctx := context.Background()
-	sources := []int32{0, 3, 999}
 
 	type run func(workers int) (any, error)
 	kernels := map[string]run{
-		"bfs": func(w int) (any, error) {
-			return BFS(ctx, v, sources, BFSOptions{Workers: w})
-		},
-		"bfs-reverse": func(w int) (any, error) {
-			return BFS(ctx, v, sources, BFSOptions{Workers: w, Reverse: true, MaxDepth: 3})
-		},
 		"wcc": func(w int) (any, error) {
 			comp, _, err := WCC(ctx, v, w)
 			return comp, err
@@ -45,12 +38,6 @@ func TestKernelsWorkerCountInvariant(t *testing.T) {
 		"pagerank": func(w int) (any, error) {
 			scores, _, err := PageRank(ctx, v, PageRankOptions{Workers: w})
 			return scores, err
-		},
-		"harmonic": func(w int) (any, error) {
-			return Harmonic(ctx, v, HarmonicOptions{Samples: 24, Seed: 5, Workers: w})
-		},
-		"dependency": func(w int) (any, error) {
-			return Dependency(ctx, v, nil, DependencyOptions{K: 1, Workers: w})
 		},
 	}
 	for name, k := range kernels {
@@ -99,9 +86,6 @@ var callQueries = []string{
 	`CALL algo.scc()`,
 	`CALL algo.pagerank({maxIters: 20})`,
 	`CALL algo.degree()`,
-	`CALL algo.harmonic({samples: 16, seed: 3})`,
-	`CALL algo.bfs({sourceLabel: 'AS', maxDepth: 4})`,
-	`CALL algo.dependency({k: 1})`,
 	`CALL algo.wcc() YIELD node, component WHERE component = 1 RETURN count(node) AS n`,
 	`CALL algo.pagerank() YIELD node AS n, score RETURN n, score ORDER BY score DESC LIMIT 25`,
 }

@@ -7,7 +7,7 @@ import (
 	"iyp/internal/cypher"
 )
 
-// TestReadmeExamples executes the CALL examples printed in README.md
+// TestReadmeExamples executes the analytics examples printed in README.md
 // against the simnet graph, so the documentation can't rot.
 func TestReadmeExamples(t *testing.T) {
 	g := simGraph(t)
@@ -15,7 +15,7 @@ func TestReadmeExamples(t *testing.T) {
 	for _, src := range []string{
 		`CALL algo.wcc() YIELD node, component RETURN component, count(node) AS size ORDER BY size DESC LIMIT 5`,
 		`CALL algo.pagerank({labels: ['AS'], relTypes: ['PEERS_WITH'], damping: 0.85}) YIELD node, score RETURN node, score ORDER BY score DESC LIMIT 10`,
-		`CALL algo.dependency({sourceLabel: 'DomainName', k: 1}) YIELD node, dependents RETURN node, dependents ORDER BY dependents DESC LIMIT 10`,
+		`MATCH (:Ranking {name: 'Tranco top 1M'})-[:RANK]-(d:DomainName)-[:DEPENDS_ON]->(a:AS) RETURN a.asn AS asn, count(DISTINCT d) AS domains ORDER BY domains DESC LIMIT 10`,
 		`CALL db.procedures()`,
 	} {
 		q, err := cypher.Parse(src)

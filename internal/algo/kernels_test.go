@@ -6,41 +6,6 @@ import (
 	"testing"
 )
 
-// TestBFSMatchesNaive cross-checks the parallel multi-source BFS against
-// the textbook queue BFS for several source sets, depths and directions.
-func TestBFSMatchesNaive(t *testing.T) {
-	g := simGraph(t)
-	v := NewView(g, ViewOptions{})
-	ng := naiveExtract(g, nil, nil)
-	ctx := context.Background()
-
-	cases := []struct {
-		name     string
-		sources  []int32
-		maxDepth int32
-		reverse  bool
-	}{
-		{"single-source", []int32{0}, 0, false},
-		{"multi-source", []int32{0, 7, 42}, 0, false},
-		{"depth-bounded", []int32{0}, 2, false},
-		{"reverse", []int32{int32(v.N() - 1)}, 0, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := BFS(ctx, v, tc.sources, BFSOptions{MaxDepth: tc.maxDepth, Reverse: tc.reverse})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := naiveBFS(ng, tc.sources, tc.maxDepth, tc.reverse)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("dist[%d] = %d, naive %d", i, got[i], want[i])
-				}
-			}
-		})
-	}
-}
-
 // TestWCCMatchesNaive: the concurrent union-find must induce exactly the
 // partition of the sequential reference, and label components by their
 // minimum member.
@@ -70,7 +35,7 @@ func TestSCCKnown(t *testing.T) {
 	// Cycle {0,1,2} -> cycle {3,4}; 5 isolated; 6 with a self-loop.
 	v := NewDerived(7,
 		[]int32{0, 1, 2, 2, 3, 4, 6},
-		[]int32{1, 2, 0, 3, 4, 3, 6}, nil)
+		[]int32{1, 2, 0, 3, 4, 3, 6})
 	comp, count, err := SCC(context.Background(), v)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +120,7 @@ func TestBucketBounds(t *testing.T) {
 func TestPageRankProperties(t *testing.T) {
 	ctx := context.Background()
 	// Star: leaves 1..5 all point at 0.
-	v := NewDerived(6, []int32{1, 2, 3, 4, 5}, []int32{0, 0, 0, 0, 0}, nil)
+	v := NewDerived(6, []int32{1, 2, 3, 4, 5}, []int32{0, 0, 0, 0, 0})
 	scores, iters, err := PageRank(ctx, v, PageRankOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -191,86 +156,6 @@ func TestPageRankProperties(t *testing.T) {
 	}
 }
 
-// TestHarmonicExact: with Samples >= N the estimate is the exact harmonic
-// centrality, checked on a 4-node line.
-func TestHarmonicExact(t *testing.T) {
-	v := lineGraph(4) // 0 -> 1 -> 2 -> 3
-	scores, err := Harmonic(context.Background(), v, HarmonicOptions{Samples: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 1, 1.0/2 + 1, 1.0/3 + 1.0/2 + 1}
-	for i := range want {
-		if math.Abs(scores[i]-want[i]) > 1e-12 {
-			t.Fatalf("harmonic[%d] = %g, want %g", i, scores[i], want[i])
-		}
-	}
-}
-
-// TestDependencyK1: the SPoF fast path on a bipartite domain->key graph,
-// including duplicate edges.
-func TestDependencyK1(t *testing.T) {
-	// Domains 0,1,2; sinks 3,4. 0 -> 3; 1 -> 3,4; 2 -> 4 (twice).
-	v := NewDerived(5,
-		[]int32{0, 1, 1, 2, 2},
-		[]int32{3, 3, 4, 4, 4}, nil)
-	count, err := Dependency(context.Background(), v, []int32{0, 1, 2}, DependencyOptions{K: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 0, 0, 1, 1}
-	for i := range want {
-		if count[i] != want[i] {
-			t.Fatalf("count = %v, want %v", count, want)
-		}
-	}
-}
-
-// TestDependencyK2: the general path counts cut nodes on longer chains.
-func TestDependencyK2(t *testing.T) {
-	// 0 -> 1 -> 2 <- 3, sink 2.
-	v := NewDerived(4, []int32{0, 1, 3}, []int32{1, 2, 2}, nil)
-	count, err := Dependency(context.Background(), v, nil, DependencyOptions{K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{0, 1, 3, 0}
-	for i := range want {
-		if count[i] != want[i] {
-			t.Fatalf("count = %v, want %v", count, want)
-		}
-	}
-}
-
-// TestDependencyMaxReach: sources whose reach set exceeds the bound are
-// skipped rather than exploding the quadratic phase.
-func TestDependencyMaxReach(t *testing.T) {
-	v := lineGraph(10)
-	ctx := context.Background()
-	full, err := Dependency(ctx, v, nil, DependencyOptions{K: 9, MaxReach: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded, err := Dependency(ctx, v, nil, DependencyOptions{K: 9, MaxReach: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := func(c []int64) (s int64) {
-		for _, x := range c {
-			s += x
-		}
-		return s
-	}
-	if sum(full) <= sum(bounded) {
-		t.Fatalf("bounded run (%d) should count fewer dependencies than unbounded (%d)", sum(bounded), sum(full))
-	}
-	// The last node is every source's sink; unbounded must count all 9
-	// upstream sources for it.
-	if full[9] != 9 {
-		t.Fatalf("full[9] = %d, want 9", full[9])
-	}
-}
-
 // TestKernelsHonorCancellation: a cancelled context stops every kernel
 // with its error rather than returning partial data.
 func TestKernelsHonorCancellation(t *testing.T) {
@@ -279,9 +164,6 @@ func TestKernelsHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := BFS(ctx, v, []int32{0}, BFSOptions{}); err == nil {
-		t.Error("BFS ignored cancellation")
-	}
 	if _, _, err := WCC(ctx, v, 0); err == nil {
 		t.Error("WCC ignored cancellation")
 	}
@@ -290,12 +172,6 @@ func TestKernelsHonorCancellation(t *testing.T) {
 	}
 	if _, _, err := PageRank(ctx, v, PageRankOptions{}); err == nil {
 		t.Error("PageRank ignored cancellation")
-	}
-	if _, err := Harmonic(ctx, v, HarmonicOptions{}); err == nil {
-		t.Error("Harmonic ignored cancellation")
-	}
-	if _, err := Dependency(ctx, v, nil, DependencyOptions{}); err == nil {
-		t.Error("Dependency ignored cancellation")
 	}
 	if _, err := Degrees(ctx, v, 0); err == nil {
 		t.Error("Degrees ignored cancellation")

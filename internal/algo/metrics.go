@@ -19,7 +19,7 @@ type kernelStat struct {
 }
 
 // kernelNames fixes the exposition order.
-var kernelNames = []string{"bfs", "wcc", "scc", "degree", "pagerank", "harmonic", "dependency"}
+var kernelNames = []string{"wcc", "scc", "degree", "pagerank"}
 
 var metrics struct {
 	kernels    map[string]*kernelStat

@@ -1,25 +1,22 @@
 package algo
 
 import (
-	"fmt"
-
 	"iyp/internal/cypher"
 	"iyp/internal/graph"
 )
 
 // Cypher procedures wrapping the kernels: `CALL algo.<name>({config})
 // YIELD ...`. Every procedure compiles (or reuses) the CSR view selected
-// by the shared config keys `labels`, `relTypes` and `weightProp`, runs
-// its kernel under the query context, and streams rows in ascending
-// internal node order — the same order at any GOMAXPROCS, so paginated
+// by the shared config keys `labels` and `relTypes`, runs its kernel
+// under the query context, and streams rows in ascending internal node
+// order — the same order at any GOMAXPROCS, so paginated
 // clients see a stable result. Emission goes through the executor's
 // callback, which enforces MaxRows budgets and cancellation.
 
 func viewFromCfg(pc cypher.ProcContext, cfg map[string]cypher.Val) *View {
 	return CachedView(pc.Graph, ViewOptions{
-		Labels:     cypher.CfgStrings(cfg, "labels"),
-		RelTypes:   cypher.CfgStrings(cfg, "relTypes"),
-		WeightProp: cypher.CfgString(cfg, "weightProp", ""),
+		Labels:   cypher.CfgStrings(cfg, "labels"),
+		RelTypes: cypher.CfgStrings(cfg, "relTypes"),
 	})
 }
 
@@ -27,45 +24,6 @@ func nodeVal(v *View, i int32) cypher.Val { return cypher.NodeVal(v.ExtID(i)) }
 func intVal(n int64) cypher.Val           { return cypher.ScalarVal(graph.Int(n)) }
 func floatVal(f float64) cypher.Val       { return cypher.ScalarVal(graph.Float(f)) }
 func strVal(s string) cypher.Val          { return cypher.ScalarVal(graph.String(s)) }
-
-// cfgSources resolves the optional `sources` (list of node ids) and
-// `sourceLabel` (label name) config keys into internal indexes; nil means
-// "every node".
-func cfgSources(pc cypher.ProcContext, cfg map[string]cypher.Val, v *View) ([]int32, error) {
-	if sv, ok := cfg["sources"]; ok {
-		elems, ok := sv.AsList()
-		if !ok {
-			elems = []cypher.Val{sv}
-		}
-		sources := make([]int32, 0, len(elems))
-		for _, e := range elems {
-			var id graph.NodeID
-			if n, ok := e.AsInt(); ok {
-				id = graph.NodeID(n)
-			} else if nid, ok := e.AsNode(); ok {
-				id = nid
-			} else {
-				return nil, fmt.Errorf("sources entries must be node ids")
-			}
-			if i := v.IntID(id); i >= 0 {
-				sources = append(sources, i)
-			}
-		}
-		return sources, nil
-	}
-	if sl := cypher.CfgString(cfg, "sourceLabel", ""); sl != "" {
-		var sources []int32
-		pc.Graph.BulkRead(func(br *graph.BulkReader) {
-			for _, id := range br.NodesByLabel(sl) {
-				if i := v.IntID(id); i >= 0 {
-					sources = append(sources, i)
-				}
-			}
-		})
-		return sources, nil
-	}
-	return nil, nil
-}
 
 func init() {
 	cypher.RegisterProc(cypher.ProcSpec{
@@ -130,42 +88,6 @@ func init() {
 	})
 
 	cypher.RegisterProc(cypher.ProcSpec{
-		Name: "algo.bfs",
-		Cols: []string{"node", "dist"},
-		Help: "Multi-source BFS hop distances (config: sources/sourceLabel, maxDepth, reverse); unreached nodes are omitted.",
-		Impl: func(pc cypher.ProcContext, cfg map[string]cypher.Val, emit func([]cypher.Val) error) error {
-			v := viewFromCfg(pc, cfg)
-			sources, err := cfgSources(pc, cfg, v)
-			if err != nil {
-				return err
-			}
-			if sources == nil {
-				return fmt.Errorf("algo.bfs requires sources or sourceLabel")
-			}
-			reverse := false
-			if b, ok := cfg["reverse"]; ok {
-				reverse, _ = b.AsBool()
-			}
-			dist, err := BFS(pc.Ctx, v, sources, BFSOptions{
-				MaxDepth: int32(cypher.CfgInt(cfg, "maxDepth", 0)),
-				Reverse:  reverse,
-			})
-			if err != nil {
-				return err
-			}
-			for i := int32(0); i < int32(v.N()); i++ {
-				if dist[i] < 0 {
-					continue
-				}
-				if err := emit([]cypher.Val{nodeVal(v, i), intVal(int64(dist[i]))}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	})
-
-	cypher.RegisterProc(cypher.ProcSpec{
 		Name: "algo.degree",
 		Cols: []string{"direction", "degree_lo", "degree_hi", "count"},
 		Help: "Log2 degree histogram of the selected view (out buckets first, then in).",
@@ -192,57 +114,6 @@ func init() {
 				return err
 			}
 			return emitHist("in", &st.InHist)
-		},
-	})
-
-	cypher.RegisterProc(cypher.ProcSpec{
-		Name: "algo.harmonic",
-		Cols: []string{"node", "score"},
-		Help: "Sampled harmonic centrality (config: samples, seed).",
-		Impl: func(pc cypher.ProcContext, cfg map[string]cypher.Val, emit func([]cypher.Val) error) error {
-			v := viewFromCfg(pc, cfg)
-			scores, err := Harmonic(pc.Ctx, v, HarmonicOptions{
-				Samples: int(cypher.CfgInt(cfg, "samples", 0)),
-				Seed:    uint64(cypher.CfgInt(cfg, "seed", 1)),
-			})
-			if err != nil {
-				return err
-			}
-			for i := int32(0); i < int32(v.N()); i++ {
-				if err := emit([]cypher.Val{nodeVal(v, i), floatVal(scores[i])}); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	})
-
-	cypher.RegisterProc(cypher.ProcSpec{
-		Name: "algo.dependency",
-		Cols: []string{"node", "dependents"},
-		Help: "K-reach sole-dependency counts, the generalized SPoF kernel (config: k, maxReach, sources/sourceLabel); zero-count nodes are omitted.",
-		Impl: func(pc cypher.ProcContext, cfg map[string]cypher.Val, emit func([]cypher.Val) error) error {
-			v := viewFromCfg(pc, cfg)
-			sources, err := cfgSources(pc, cfg, v)
-			if err != nil {
-				return err
-			}
-			count, err := Dependency(pc.Ctx, v, sources, DependencyOptions{
-				K:        int32(cypher.CfgInt(cfg, "k", 0)),
-				MaxReach: int(cypher.CfgInt(cfg, "maxReach", 0)),
-			})
-			if err != nil {
-				return err
-			}
-			for i := int32(0); i < int32(v.N()); i++ {
-				if count[i] == 0 {
-					continue
-				}
-				if err := emit([]cypher.Val{nodeVal(v, i), intVal(count[i])}); err != nil {
-					return err
-				}
-			}
-			return nil
 		},
 	})
 }

@@ -1,17 +1,15 @@
 // Package algo is the graph-analytics engine: a layer between the
 // storage engine (internal/graph) and the query language (internal/cypher)
-// that serves whole-graph structural computations — the paper's DNS
-// robustness and single-point-of-failure evaluations, and the degree /
-// centrality measures used to compare Internet data sources.
+// that serves whole-graph structural computations — the connectivity,
+// degree and centrality measures `iyp-report -algo` prints and the
+// `CALL algo.*` procedures answer.
 //
 // The row-at-a-time Cypher executor expresses these analyses as nested
 // MATCH loops, which touch the store's lock and property maps per
 // binding. algo instead compiles an immutable, read-optimized CSR view
-// of one graph generation (int32-compacted node IDs, offset+edge arrays,
-// optional weight columns) and runs parallel kernels over it: multi-source
-// BFS, connected components (weak and strong), degree statistics,
-// PageRank, harmonic-centrality sampling, and a k-reach dependency kernel
-// generalizing the paper's SPoF counting. Kernels are exposed to Cypher
+// of one graph generation (int32-compacted node IDs, offset+edge arrays)
+// and runs parallel kernels over it: connected components (weak and
+// strong), degree statistics and PageRank. Kernels are exposed to Cypher
 // through `CALL algo.<name>(...) YIELD ...` procedures (see proc.go) and
 // to Go callers directly.
 //
@@ -22,7 +20,7 @@ package algo
 
 import (
 	"runtime"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -38,18 +36,15 @@ type ViewOptions struct {
 	Labels []string
 	// RelTypes keeps only relationships of these types (empty = all).
 	RelTypes []string
-	// WeightProp, when set, materializes this relationship property as
-	// the edge weight column (missing or non-numeric values weigh 1).
-	WeightProp string
 }
 
 // key canonicalizes the options for cache lookups.
 func (o ViewOptions) key() string {
 	ls := append([]string(nil), o.Labels...)
 	ts := append([]string(nil), o.RelTypes...)
-	sort.Strings(ls)
-	sort.Strings(ts)
-	return strings.Join(ls, ",") + "|" + strings.Join(ts, ",") + "|" + o.WeightProp
+	slices.Sort(ls)
+	slices.Sort(ts)
+	return strings.Join(ls, ",") + "|" + strings.Join(ts, ",")
 }
 
 // View is an immutable compressed-sparse-row snapshot of one graph
@@ -64,11 +59,9 @@ type View struct {
 
 	outOff []int64 // len N+1
 	outTo  []int32 // len M, sorted within each node's slice
-	outW   []float64
 
 	inOff []int64
 	inTo  []int32
-	inW   []float64
 
 	// BuildTime is how long compilation took.
 	BuildTime time.Duration
@@ -98,22 +91,6 @@ func (v *View) Out(i int32) []int32 { return v.outTo[v.outOff[i]:v.outOff[i+1]] 
 // In returns node i's in-neighbor slice (ascending, do not mutate).
 func (v *View) In(i int32) []int32 { return v.inTo[v.inOff[i]:v.inOff[i+1]] }
 
-// OutW returns the weights parallel to Out(i); nil for unweighted views.
-func (v *View) OutW(i int32) []float64 {
-	if v.outW == nil {
-		return nil
-	}
-	return v.outW[v.outOff[i]:v.outOff[i+1]]
-}
-
-// InW returns the weights parallel to In(i); nil for unweighted views.
-func (v *View) InW(i int32) []float64 {
-	if v.inW == nil {
-		return nil
-	}
-	return v.inW[v.inOff[i]:v.inOff[i+1]]
-}
-
 // OutDegree returns node i's out-degree.
 func (v *View) OutDegree(i int32) int { return int(v.outOff[i+1] - v.outOff[i]) }
 
@@ -130,7 +107,6 @@ func NewView(g *graph.Graph, opts ViewOptions) *View {
 		ids        []graph.NodeID
 		ext2int    []int32
 		srcs, dsts []int32
-		ws         []float64
 	)
 	g.BulkRead(func(br *graph.BulkReader) {
 		maxID := br.MaxNodeID()
@@ -185,7 +161,7 @@ func NewView(g *graph.Graph, opts ViewOptions) *View {
 			}
 			return false
 		}
-		br.EachRel(func(rid graph.RelID, typ uint16, from, to graph.NodeID) bool {
+		br.EachRel(func(_ graph.RelID, typ uint16, from, to graph.NodeID) bool {
 			if !match(typ) {
 				return true
 			}
@@ -195,17 +171,10 @@ func NewView(g *graph.Graph, opts ViewOptions) *View {
 			}
 			srcs = append(srcs, f)
 			dsts = append(dsts, t)
-			if opts.WeightProp != "" {
-				w, ok := br.RelProp(rid, opts.WeightProp).AsFloat()
-				if !ok {
-					w = 1
-				}
-				ws = append(ws, w)
-			}
 			return true
 		})
 	})
-	v := buildCSR(ids, ext2int, srcs, dsts, ws)
+	v := buildCSR(ids, ext2int, srcs, dsts)
 	v.BuildTime = time.Since(t0)
 	observeViewBuild(v)
 	return v
@@ -215,17 +184,13 @@ func NewView(g *graph.Graph, opts ViewOptions) *View {
 // uses shared atomic counters, the scatter claims slots with atomic
 // cursors, and each adjacency list is then sorted — so the resulting
 // arrays are identical however many workers ran.
-func buildCSR(ids []graph.NodeID, ext2int []int32, srcs, dsts []int32, ws []float64) *View {
+func buildCSR(ids []graph.NodeID, ext2int []int32, srcs, dsts []int32) *View {
 	n, m := len(ids), len(srcs)
 	v := &View{ids: ids, ext2int: ext2int}
 	v.outOff = make([]int64, n+1)
 	v.inOff = make([]int64, n+1)
 	v.outTo = make([]int32, m)
 	v.inTo = make([]int32, m)
-	if ws != nil {
-		v.outW = make([]float64, m)
-		v.inW = make([]float64, m)
-	}
 	if n == 0 {
 		return v
 	}
@@ -254,58 +219,17 @@ func buildCSR(ids []graph.NodeID, ext2int []int32, srcs, dsts []int32, ws []floa
 			ip := atomic.AddInt64(&inCur[d], 1) - 1
 			v.outTo[op] = d
 			v.inTo[ip] = s
-			if ws != nil {
-				v.outW[op] = ws[e]
-				v.inW[ip] = ws[e]
-			}
 		}
 	})
 
-	// Sort each adjacency list to erase scatter nondeterminism. Parallel
-	// edges keep their weights attached; equal targets order by weight so
-	// even multigraph views are canonical.
+	// Sort each adjacency list to erase scatter nondeterminism.
 	parallelFor(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sortAdj(v.outTo[v.outOff[i]:v.outOff[i+1]], wslice(v.outW, v.outOff[i], v.outOff[i+1]))
-			sortAdj(v.inTo[v.inOff[i]:v.inOff[i+1]], wslice(v.inW, v.inOff[i], v.inOff[i+1]))
+			slices.Sort(v.outTo[v.outOff[i]:v.outOff[i+1]])
+			slices.Sort(v.inTo[v.inOff[i]:v.inOff[i+1]])
 		}
 	})
 	return v
-}
-
-func wslice(w []float64, lo, hi int64) []float64 {
-	if w == nil {
-		return nil
-	}
-	return w[lo:hi]
-}
-
-func sortAdj(to []int32, w []float64) {
-	if len(to) < 2 {
-		return
-	}
-	if w == nil {
-		sort.Slice(to, func(a, b int) bool { return to[a] < to[b] })
-		return
-	}
-	sort.Sort(&adjSorter{to: to, w: w})
-}
-
-type adjSorter struct {
-	to []int32
-	w  []float64
-}
-
-func (s *adjSorter) Len() int { return len(s.to) }
-func (s *adjSorter) Less(a, b int) bool {
-	if s.to[a] != s.to[b] {
-		return s.to[a] < s.to[b]
-	}
-	return s.w[a] < s.w[b]
-}
-func (s *adjSorter) Swap(a, b int) {
-	s.to[a], s.to[b] = s.to[b], s.to[a]
-	s.w[a], s.w[b] = s.w[b], s.w[a]
 }
 
 // defaultWorkers is the pool size used when a kernel's Workers option is

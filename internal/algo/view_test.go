@@ -1,8 +1,11 @@
 package algo
 
 import (
+	"runtime"
 	"sort"
+	"sync"
 	"testing"
+	"time"
 
 	"iyp/internal/graph"
 )
@@ -62,41 +65,10 @@ func TestViewFilters(t *testing.T) {
 	}
 }
 
-// TestViewWeights materializes a relationship property as the weight
-// column and checks alignment with the sorted adjacency.
-func TestViewWeights(t *testing.T) {
-	g := graph.New()
-	a := g.AddNode([]string{"N"}, nil)
-	b := g.AddNode([]string{"N"}, nil)
-	c := g.AddNode([]string{"N"}, nil)
-	mustRel(t, g, "E", a, c, graph.Props{"w": graph.Float(3)})
-	mustRel(t, g, "E", a, b, graph.Props{"w": graph.Float(2)})
-	mustRel(t, g, "E", a, b, nil) // missing weight -> 1
-
-	v := NewView(g, ViewOptions{WeightProp: "w"})
-	ai := v.IntID(a)
-	out, w := v.Out(ai), v.OutW(ai)
-	if len(out) != 3 || len(w) != 3 {
-		t.Fatalf("out/weight lengths: %d/%d", len(out), len(w))
-	}
-	// Sorted by target then weight: (b,1), (b,2), (c,3).
-	wantTo := []int32{v.IntID(b), v.IntID(b), v.IntID(c)}
-	wantW := []float64{1, 2, 3}
-	for i := range wantTo {
-		if out[i] != wantTo[i] || w[i] != wantW[i] {
-			t.Fatalf("edge %d: got (%d, %g), want (%d, %g)", i, out[i], w[i], wantTo[i], wantW[i])
-		}
-	}
-	inW := v.InW(v.IntID(c))
-	if len(inW) != 1 || inW[0] != 3 {
-		t.Fatalf("in-weights of c: %v", inW)
-	}
-}
-
 // NewDerived builds a view over a synthetic graph of n nodes (internal
 // indexes [0, n), external IDs idx+1) and the given edge list, the fixture
-// the kernel tests run on. w may be nil for an unweighted view.
-func NewDerived(n int, from, to []int32, w []float64) *View {
+// the kernel tests run on.
+func NewDerived(n int, from, to []int32) *View {
 	ids := make([]graph.NodeID, n)
 	ext2int := make([]int32, n+1)
 	ext2int[0] = -1
@@ -104,12 +76,12 @@ func NewDerived(n int, from, to []int32, w []float64) *View {
 		ids[i] = graph.NodeID(i + 1)
 		ext2int[i+1] = int32(i)
 	}
-	return buildCSR(ids, ext2int, from, to, w)
+	return buildCSR(ids, ext2int, from, to)
 }
 
 // TestNewDerived checks the synthetic-view fixture.
 func TestNewDerived(t *testing.T) {
-	v := NewDerived(4, []int32{0, 0, 2}, []int32{1, 3, 3}, nil)
+	v := NewDerived(4, []int32{0, 0, 2}, []int32{1, 3, 3})
 	if v.N() != 4 || v.M() != 3 {
 		t.Fatalf("derived view: %d nodes, %d edges", v.N(), v.M())
 	}
@@ -159,6 +131,84 @@ func TestCachedViewGenerations(t *testing.T) {
 	}
 	if CachedView(g, ViewOptions{Labels: []string{"N"}}) != vl {
 		t.Fatal("option-keyed slot did not cache")
+	}
+}
+
+// TestCachedViewDoesNotPinGraph: the cache holds its graph weakly. A
+// graph nothing else references is collected although its view is
+// cached, its views leave the cache, and no graph made afterwards is
+// served its view.
+func TestCachedViewDoesNotPinGraph(t *testing.T) {
+	collected := make(chan struct{})
+	old := func() *View {
+		g := graph.New()
+		a := g.AddNode([]string{"N"}, nil)
+		b := g.AddNode([]string{"N"}, nil)
+		mustRel(t, g, "E", a, b, nil)
+		runtime.AddCleanup(g, func(ch chan struct{}) { close(ch) }, collected)
+		return CachedView(g, ViewOptions{})
+	}()
+	deadline := time.After(5 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-deadline:
+			t.Fatal("the view cache kept a graph alive")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+
+	for i := 0; i < 2*viewCacheCap; i++ {
+		g := graph.New()
+		g.AddNode([]string{"N"}, nil)
+		if v := CachedView(g, ViewOptions{}); v == old || v.N() != 1 {
+			t.Fatalf("graph %d was served a view of %d nodes (collected graph's view: %t)", i, v.N(), v == old)
+		}
+		viewCacheMu.Lock()
+		for _, e := range viewCache {
+			if e.view == old {
+				viewCacheMu.Unlock()
+				t.Fatal("a collected graph's view is still cached")
+			}
+		}
+		viewCacheMu.Unlock()
+		InvalidateViews(g)
+	}
+}
+
+// TestCachedViewSingleFlight: concurrent callers for one key of one
+// generation share one build and get the same view.
+func TestCachedViewSingleFlight(t *testing.T) {
+	g := simGraph(t)
+	opts := ViewOptions{Labels: []string{"AS"}}
+	InvalidateViews(g)
+	defer InvalidateViews(g)
+
+	const callers = 8
+	builds := metrics.viewBuilds.Load()
+	start := make(chan struct{})
+	views := make([]*View, callers)
+	var wg sync.WaitGroup
+	for i := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			views[i] = CachedView(g, opts)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for i, v := range views {
+		if v == nil || v != views[0] {
+			t.Fatalf("caller %d got view %p, caller 0 got %p", i, v, views[0])
+		}
+	}
+	if n := metrics.viewBuilds.Load() - builds; n != 1 {
+		t.Fatalf("%d concurrent callers built %d views, want 1", callers, n)
 	}
 }
 

@@ -77,8 +77,8 @@ func FuzzParseCall(f *testing.F) {
 	for _, seed := range []string{
 		`CALL algo.wcc()`,
 		`CALL algo.pagerank({damping: 0.85, maxIters: 50})`,
-		`CALL algo.bfs({sources: [1, 2], reverse: true}) YIELD node, dist`,
-		`CALL algo.harmonic({samples: 64, seed: 9}) YIELD node AS n, score WHERE score > 1.5 RETURN n, score`,
+		`CALL algo.scc({labels: ['AS'], relTypes: ['PEERS_WITH']}) YIELD node, component`,
+		`CALL algo.pagerank({epsilon: 1e-9}) YIELD node AS n, score WHERE score > 1.5 RETURN n, score`,
 		`MATCH (a:AS) CALL algo.degree({labels: ['AS']}) YIELD direction, count RETURN a, direction, count`,
 		`CALL db.procedures() YIELD name, columns, help RETURN name ORDER BY name`,
 		`CALL x.y.z({a: {b: [null, 'q']}}) YIELD c AS d`,

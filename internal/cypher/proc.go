@@ -141,16 +141,6 @@ func CfgFloat(cfg map[string]Val, key string, def float64) float64 {
 	return def
 }
 
-// CfgString reads a string config key with a default.
-func CfgString(cfg map[string]Val, key, def string) string {
-	if v, ok := cfg[key]; ok {
-		if s, ok := v.AsString(); ok {
-			return s
-		}
-	}
-	return def
-}
-
 // CfgStrings reads a list-of-strings config key; absent or malformed
 // entries yield nil.
 func CfgStrings(cfg map[string]Val, key string) []string {

@@ -82,9 +82,9 @@ func TestQueryCallMaxRows(t *testing.T) {
 	}
 }
 
-// chainGraph is a long directed path — the k-reach dependency kernel on
-// it with unbounded reach is quadratic, which makes it a reliable
-// deadline victim.
+// chainGraph is a long directed path. PageRank on it with damping near 1
+// and a tight epsilon runs ~50 000 iterations (seconds) before it
+// converges, which makes it a reliable deadline victim.
 func chainGraph(n int) *graph.Graph {
 	g := graph.New()
 	prev := g.AddNode([]string{"N"}, nil)
@@ -96,13 +96,16 @@ func chainGraph(n int) *graph.Graph {
 	return g
 }
 
+// TestQueryCallTimeout: the deadline stops the kernel itself, not just
+// the rows it would emit, so no PageRank run completes.
 func TestQueryCallTimeout(t *testing.T) {
 	g := chainGraph(3000)
 	defer algo.InvalidateViews(g)
 	srv := newTestServer(g)
+	runs := pagerankRuns()
 
 	w := post(t, srv, "/v1/query",
-		`{"query": "CALL algo.dependency({k: 3000, maxReach: -1})", "timeout_ms": 1}`)
+		`{"query": "CALL algo.pagerank({damping: 0.999999, maxIters: 100000000, epsilon: 1e-300})", "timeout_ms": 1}`)
 	if w.Code != 504 {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
 	}
@@ -113,6 +116,18 @@ func TestQueryCallTimeout(t *testing.T) {
 	if resp.Code != "timeout" {
 		t.Fatalf("error code %q, want timeout", resp.Code)
 	}
+	if n := pagerankRuns() - runs; n != 0 {
+		t.Fatalf("%d PageRank runs completed past the deadline", n)
+	}
+}
+
+func pagerankRuns() uint64 {
+	for _, s := range algo.Snapshot() {
+		if s.Kernel == "pagerank" {
+			return s.Runs
+		}
+	}
+	return 0
 }
 
 func TestExplainCallReportsBypass(t *testing.T) {
